@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--horizon", type=int, default=50,
                          help="hazard series length (default %(default)s)")
     analyze.add_argument("--budget", type=int, default=1_000_000,
-                         help="max live prefixes for enumeration (default %(default)s)")
+                         help="max live pooled states for enumeration (default %(default)s)")
     analyze.add_argument("--samples", type=int, default=10_000,
                          help="Monte Carlo samples for non-finite-state models; "
                               "0 disables (default %(default)s)")

@@ -144,7 +144,7 @@ class Asm:
     def state_key(self, state):
         """Hashable key identifying ``state``; equal keys must imply equal
         conditional behaviour from here on.  Used to pool identical states
-        during sampling and bound checking."""
+        during hazard enumeration, bound checking and sampling."""
         return state
 
 

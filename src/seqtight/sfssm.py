@@ -161,7 +161,7 @@ def build_sfssm(alphabet: Alphabet,
     Raises :class:`NegativeEntry` for negative parameters,
     :class:`BadInit` when the initial vector does not sum to 1 within
     ``tol``, and :class:`BadRow` when a state's outgoing mass plus its
-    termination probability is not 1 within ``tol``.
+    termination probability is not 1 within ``tol`` (a NaN sum never is).
     """
     init = np.asarray(init, dtype=float)
     term = np.asarray(term, dtype=float)
@@ -188,13 +188,13 @@ def build_sfssm(alphabet: Alphabet,
         raise ValueError(f"transition matrices for symbols outside the alphabet: {sorted(unknown)!r}")
 
     total_init = float(init.sum())
-    if abs(total_init - 1.0) > tol:
+    if not abs(total_init - 1.0) <= tol:
         raise BadInit(total_init)
     row_sums = term.copy()
     for mat in matrices.values():
         row_sums = row_sums + mat.sum(axis=1)
     for idx in range(q):
-        if abs(row_sums[idx] - 1.0) > tol:
+        if not abs(row_sums[idx] - 1.0) <= tol:
             raise BadRow(idx, state_names[idx], float(row_sums[idx]))
 
     return Sfssm(alphabet=alphabet, trans=matrices, init=init, term=term, names=state_names)

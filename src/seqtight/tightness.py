@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Asm, OutOfRange, Str, as_prob
-from .sfssm import Sfssm, SubstochasticFssm
+from .sfssm import Sfssm
 from .verdicts import Certificate, TightnessVerdict
 
 HIT_ONE_THRESHOLD = 1.0 - 1e-12
@@ -36,14 +36,14 @@ SAMPLE_CHUNK = 65536
 
 
 class BudgetExceeded(RuntimeError):
-    """Exhaustive enumeration would exceed the prefix budget."""
+    """Exhaustive enumeration would exceed the live-state budget."""
 
     def __init__(self, step: int, frontier: int, budget: int):
         self.step = step
         self.frontier = frontier
         self.budget = budget
         super().__init__(
-            f"enumeration needs {frontier} live prefixes at step {step}, budget is {budget}; "
+            f"enumeration needs {frontier} live states at step {step}, budget is {budget}; "
             f"lower the horizon, raise the budget, or use the finite-state engine")
 
 
@@ -115,15 +115,49 @@ def _series_from_values(values: list[float], support_exhausted_at: int | None) -
                            support_exhausted_at=support_exhausted_at)
 
 
+def _pooled_step(asm: Asm, groups: list, splits: list, t: int, budget: int,
+                 witness: bool = False) -> list:
+    """Advance ``(state, weight, node)`` groups by one symbol; ``splits[i][j]``
+    is the weight group ``i`` sends along symbol ``j`` (an EOS entry is
+    ignored).  Successors with equal state keys share all future
+    conditionals, so they pool exactly.  With ``witness`` each keeps the
+    first arrival's ``(node, symbol)`` parent pointer; otherwise ``node``
+    is ``None``, so live groups never hold ancestor chains.  Raises
+    :class:`BudgetExceeded` past ``budget`` live groups at step ``t``."""
+    grown: dict = {}
+    for (state, _, node), split in zip(groups, splits):
+        for a, w in zip(asm.alphabet.symbols, split):
+            if w > 0:
+                nxt = asm.step(state, a)
+                key = asm.state_key(nxt)
+                entry = grown.get(key)
+                if entry is None:
+                    grown[key] = (nxt, w, (node, a) if witness else None)
+                else:
+                    grown[key] = (entry[0], entry[1] + w, entry[2])
+    if len(grown) > budget:
+        raise BudgetExceeded(t, len(grown), budget)
+    return list(grown.values())
+
+
+def _prefix(node) -> Str:
+    """The prefix spelled by following ``(parent, symbol)`` pointers to the root."""
+    symbols = []
+    while node is not None:
+        node, a = node
+        symbols.append(a)
+    return tuple(reversed(symbols))
+
+
 def eos_hazard_enumerate(asm: Asm, horizon: int, budget: int = DEFAULT_ENUM_BUDGET,
                          on_support_exhausted: str = "truncate") -> EosHazardSeries:
-    """Hazard series by exhaustive prefix enumeration (the slow, exact route).
+    """Hazard series by exhaustive enumeration of reachable states.
 
     Step ``t`` weighs the EOS probability of every live prefix of length
-    ``t - 1`` by the prefix's own probability.  Zero-mass prefixes are
-    pruned, so only genuinely reachable prefixes are expanded; if the live
-    frontier ever exceeds ``budget`` prefixes, :class:`BudgetExceeded` is
-    raised.  When all prefix mass disappears (the model surely stopped
+    ``t - 1`` by the prefix's own probability.  Prefixes whose states share
+    a :meth:`Asm.state_key` are pooled and zero-mass ones pruned; if more
+    than ``budget`` pooled states are ever live, :class:`BudgetExceeded`
+    is raised.  When all prefix mass disappears (the model surely stopped
     earlier) the series ends there, or raises :class:`SupportExhausted`
     with ``on_support_exhausted="raise"``.
     """
@@ -133,33 +167,25 @@ def eos_hazard_enumerate(asm: Asm, horizon: int, budget: int = DEFAULT_ENUM_BUDG
         raise ValueError(f"on_support_exhausted must be 'truncate' or 'raise', "
                          f"got {on_support_exhausted!r}")
     eos_idx = asm.alphabet.eos_index
-    symbols = asm.alphabet.symbols
-    frontier: list[tuple[tuple, object, float]] = [((), asm.initial_state(), 1.0)]
+    groups = [(asm.initial_state(), 1.0, None)]
     values: list[float] = []
     exhausted = None
     for t in range(1, horizon + 1):
-        if not frontier:
+        if not groups:
             if on_support_exhausted == "raise":
                 raise SupportExhausted(t)
             exhausted = t
             break
         conds = [np.asarray(asm.state_conditional(state), dtype=float)
-                 for _, state, _ in frontier]
-        den = math.fsum(mass for _, _, mass in frontier)
+                 for state, _, _ in groups]
+        den = math.fsum(mass for _, mass, _ in groups)
         num = math.fsum(mass * float(cond[eos_idx])
-                        for (_, _, mass), cond in zip(frontier, conds))
+                        for (_, mass, _), cond in zip(groups, conds))
         values.append(min(max(num / den, 0.0), 1.0))
         if t == horizon:
             break
-        grown: list[tuple[tuple, object, float]] = []
-        for (prefix, state, mass), cond in zip(frontier, conds):
-            for i, a in enumerate(symbols):
-                next_mass = mass * float(cond[i])
-                if next_mass > 0.0:
-                    grown.append((prefix + (a,), asm.step(state, a), next_mass))
-        if len(grown) > budget:
-            raise BudgetExceeded(t + 1, len(grown), budget)
-        frontier = grown
+        splits = [(mass * cond).tolist() for (_, mass, _), cond in zip(groups, conds)]
+        groups = _pooled_step(asm, groups, splits, t + 1, budget)
     return _series_from_values(values, exhausted)
 
 
@@ -336,35 +362,19 @@ def _check_lower_bound(asm: Asm, bound: EosBoundFamily, horizon: int,
     keys are pooled (they share all future conditionals), keeping the walk
     polynomial for finite-state and fixed-trajectory models."""
     eos_idx = asm.alphabet.eos_index
-    symbols = asm.alphabet.symbols
-    frontier: dict = {asm.state_key(asm.initial_state()): ((), asm.initial_state(), 1.0)}
+    groups = [(asm.initial_state(), 1.0, None)]
     steps = horizon if bound.claimed_steps is None else min(horizon, bound.claimed_steps)
     for t in range(1, steps + 1):
-        if not frontier:
-            return
         want = bound.value(t)
-        grown: dict = {}
-        for prefix, state, mass in frontier.values():
+        splits = []
+        for state, mass, node in groups:
             cond = np.asarray(asm.state_conditional(state), dtype=float)
             observed = float(cond[eos_idx])
             if observed < want - tol:
-                raise BoundViolated(t, prefix, observed, want)
-            if t == steps:
-                continue
-            for i, a in enumerate(symbols):
-                next_mass = mass * float(cond[i])
-                if next_mass <= 0.0:
-                    continue
-                nxt = asm.step(state, a)
-                key = asm.state_key(nxt)
-                if key in grown:
-                    entry = grown[key]
-                    grown[key] = (entry[0], entry[1], entry[2] + next_mass)
-                else:
-                    grown[key] = (prefix + (a,), nxt, next_mass)
-        if len(grown) > budget:
-            raise BudgetExceeded(t + 1, len(grown), budget)
-        frontier = grown
+                raise BoundViolated(t, _prefix(node), observed, want)
+            splits.append((mass * cond).tolist())
+        if t < steps:
+            groups = _pooled_step(asm, groups, splits, t + 1, budget, witness=True)
 
 
 def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
@@ -532,39 +542,27 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     eos_idx = asm.alphabet.eos_index
-    symbols = asm.alphabet.symbols
     terminated = 0
     truncated = 0
     lengths: dict[int, int] = {}
     for chunk_index, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
         chunk = min(SAMPLE_CHUNK, samples - start)
         rng = np.random.default_rng([seed, chunk_index])
-        state0 = asm.initial_state()
-        groups: dict = {asm.state_key(state0): (state0, chunk)}
+        groups = [(asm.initial_state(), chunk, None)]
         for t in range(1, max_len + 1):
             if not groups:
                 break
-            grown: dict = {}
-            for state, count in groups.values():
+            splits = []
+            for state, count, _ in groups:
                 p = np.clip(np.asarray(asm.state_conditional(state), dtype=float), 0.0, None)
-                p = p / p.sum()
-                draws = rng.multinomial(count, p)
-                stopped = int(draws[eos_idx])
+                draws = rng.multinomial(count, p / p.sum()).tolist()
+                stopped = draws[eos_idx]
                 if stopped:
                     terminated += stopped
                     lengths[t - 1] = lengths.get(t - 1, 0) + stopped
-                for i, a in enumerate(symbols):
-                    n = int(draws[i])
-                    if n == 0:
-                        continue
-                    nxt = asm.step(state, a)
-                    key = asm.state_key(nxt)
-                    if key in grown:
-                        grown[key] = (grown[key][0], grown[key][1] + n)
-                    else:
-                        grown[key] = (nxt, n)
-            groups = grown
-        truncated += sum(count for _, count in groups.values())
+                splits.append(draws)
+            groups = _pooled_step(asm, groups, splits, t + 1, chunk)
+        truncated += sum(count for _, count, _ in groups)
     return TerminationEstimate(
         samples=samples, max_len=max_len, seed=seed,
         terminated=terminated, truncated=truncated,

@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from seqtight import decide_tight, termination_probability, trim, parse_model, mle_ngram
+from seqtight import (Alphabet, RnnAsm, decide_tight, termination_probability, trim,
+                      parse_model, mle_ngram, write_model)
 from seqtight.cli import main
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -78,11 +80,40 @@ def test_analyze_sure_stopper_certificate(capsys, tmp_path):
     assert "tight (co-accessibility)" in out
 
 
-def test_analyze_budget_exceeded_guidance(capsys):
-    code, out, err = run(capsys, "analyze", "builtin:parity",
-                         "--horizon", "40", "--budget", "100")
+def test_analyze_budget_exceeded_guidance(capsys, tmp_path):
+    # continuous tanh hidden states never pool: 2^7 live states at step 8
+    rng = np.random.default_rng(0)
+    model = RnnAsm(alphabet=Alphabet(("x", "y")),
+                   input_embedding=rng.normal(size=(3, 2)),
+                   output_embedding=rng.normal(size=(3, 2)),
+                   input_weights=rng.normal(size=(2, 2)),
+                   recurrent_weights=rng.normal(size=(2, 2)),
+                   bias=rng.normal(size=2), activation="tanh",
+                   initial_hidden=np.zeros(2))
+    path = tmp_path / "tanh.model"
+    path.write_text(write_model(model))
+    code, out, err = run(capsys, "analyze", str(path), "--horizon", "40", "--budget", "100")
     assert code == 1
     assert "budget" in err
+    assert "at step 8" in err
+
+
+def test_analyze_parity_default_flags_pools_states(capsys):
+    code, out, _ = run(capsys, "analyze", "builtin:parity", "--format", "machine")
+    assert code == 0
+    hazards = json.loads(out)["series"]["eos_hazard"]
+    assert len(hazards) == 50
+    assert hazards == pytest.approx([0.0, 0.1] * 25, abs=1e-15)
+
+
+def test_analyze_rejects_nan_model(capsys, tmp_path):
+    path = tmp_path / "nan.model"
+    path.write_text("model: sfssm\n\n[alphabet]\na\n\n[states]\nq\n\n[init]\nq nan\n\n"
+                    "[transitions a]\nq q 0.5\n\n[term]\nq 0.5\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert "nan" in err
 
 
 def test_analyze_machine_format_is_byte_stable(capsys):

@@ -208,6 +208,32 @@ s0 0.4
     assert "0.9" in str(err)
 
 
+NAN_INIT_MODEL = """model: sfssm
+
+[alphabet]
+a
+
+[states]
+q
+
+[init]
+q nan
+
+[transitions a]
+q q 0.5
+
+[term]
+q 0.5
+"""
+
+
+def test_nan_entries_become_parse_errors():
+    assert "nan" in str(diagnose(NAN_INIT_MODEL))
+    # a NaN transition makes its row sum NaN, which must fail the row check too
+    err = diagnose(NAN_INIT_MODEL.replace("q nan", "q 1.0").replace("q q 0.5", "q q nan"))
+    assert "nan" in str(err)
+
+
 def test_builtin_with_sections_rejected():
     err = diagnose("model: fig1a\n\n[alphabet]\na\n")
     assert "no sections" in str(err)

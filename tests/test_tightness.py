@@ -1,6 +1,7 @@
 """Hazard series, certificates, Monte Carlo, and the product/sum duality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from seqtight import (Alphabet, BoundViolated, BudgetExceeded, EmptyEvidence,
                       decide_tight, eos_hazard_enumerate, eos_hazard_fsa,
                       fit_geometric_tail, make_nontight_relu_rnn, make_parity_asm,
                       make_tight_softplus_rnn, monte_carlo_termination,
-                      product_sum_duality_check, rnn_log_norm_test, sfssm_as_asm,
+                      RnnAsm, product_sum_duality_check, rnn_log_norm_test, sfssm_as_asm,
                       suggests_tight, termination_cdf, termination_probability, trim)
 from seqtight.verdicts import Certificate
 
@@ -40,6 +41,9 @@ def test_enumerate_bigram_first_step_cannot_stop(fig1a):
 def test_enumerate_parity_alternates():
     series = eos_hazard_enumerate(make_parity_asm(), 4)
     assert series.values == pytest.approx((0.0, 0.1, 0.0, 0.1), abs=1e-15)
+    # all 2^t prefixes of length t share one state, so a single pooled state stays live
+    series = eos_hazard_enumerate(make_parity_asm(), 40, budget=1)
+    assert series.values == pytest.approx((0.0, 0.1) * 20, abs=1e-15)
 
 
 def test_enumerate_budget_guard():
@@ -210,6 +214,17 @@ def test_lower_bound_violation_is_reported():
                                   asm=make_tight_softplus_rnn(), horizon=10)
     assert info.value.step == 2  # hazard at step 2 is 1/3 < 0.4
     assert info.value.observed == pytest.approx(1 / 3, abs=1e-12)
+    assert info.value.prefix == ("a",)
+
+
+def test_lower_bound_violation_witness_is_a_real_prefix():
+    asm = make_parity_asm()
+    with pytest.raises(BoundViolated) as info:
+        certify_tight_lower_bound(EosBoundFamily.table([0.0, 0.05, 0.0, 0.2]),
+                                  asm=asm, horizon=4)
+    assert info.value.step == 4  # eos probability 0.1 < 0.2 after three symbols
+    assert len(info.value.prefix) == 3
+    assert asm.conditional(info.value.prefix)[-1] == info.value.observed
 
 
 def test_lower_bound_empirical_check_pools_states(fig1b):
@@ -345,6 +360,26 @@ def test_monte_carlo_length_accounting(fig1b):
     assert estimate.terminated + estimate.truncated == estimate.samples
     assert sum(c for _, c in estimate.length_counts) == estimate.terminated
     assert estimate.length_quantile(0.5) >= 1  # strings need at least one symbol
+
+
+def test_monte_carlo_memory_stays_flat_as_max_len_grows():
+    # tanh hidden states that never pool and a tiny EOS probability keep every
+    # sample live to max_len, so no live group may hold its ancestor chain
+    turn = np.array([[math.cos(0.9), -math.sin(0.9)], [math.sin(0.9), math.cos(0.9)]])
+    asm = RnnAsm(alphabet=Alphabet(("x", "y")),
+                 input_embedding=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                 output_embedding=[[4.0, 4.0], [4.0, 4.0], [-4.0, -4.0]],
+                 input_weights=np.eye(2), recurrent_weights=2.0 * turn,
+                 bias=[1.5, 1.5], activation="tanh", initial_hidden=[1.0, 1.0])
+    monte_carlo_termination(asm, 10, max_len=5, seed=0)  # warm caches outside the trace
+    peaks = []
+    for max_len in (25, 200):
+        tracemalloc.start()
+        estimate = monte_carlo_termination(asm, 100, max_len=max_len, seed=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert estimate.truncated == 100
+    assert peaks[1] < 2 * peaks[0]
 
 
 # -- product/sum duality -----------------------------------------------------------------------
