@@ -14,15 +14,15 @@ from .linalg import (Singular, SpectralEstimate, neumann_partial_sum, solve_line
                      spectral_radius_estimate)
 from .verdicts import Certificate, TightnessVerdict
 from .sfssm import (BadInit, BadRow, EmptyCorpus, NegativeEntry, NoUsefulStates, Sfssm,
-                    SubstochasticFssm, accessible, build_sfssm, check_spectral_radius,
-                    coaccessible, decide_tight, mle_ngram, prefix_probability_fsa,
-                    string_probability_fsa, termination_probability, trim,
-                    useful_states)
+                    SpectralRadiusTooLarge, TerminationShortfall, accessible, build_sfssm,
+                    check_spectral_radius, coaccessible, decide_tight, mle_ngram,
+                    prefix_probability_fsa, solve_tightness, string_probability_fsa,
+                    termination_probability, trim, useful_states)
 from .asm_zoo import (DeadPrefix, ParityAsm, RnnAsm, SfssmAsm, make_nontight_relu_rnn,
                       make_parity_asm, make_tight_softplus_rnn, rnn_conditional,
                       rnn_step, sfssm_as_asm, softmax)
 from .tightness import (BoundViolated, BudgetExceeded, DualityReport, EmptyEvidence,
-                        EosBoundFamily, EosHazardSeries, SupportExhausted,
+                        EosBoundFamily, EosHazardSeries, InvalidWeight, SupportExhausted,
                         TerminationEstimate, certify_nontight_upper_bound,
                         certify_tight_lower_bound, eos_hazard_enumerate,
                         eos_hazard_fsa, fit_geometric_tail, monte_carlo_termination,

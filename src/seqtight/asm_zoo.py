@@ -55,8 +55,8 @@ class RnnAsm(Asm):
     The hidden state evolves as ``h' = act(W_in @ v[x] + W_rec @ h + bias)``
     where ``v[x]`` is the input embedding of the consumed symbol, and the
     conditional distribution is ``softmax(U @ h)`` over the output
-    embeddings ``U`` (one row per symbol, EOS last).  Softmax outputs are
-    strictly positive, so every prefix is live.
+    embeddings ``U`` (one row per symbol, EOS last).  Every parameter must
+    be finite; softmax outputs are then positive, so every prefix is live.
     """
 
     alphabet: Alphabet
@@ -88,6 +88,10 @@ class RnnAsm(Asm):
             got = getattr(self, name).shape
             if got != want:
                 raise ValueError(f"{name} has shape {got}, expected {want}")
+        for name in (*shapes, "initial_hidden"):
+            bad = getattr(self, name)[~np.isfinite(getattr(self, name))]
+            if bad.size:
+                raise ValueError(f"{name} has a non-finite entry: {float(bad[0])!r}")
 
     @property
     def hidden_dim(self) -> int:
@@ -221,10 +225,9 @@ class SfssmAsm(Asm):
     """Any stochastic finite-state model viewed through the ASM interface.
 
     The carried state is the normalized forward state distribution; the
-    conditional for symbol ``a`` is the one-step mass routed through
-    ``trans[a]`` and the EOS entry is the dot product with the termination
-    vector.  Prefixes the model cannot generate have no conditional and
-    raise :class:`DeadPrefix`.
+    conditional is its product with the model's row-mass matrix (per-symbol
+    outgoing mass, then termination).  Prefixes the model cannot generate
+    have no conditional and raise :class:`DeadPrefix`.
     """
 
     def __init__(self, model: Sfssm):
@@ -235,17 +238,17 @@ class SfssmAsm(Asm):
         prefix = self.alphabet.check_string(prefix)
         alpha = np.asarray(self.model.init, dtype=float)
         for token in prefix:
-            alpha = alpha @ self.model.trans[token]
+            alpha = self.model.forward(alpha, token)
         mass = float(alpha.sum())
         if mass <= 0.0:
             raise DeadPrefix(prefix)
-        return self._conditional_from_alpha(alpha / mass)
+        return (alpha / mass) @ self.model.row_mass
 
     def initial_state(self):
         return np.asarray(self.model.init, dtype=float)
 
     def step(self, state, symbol: Token):
-        alpha = np.asarray(state, dtype=float) @ self.model.trans[symbol]
+        alpha = self.model.forward(np.asarray(state, dtype=float), symbol)
         mass = float(alpha.sum())
         if mass <= 0.0:
             raise DeadPrefix(None)
@@ -256,17 +259,10 @@ class SfssmAsm(Asm):
         mass = float(alpha.sum())
         if mass <= 0.0:
             raise DeadPrefix(None)
-        return self._conditional_from_alpha(alpha / mass)
+        return (alpha / mass) @ self.model.row_mass
 
     def state_key(self, state):
         return tuple(np.asarray(state).ravel().tolist())
-
-    def _conditional_from_alpha(self, alpha: np.ndarray) -> np.ndarray:
-        vec = np.empty(self.alphabet.full_size)
-        for i, a in enumerate(self.alphabet.symbols):
-            vec[i] = float((alpha @ self.model.trans[a]).sum())
-        vec[-1] = float(alpha @ self.model.term)
-        return vec
 
 
 def sfssm_as_asm(m: Sfssm) -> SfssmAsm:

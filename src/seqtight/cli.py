@@ -21,9 +21,8 @@ from .asm_zoo import ParityAsm, RnnAsm
 from .core import OutOfRange, UnknownSymbol, prefix_probability, string_probability
 from .modelfile import (BUILTINS, Model, ParseError, as_asm, load_model, model_digest,
                         parse_corpus, write_model)
-from .sfssm import (EmptyCorpus, NoUsefulStates, Sfssm, decide_tight, mle_ngram,
-                    prefix_probability_fsa, string_probability_fsa,
-                    termination_probability, trim)
+from .sfssm import (EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa,
+                    solve_tightness, string_probability_fsa)
 from .tightness import (BoundViolated, BudgetExceeded, EosBoundFamily, EosHazardSeries,
                         certify_nontight_upper_bound, certify_tight_lower_bound,
                         eos_hazard_enumerate, eos_hazard_fsa, fit_geometric_tail,
@@ -200,11 +199,8 @@ def cmd_analyze(args) -> int:
     estimate = None
 
     if isinstance(model, Sfssm):
-        verdict = decide_tight(model)
-        try:
-            termination = termination_probability(trim(model))
-        except NoUsefulStates:
-            termination = 0.0
+        verdict, termination = solve_tightness(model)
+        if termination == 0.0:
             notes.append("no useful states: every string has probability 0")
         leaked = 1.0 - termination
         series = eos_hazard_fsa(model, args.horizon)

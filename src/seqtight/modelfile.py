@@ -45,7 +45,7 @@ import numpy as np
 from .asm_zoo import (ParityAsm, RnnAsm, make_nontight_relu_rnn, make_parity_asm,
                       make_tight_softplus_rnn, sfssm_as_asm)
 from .core import Alphabet, Asm
-from .sfssm import Sfssm, build_sfssm
+from .sfssm import Sfssm, _from_edges, build_sfssm
 
 Model = Union[Sfssm, RnnAsm, ParityAsm]
 
@@ -237,7 +237,8 @@ def _parse_sfssm(eos: str, sections: list[_Section], model_line: int) -> Sfssm:
     init = read_pairs(init_section)
     term = read_pairs(by_name["term"]) if "term" in by_name else np.zeros(q)
 
-    trans = {a: np.zeros((q, q)) for a in symbols}
+    symbol_index = {a: k for k, a in enumerate(symbols)}
+    edges: list[tuple[int, int, int, float]] = []
     for section in sections:
         if section.name_parts[0] != "transitions":
             continue
@@ -245,8 +246,9 @@ def _parse_sfssm(eos: str, sections: list[_Section], model_line: int) -> Sfssm:
             raise ParseError("transition sections are named [transitions <symbol>]",
                              section.line)
         symbol = section.name_parts[1]
-        if symbol not in trans:
+        if symbol not in symbol_index:
             raise ParseError(f"transition section for unknown symbol {symbol!r}", section.line)
+        k = symbol_index[symbol]
         seen_edges = set()
         for line in section.lines:
             if len(line.tokens) != 3:
@@ -258,7 +260,7 @@ def _parse_sfssm(eos: str, sections: list[_Section], model_line: int) -> Sfssm:
             if (i, j) in seen_edges:
                 raise ParseError(f"duplicate transition {ftok!r} -> {ttok!r}", line.number, fcol)
             seen_edges.add((i, j))
-            trans[symbol][i, j] = _parse_float(vtok, line.number, vcol)
+            edges.append((k, i, j, _parse_float(vtok, line.number, vcol)))
 
     known = {"alphabet", "states", "init", "term"}
     for section in sections:
@@ -267,7 +269,7 @@ def _parse_sfssm(eos: str, sections: list[_Section], model_line: int) -> Sfssm:
 
     try:
         alphabet = Alphabet(symbols, eos=eos)
-        return build_sfssm(alphabet, trans, init, term, names=tuple(names))
+        return _from_edges(alphabet, edges, init, term, names)
     except ValueError as exc:
         raise ParseError(str(exc), model_line) from exc
 
@@ -434,6 +436,8 @@ def write_model(model: Model) -> str:
     _check_writable_names(model.alphabet.symbols)
     _check_writable_names((model.alphabet.eos,))
     if isinstance(model, Sfssm):
+        if model.state_map is not None:
+            raise ValueError("a trimmed model need not be stochastic and has no model file")
         _check_writable_names(model.names)
     out: list[str] = []
     if isinstance(model, Sfssm):
@@ -443,11 +447,11 @@ def write_model(model: Model) -> str:
         out.append("[init]")
         out += [f"{model.names[i]} {_fmt(v)}" for i, v in enumerate(model.init) if v != 0]
         out.append("")
-        for a in model.alphabet.symbols:
-            mat = model.trans[a]
+        bounds = model.offsets.tolist()
+        for a, lo, hi in zip(model.alphabet.symbols, bounds, bounds[1:]):
             out.append(f"[transitions {a}]")
-            for i, j in np.argwhere(mat != 0):
-                out.append(f"{model.names[i]} {model.names[j]} {_fmt(mat[i, j])}")
+            out += [f"{model.names[i]} {model.names[j]} {_fmt(p)}" for i, j, p in
+                    zip(*(v[lo:hi].tolist() for v in (model.src, model.dst, model.prob)))]
             out.append("")
         out.append("[term]")
         out += [f"{model.names[i]} {_fmt(v)}" for i, v in enumerate(model.term) if v != 0]

@@ -1,18 +1,27 @@
 """Stochastic finite-state sequence models (SFSSMs).
 
-An SFSSM over an alphabet has ``Q`` states, one nonnegative ``Q x Q``
-transition matrix per symbol, an initial-state vector ``s`` summing to 1,
-and a termination vector ``t``.  Local normalization requires, for every
-state ``q``::
+An SFSSM over an alphabet has ``Q`` states, nonnegative per-symbol
+transition weights, an initial-state vector ``s`` summing to 1, and a
+termination vector ``t``.  Local normalization requires, for every state
+``q``::
 
-    t[q] + sum over symbols a and states q' of trans[a][q, q'] = 1
+    t[q] + (total weight of the edges leaving q, over all symbols) = 1
 
-The probability of a string is the usual path sum: ``s @ trans[x1] @ ...
-@ trans[xn] @ t``.  Tightness — whether those probabilities sum to 1 over
-all finite strings — is decidable exactly for this class: the model is
-tight iff every state reachable from the start can also reach
-termination, and the exact termination mass of a trimmed model is the
-solution of a small linear system.
+The probability of a string is the usual path sum: ``s @ T[x1] @ ... @
+T[xn] @ t`` where ``T[a]`` is the ``Q x Q`` matrix of symbol ``a``'s
+edges.  Tightness — whether those probabilities sum to 1 over all finite
+strings — is decidable exactly for this class: the model is tight iff
+every state reachable from the start can also reach termination, and the
+exact termination mass of a trimmed model is the solution of one linear
+system.
+
+Transitions are stored as ``E`` nonzero edges, never as dense per-symbol
+matrices: flat arrays ``src``, ``dst`` and ``prob`` in canonical order
+(alphabet order of the symbol, then row-major by ``src`` and ``dst``),
+with ``offsets[k]:offsets[k + 1]`` the edges of the ``k``-th symbol, the
+layout of a compressed sparse row index.  Each model caches the dense
+``Q x Q`` transition-sum matrix and a ``Q x (V + 1)`` row-mass matrix on
+first use, so memory is O(E + Q^2 + QV) for ``V`` symbols.
 
 Bigram/n-gram tables are encoded with an explicit start state ("BOS"):
 the initial vector is the indicator on that state and the first symbol is
@@ -23,11 +32,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Alphabet, Str, Token, as_prob
+from .core import Alphabet, Token, as_prob
 from .linalg import solve_linear, spectral_radius_estimate
 from .verdicts import Certificate, TightnessVerdict
 
@@ -62,42 +72,62 @@ class EmptyCorpus(ValueError):
     """n-gram estimation needs at least one corpus string."""
 
 
+class SpectralRadiusTooLarge(ValueError):
+    """A model that should be trimmed has transition spectral radius 1."""
+
+
+class TerminationShortfall(ArithmeticError):
+    """A tight verdict met a termination probability further below 1 than
+    the model's row rounding allows: the decision and the solve disagree."""
+
+
 def _default_names(q: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(q))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
+def _freeze(arr, dtype=float) -> np.ndarray:
+    arr = np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sfssm:
-    """A validated stochastic finite-state sequence model.
+    """A stochastic finite-state sequence model.
 
     Build instances through :func:`build_sfssm`; the constructor only
-    checks shapes.  Arrays are stored read-only, so models are safe to
-    share across threads.
+    checks shapes and index ranges.  Edge ``e`` moves from state
+    ``src[e]`` to ``dst[e]`` with probability ``prob[e]``; the edges of
+    the ``k``-th alphabet symbol are ``offsets[k]:offsets[k + 1]``, in
+    row-major order, and no stored edge is zero.  Arrays are stored
+    read-only, so models are safe to share across threads.
+
+    ``state_map`` is ``None`` for a validated model.  :func:`trim` sets it:
+    ``state_map[i]`` is the index the ``i``-th retained state had in the
+    model it was trimmed from, and rows may then sum below 1.
     """
 
     alphabet: Alphabet
-    trans: Mapping[Token, np.ndarray]
+    src: np.ndarray
+    dst: np.ndarray
+    prob: np.ndarray
+    offsets: np.ndarray
     init: np.ndarray
     term: np.ndarray
     names: tuple[str, ...]
+    state_map: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        q = len(self.init)
-        object.__setattr__(self, "init", _freeze(self.init))
-        object.__setattr__(self, "term", _freeze(self.term))
-        frozen = {}
-        for a in self.alphabet.symbols:
-            mat = _freeze(self.trans[a])
-            if mat.shape != (q, q):
-                raise ValueError(f"transition matrix for {a!r} has shape {mat.shape}, expected {(q, q)}")
-            frozen[a] = mat
-        object.__setattr__(self, "trans", frozen)
+        for name, dtype in (("src", np.intp), ("dst", np.intp), ("prob", float),
+                            ("offsets", np.intp), ("init", float), ("term", float)):
+            object.__setattr__(self, name, _freeze(getattr(self, name), dtype))
+        q, e = len(self.init), len(self.prob)
+        if self.src.shape != (e,) or self.dst.shape != (e,) or not (
+                (0 <= self.src) & (self.src < q) & (0 <= self.dst) & (self.dst < q)).all():
+            raise ValueError(f"src and dst need one state index below {q} per edge")
+        if (self.offsets.shape != (self.alphabet.size + 1,) or self.offsets[0] != 0
+                or self.offsets[-1] != e or (np.diff(self.offsets) < 0).any()):
+            raise ValueError("offsets must rise from 0 to the edge count, one step per symbol")
         if self.term.shape != (q,):
             raise ValueError("termination vector length differs from state count")
         if len(self.names) != q:
@@ -107,47 +137,70 @@ class Sfssm:
     def num_states(self) -> int:
         return len(self.init)
 
-    @property
+    @cached_property
+    def _by_symbol(self) -> dict[Token, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        # cut once: slicing by ``offsets`` on every call makes ``forward``,
+        # which runs once per token, about 1.5x slower
+        bounds = self.offsets.tolist()
+        return {a: (self.src[lo:hi], self.dst[lo:hi], self.prob[lo:hi])
+                for a, lo, hi in zip(self.alphabet.symbols, bounds, bounds[1:])}
+
+    def forward(self, alpha: np.ndarray, symbol: Token) -> np.ndarray:
+        """``alpha @ T[symbol]``: push a state-weight vector along one symbol."""
+        src, dst, prob = self._by_symbol[symbol]
+        return np.bincount(dst, weights=alpha[src] * prob, minlength=len(alpha))
+
+    @cached_property
     def transition_sum(self) -> np.ndarray:
-        """Sum of the per-symbol transition matrices."""
+        """``Q x Q`` sum of the per-symbol transition matrices, accumulated in
+        alphabet order."""
         total = np.zeros((self.num_states, self.num_states))
-        for mat in self.trans.values():
-            total = total + mat
+        np.add.at(total, (self.src, self.dst), self.prob)
+        total.setflags(write=False)
         return total
 
+    @cached_property
+    def row_mass(self) -> np.ndarray:
+        """``Q x (V + 1)``: each state's outgoing mass per symbol, then ``term``;
+        ``alpha @ row_mass`` is the next-symbol mass of a state distribution."""
+        mass = np.zeros((self.num_states, self.alphabet.full_size))
+        symbol = np.repeat(np.arange(self.alphabet.size), np.diff(self.offsets))
+        np.add.at(mass, (self.src, symbol), self.prob)
+        mass[:, -1] = self.term
+        mass.setflags(write=False)
+        return mass
 
-@dataclass(frozen=True)
-class SubstochasticFssm:
-    """A trimmed model: only useful states retained, rows may sum below 1.
 
-    ``state_map[i]`` is the index the ``i``-th retained state had in the
-    original model.  The initial vector keeps its original entries (no
-    renormalization), so mass placed on removed states is counted as lost
-    at step zero — exactly what the termination probability should see.
-    """
+def _from_edges(alphabet: Alphabet, edges: Sequence[tuple[int, int, int, float]],
+                init: Sequence[float], term: Sequence[float],
+                names: Sequence[str] | None = None, tol: float = ROW_TOL) -> Sfssm:
+    """:func:`build_sfssm` from distinct ``(symbol index, src, dst, prob)``
+    edges in any order; zero entries are dropped."""
+    init = np.asarray(init, dtype=float)
+    term = np.asarray(term, dtype=float)
+    state_names = tuple(names) if names is not None else _default_names(len(init))
+    for idx in np.flatnonzero(init < 0):
+        raise NegativeEntry(("init", int(idx)))
+    for idx in np.flatnonzero(term < 0):
+        raise NegativeEntry(("term", int(idx)))
+    table = np.asarray(edges, dtype=float).reshape(-1, 4)
+    table = table[np.lexsort((table[:, 2], table[:, 1], table[:, 0]))]
+    symbol, src, dst = table[:, :3].T.astype(np.intp)
+    prob = table[:, 3]
+    for e in np.flatnonzero(prob < 0)[:1]:
+        raise NegativeEntry(("trans", alphabet.symbols[symbol[e]], int(src[e]), int(dst[e])))
+    kept = prob != 0
+    offsets = np.searchsorted(symbol[kept], np.arange(alphabet.size + 1))
+    model = Sfssm(alphabet=alphabet, src=src[kept], dst=dst[kept], prob=prob[kept],
+                  offsets=offsets, init=init, term=term, names=state_names)
 
-    alphabet: Alphabet
-    trans: Mapping[Token, np.ndarray]
-    init: np.ndarray
-    term: np.ndarray
-    names: tuple[str, ...]
-    state_map: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "init", _freeze(self.init))
-        object.__setattr__(self, "term", _freeze(self.term))
-        object.__setattr__(self, "trans", {a: _freeze(m) for a, m in self.trans.items()})
-
-    @property
-    def num_states(self) -> int:
-        return len(self.init)
-
-    @property
-    def transition_sum(self) -> np.ndarray:
-        total = np.zeros((self.num_states, self.num_states))
-        for mat in self.trans.values():
-            total = total + mat
-        return total
+    total_init = float(init.sum())
+    if not abs(total_init - 1.0) <= tol:
+        raise BadInit(total_init)
+    row_sums = model.row_mass.sum(axis=1)
+    for idx in np.flatnonzero(~(np.abs(row_sums - 1.0) <= tol))[:1]:
+        raise BadRow(int(idx), state_names[idx], float(row_sums[idx]))
+    return model
 
 
 def build_sfssm(alphabet: Alphabet,
@@ -156,168 +209,180 @@ def build_sfssm(alphabet: Alphabet,
                 term: Sequence[float],
                 names: Sequence[str] | None = None,
                 tol: float = ROW_TOL) -> Sfssm:
-    """Validate and construct an SFSSM.
+    """Validate and construct an SFSSM from dense ``{symbol: Q x Q}`` matrices.
 
-    Raises :class:`NegativeEntry` for negative parameters,
+    Symbols missing from ``trans`` have no edges; only nonzero entries are
+    kept.  Raises :class:`NegativeEntry` for negative parameters,
     :class:`BadInit` when the initial vector does not sum to 1 within
     ``tol``, and :class:`BadRow` when a state's outgoing mass plus its
     termination probability is not 1 within ``tol`` (a NaN sum never is).
     """
-    init = np.asarray(init, dtype=float)
-    term = np.asarray(term, dtype=float)
-    q = len(init)
-    state_names = tuple(names) if names is not None else _default_names(q)
-
-    for idx in np.flatnonzero(init < 0):
-        raise NegativeEntry(("init", int(idx)))
-    for idx in np.flatnonzero(term < 0):
-        raise NegativeEntry(("term", int(idx)))
-    matrices = {}
-    for a in alphabet.symbols:
-        if a not in trans:
-            matrices[a] = np.zeros((q, q))
-            continue
-        mat = np.asarray(trans[a], dtype=float)
-        bad = np.argwhere(mat < 0)
-        if len(bad):
-            i, j = bad[0]
-            raise NegativeEntry(("trans", a, int(i), int(j)))
-        matrices[a] = mat
     unknown = set(trans) - set(alphabet.symbols)
     if unknown:
         raise ValueError(f"transition matrices for symbols outside the alphabet: {sorted(unknown)!r}")
+    q = len(init)
+    edges = [np.zeros((0, 4))]
+    for k, a in enumerate(alphabet.symbols):
+        if a not in trans:
+            continue
+        mat = np.asarray(trans[a], dtype=float)
+        if mat.shape != (q, q):
+            raise ValueError(f"transition matrix for {a!r} has shape {mat.shape}, expected {(q, q)}")
+        i, j = np.nonzero(mat)
+        edges.append(np.column_stack([np.full(len(i), k), i, j, mat[i, j]]))
+    return _from_edges(alphabet, np.concatenate(edges), init, term, names, tol)
 
-    total_init = float(init.sum())
-    if not abs(total_init - 1.0) <= tol:
-        raise BadInit(total_init)
-    row_sums = term.copy()
-    for mat in matrices.values():
-        row_sums = row_sums + mat.sum(axis=1)
-    for idx in range(q):
-        if not abs(row_sums[idx] - 1.0) <= tol:
-            raise BadRow(idx, state_names[idx], float(row_sums[idx]))
 
-    return Sfssm(alphabet=alphabet, trans=matrices, init=init, term=term, names=state_names)
-
-
-def string_probability_fsa(m: Sfssm | SubstochasticFssm, x: Iterable[Token]) -> float:
-    """Path-sum probability of the string ``x``: ``s @ prod trans[x_t] @ t``."""
-    x = m.alphabet.check_string(x)
+def _forward_string(m: Sfssm, x: Iterable[Token]) -> np.ndarray:
     alpha = m.init
-    for token in x:
-        alpha = alpha @ m.trans[token]
-    return as_prob(float(alpha @ m.term))
+    for token in m.alphabet.check_string(x):
+        alpha = m.forward(alpha, token)
+    return alpha
 
 
-def prefix_probability_fsa(m: Sfssm | SubstochasticFssm, x: Iterable[Token]) -> float:
-    """Probability that generation starts with ``x``: ``s @ prod trans[x_t] @ 1``."""
-    x = m.alphabet.check_string(x)
-    alpha = m.init
-    for token in x:
-        alpha = alpha @ m.trans[token]
-    return as_prob(float(alpha.sum()))
+def string_probability_fsa(m: Sfssm, x: Iterable[Token]) -> float:
+    """Path-sum probability of the string ``x``: ``s @ prod T[x_t] @ t``."""
+    return as_prob(float(_forward_string(m, x) @ m.term))
 
 
-def accessible(m: Sfssm | SubstochasticFssm) -> frozenset[int]:
-    """States reachable from positive-initial states along positive edges.
+def prefix_probability_fsa(m: Sfssm, x: Iterable[Token]) -> float:
+    """Probability that generation starts with ``x``: ``s @ prod T[x_t] @ 1``."""
+    return as_prob(float(_forward_string(m, x).sum()))
+
+
+def _reach(starts: np.ndarray, frm: np.ndarray, to: np.ndarray, q: int) -> frozenset[int]:
+    """States reachable from ``starts`` along edges ``frm[e] -> to[e]``, by a
+    depth-first search over a compressed adjacency index: O(Q + E)."""
+    to = to[np.argsort(frm, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(frm, minlength=q)))).tolist()
+    seen = np.zeros(q, dtype=bool)
+    seen[starts] = True
+    stack = starts.tolist()
+    while stack:
+        s = stack.pop()
+        nbrs = to[bounds[s]:bounds[s + 1]]
+        new = np.unique(nbrs[~seen[nbrs]])
+        seen[new] = True
+        stack.extend(new.tolist())
+    return frozenset(np.flatnonzero(seen).tolist())
+
+
+def accessible(m: Sfssm) -> frozenset[int]:
+    """States reachable from positive-initial states along stored edges.
 
     Edge presence is exact (entry > 0, no tolerance): reachability is a
     combinatorial property of the stored parameters.
     """
-    adjacency = m.transition_sum > 0
-    frontier = [int(i) for i in np.flatnonzero(m.init > 0)]
-    seen = set(frontier)
-    while frontier:
-        q = frontier.pop()
-        for nxt in np.flatnonzero(adjacency[q]):
-            if int(nxt) not in seen:
-                seen.add(int(nxt))
-                frontier.append(int(nxt))
-    return frozenset(seen)
+    return _reach(np.flatnonzero(m.init > 0), m.src, m.dst, m.num_states)
 
 
-def coaccessible(m: Sfssm | SubstochasticFssm) -> frozenset[int]:
+def coaccessible(m: Sfssm) -> frozenset[int]:
     """States from which some positive-termination state is reachable."""
-    adjacency = m.transition_sum > 0
-    frontier = [int(i) for i in np.flatnonzero(m.term > 0)]
-    seen = set(frontier)
-    while frontier:
-        q = frontier.pop()
-        for prev in np.flatnonzero(adjacency[:, q]):
-            if int(prev) not in seen:
-                seen.add(int(prev))
-                frontier.append(int(prev))
-    return frozenset(seen)
+    return _reach(np.flatnonzero(m.term > 0), m.dst, m.src, m.num_states)
 
 
-def useful_states(m: Sfssm | SubstochasticFssm) -> frozenset[int]:
+def useful_states(m: Sfssm) -> frozenset[int]:
     return accessible(m) & coaccessible(m)
 
 
-def trim(m: Sfssm) -> SubstochasticFssm:
+def trim(m: Sfssm) -> Sfssm:
     """Drop every non-useful state, preserving all string probabilities.
 
-    Raises :class:`NoUsefulStates` when nothing survives (the model
-    assigns probability 0 to every string).
+    The result's ``state_map`` gives each kept state's index in ``m``.  The
+    initial vector keeps its original entries (no renormalization), so mass
+    placed on removed states is counted as lost at step zero — exactly what
+    the termination probability should see.  Raises
+    :class:`NoUsefulStates` when nothing survives (the model assigns
+    probability 0 to every string).
     """
     keep = sorted(useful_states(m))
     if not keep:
         raise NoUsefulStates("no state is both accessible and co-accessible")
-    idx = np.asarray(keep, dtype=int)
-    return SubstochasticFssm(
-        alphabet=m.alphabet,
-        trans={a: mat[np.ix_(idx, idx)] for a, mat in m.trans.items()},
-        init=m.init[idx],
-        term=m.term[idx],
-        names=tuple(m.names[i] for i in keep),
-        state_map=tuple(keep),
-    )
+    idx = np.asarray(keep, dtype=np.intp)
+    renumber = np.full(m.num_states, -1, dtype=np.intp)
+    renumber[idx] = np.arange(len(idx))
+    live = (renumber[m.src] >= 0) & (renumber[m.dst] >= 0)
+    return Sfssm(alphabet=m.alphabet, src=renumber[m.src[live]], dst=renumber[m.dst[live]],
+                 prob=m.prob[live], offsets=np.concatenate(([0], np.cumsum(live)))[m.offsets],
+                 init=m.init[idx], term=m.term[idx], names=tuple(m.names[i] for i in keep),
+                 state_map=tuple(keep))
 
 
-def termination_probability(m: SubstochasticFssm) -> float:
+def termination_probability(m: Sfssm) -> float:
     """Total probability of generating a finite string, computed exactly.
 
-    Solves ``(I - P) y = t`` for the trimmed transition-sum matrix ``P``
-    and returns ``s @ y``.  Trimming guarantees the system is nonsingular.
+    Solves ``(I - P) y = t`` for the transition-sum matrix ``P`` of a
+    trimmed model (``trim(m)``) and returns ``s @ y``.  Trimming guarantees
+    the system is nonsingular.
     """
-    p = m.transition_sum
-    y = solve_linear(np.eye(m.num_states) - p, np.asarray(m.term))
+    y = solve_linear(np.eye(m.num_states) - m.transition_sum, m.term)
     return as_prob(float(m.init @ y), slack=1e-9)
 
 
-def check_spectral_radius(m: SubstochasticFssm) -> float:
-    """Power-iteration estimate of the trimmed transition matrix's spectral
-    radius.  Must come out below 1 for any genuinely trimmed model; that is
-    asserted here so test runs catch violations."""
+def check_spectral_radius(m: Sfssm) -> float:
+    """Power-iteration estimate of a trimmed model's transition-sum spectral
+    radius.  Raises :class:`SpectralRadiusTooLarge` unless it is below 1,
+    as it is for every genuinely trimmed model."""
     estimate, bound = spectral_radius_estimate(m.transition_sum)
-    assert estimate < 1.0, f"trimmed model has spectral radius estimate {estimate} (bound {bound})"
+    if not estimate < 1.0:
+        raise SpectralRadiusTooLarge(f"transition-sum spectral radius estimate is {estimate} "
+                                     f"(row-sum bound {bound}); a trimmed model's is below 1")
     return estimate
+
+
+_TIGHT = TightnessVerdict.tight(Certificate.CO_ACCESSIBILITY,
+                                detail="every accessible state is co-accessible")
+
+
+def _non_tight(m: Sfssm, witness: int, termination: float) -> TightnessVerdict:
+    return TightnessVerdict.non_tight(
+        witness_state=witness, witness_name=m.names[witness], leaked_mass=1.0 - termination,
+        detail=f"state {m.names[witness]} is accessible but cannot reach termination")
+
+
+def _trimmed_termination(m: Sfssm) -> tuple[float, Sfssm | None]:
+    try:
+        sub = trim(m)
+    except NoUsefulStates:
+        return 0.0, None
+    return termination_probability(sub), sub
 
 
 def decide_tight(m: Sfssm) -> TightnessVerdict:
     """Exact tightness decision: tight iff accessible implies co-accessible.
 
-    A non-tight verdict reports the lowest-index accessible state that
-    cannot reach termination plus the exact leaked mass (one minus the
-    termination probability).
+    A tight verdict needs reachability only.  A non-tight verdict reports
+    the lowest-index accessible state that cannot reach termination plus
+    the exact leaked mass (one minus the termination probability).
     """
-    acc = accessible(m)
-    coacc = coaccessible(m)
-    bad = sorted(acc - coacc)
-    if not bad:
-        return TightnessVerdict.tight(Certificate.CO_ACCESSIBILITY,
-                                      detail="every accessible state is co-accessible")
-    try:
-        reached = termination_probability(trim(m))
-    except NoUsefulStates:
-        reached = 0.0
-    witness = bad[0]
-    return TightnessVerdict.non_tight(
-        witness_state=witness,
-        witness_name=m.names[witness],
-        leaked_mass=1.0 - reached,
-        detail=f"state {m.names[witness]} is accessible but cannot reach termination",
-    )
+    bad = sorted(accessible(m) - coaccessible(m))
+    return _non_tight(m, bad[0], _trimmed_termination(m)[0]) if bad else _TIGHT
+
+
+def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
+    """``decide_tight(m)`` and the exact termination probability (0 when no
+    state is useful), from one trim and one linear solve.
+
+    A tight verdict is checked against the solve.  Validated rows may sum
+    to ``1 - ROW_TOL``, so the termination probability may fall short of 1
+    by ``ROW_TOL`` times (1 + the expected number of visited states); that
+    count takes a second solve, run only when the shortfall exceeds
+    ``ROW_TOL``.  A shortfall above twice the bound, which covers rounding
+    in the solves, raises :class:`TerminationShortfall`.
+    """
+    bad = sorted(accessible(m) - coaccessible(m))
+    termination, sub = _trimmed_termination(m)
+    if bad:
+        return _non_tight(m, bad[0], termination), termination
+    if termination < 1.0 - ROW_TOL:
+        scaled = solve_linear(np.eye(sub.num_states) - sub.transition_sum,
+                              np.full(sub.num_states, ROW_TOL))
+        allowed = 2.0 * (ROW_TOL + float(sub.init @ scaled))
+        if not 1.0 - termination <= allowed:
+            raise TerminationShortfall(f"verdict is tight but the termination probability "
+                                       f"is {termination!r}; row rounding allows a "
+                                       f"shortfall of at most {allowed!r}")
+    return _TIGHT, termination
 
 
 _BOS = "\x00BOS"  # internal history placeholder; never a corpus token
@@ -370,7 +435,8 @@ def mle_ngram(corpus: Sequence[Sequence[Token]], order: int,
 
     q = len(history_order)
     index = {h: i for i, h in enumerate(history_order)}
-    trans = {a: np.zeros((q, q)) for a in alphabet.symbols}
+    symbol_index = {a: k for k, a in enumerate(alphabet.symbols)}
+    edges: list[tuple[int, int, int, float]] = []
     term = np.zeros(q)
     for h, events in counts.items():
         total = sum(events.values())
@@ -378,7 +444,8 @@ def mle_ngram(corpus: Sequence[Sequence[Token]], order: int,
             if event is None:
                 term[index[h]] = c / total
             else:
-                trans[event][index[h], index[_shift(h, event, width)]] = c / total
+                edges.append((symbol_index[event], index[h], index[_shift(h, event, width)],
+                              c / total))
     init = np.zeros(q)
     init[index[start]] = 1.0
 
@@ -388,4 +455,4 @@ def mle_ngram(corpus: Sequence[Sequence[Token]], order: int,
                   for h in history_order)
     if len(set(names)) != q:
         names = _default_names(q)
-    return build_sfssm(alphabet, trans, init, term, names=names)
+    return _from_edges(alphabet, edges, init, term, names)

@@ -67,6 +67,10 @@ class BoundViolated(ValueError):
             f"bound violated at step {step} (prefix {prefix!r}): eos probability {observed!r} vs bound {bound!r}")
 
 
+class InvalidWeight(ValueError):
+    """A model's conditional gave a symbol a NaN or negative probability."""
+
+
 class EmptyEvidence(ValueError):
     """The norm-bound test was given no usable evidence."""
 
@@ -123,6 +127,7 @@ def _pooled_step(asm: Asm, groups: list, splits: list, t: int, budget: int,
     conditionals, so they pool exactly.  With ``witness`` each keeps the
     first arrival's ``(node, symbol)`` parent pointer; otherwise ``node``
     is ``None``, so live groups never hold ancestor chains.  Raises
+    :class:`InvalidWeight` on a NaN or negative split entry, and
     :class:`BudgetExceeded` past ``budget`` live groups at step ``t``."""
     grown: dict = {}
     for (state, _, node), split in zip(groups, splits):
@@ -135,6 +140,9 @@ def _pooled_step(asm: Asm, groups: list, splits: list, t: int, budget: int,
                     grown[key] = (nxt, w, (node, a) if witness else None)
                 else:
                     grown[key] = (entry[0], entry[1] + w, entry[2])
+            elif w != 0:
+                raise InvalidWeight(f"symbol {a!r} got weight {w!r} at step {t - 1}; "
+                                    f"the model's conditional is not a distribution")
     if len(grown) > budget:
         raise BudgetExceeded(t, len(grown), budget)
     return list(grown.values())

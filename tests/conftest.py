@@ -52,6 +52,15 @@ def random_sfssm(rng: np.random.Generator, max_states: int = 5, max_symbols: int
             return model
 
 
+def dense_transitions(model: Sfssm, symbol: str) -> np.ndarray:
+    """One symbol's ``Q x Q`` transition matrix, rebuilt from the model's edges."""
+    k = model.alphabet.index(symbol)
+    e = slice(model.offsets[k], model.offsets[k + 1])
+    mat = np.zeros((model.num_states, model.num_states))
+    mat[model.src[e], model.dst[e]] = model.prob[e]
+    return mat
+
+
 def random_corpus(rng: np.random.Generator, max_strings: int = 20,
                   max_len: int = 8, max_symbols: int = 3) -> list[tuple[str, ...]]:
     k = int(rng.integers(1, max_symbols + 1))

@@ -1,16 +1,23 @@
 """Command-line behaviour: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqtight import (Alphabet, RnnAsm, decide_tight, termination_probability, trim,
-                      parse_model, mle_ngram, write_model)
+from seqtight import (Alphabet, RnnAsm, decide_tight, make_tight_softplus_rnn,
+                      termination_probability, trim, parse_model, mle_ngram, write_model)
+from seqtight import cli, sfssm
 from seqtight.cli import main
 
+from conftest import dense_transitions
+
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -114,6 +121,61 @@ def test_analyze_rejects_nan_model(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "nan" in err
+
+
+def test_analyze_rejects_nan_rnn(capsys, tmp_path):
+    # a NaN hidden state makes every conditional NaN; if the model got that
+    # far, the lost mass would read as "prefix mass exhausted", i.e. tight
+    path = tmp_path / "nan_rnn.model"
+    path.write_text(write_model(make_tight_softplus_rnn()).replace("h0 0.0", "h0 nan"))
+    code, out, err = run(capsys, "analyze", str(path), "--horizon", "5", "--samples", "0")
+    assert code == 1
+    assert out == ""
+    assert "initial_hidden has a non-finite entry: nan" in err
+
+
+@pytest.mark.parametrize("name, verdict", [("fig1a", "non-tight"), ("fig1b", "tight")])
+def test_analyze_trims_and_solves_once(capsys, monkeypatch, name, verdict):
+    calls = {"trim": 0, "solve_linear": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(sfssm, "trim", counted("trim", sfssm.trim))
+    monkeypatch.setattr(sfssm, "solve_linear", counted("solve_linear", sfssm.solve_linear))
+    code, out, _ = run(capsys, "analyze", f"builtin:{name}", "--horizon", "5")
+    assert code == 0 and f"verdict: {verdict} " in out
+    assert calls == {"trim": 1, "solve_linear": 1}
+
+
+def test_analyze_tight_verdict_below_one_is_an_invariant_violation(capsys, monkeypatch):
+    monkeypatch.setattr(sfssm, "termination_probability", lambda model: 0.5)
+    code, out, err = run(capsys, "analyze", "builtin:fig1b")
+    assert code == 2
+    assert out == ""
+    assert "TerminationShortfall: verdict is tight but the termination probability is 0.5" in err
+
+
+def test_analyze_tight_model_with_rounded_rows(capsys, tmp_path):
+    # the row sums to 1 - 9e-10, inside the parser's tolerance; over an
+    # expected 1,000 steps that leaks 9e-7 of mass, and the verdict stands
+    path = tmp_path / "rounded.model"
+    path.write_text("model: sfssm\n[alphabet]\na\n[states]\nq0\n[init]\nq0 1.0\n"
+                    "[transitions a]\nq0 q0 0.999\n[term]\nq0 0.0009999991\n")
+    code, out, err = run(capsys, "analyze", str(path), "--format", "machine")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["verdict"]["kind"] == "tight"
+    assert payload["termination_probability"] == pytest.approx(0.9999991, rel=1e-12)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    probe = "import sys, seqtight.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_analyze_machine_format_is_byte_stable(capsys):
@@ -230,8 +292,8 @@ def test_estimate_ngram_end_to_end(capsys, tmp_path):
     assert "wrote" in out
 
     model = parse_model(out_model.read_text())
-    assert model.trans["a"][model.names.index("BOS"), model.names.index("a")] == 1.0
-    assert model.trans["b"][model.names.index("a"), model.names.index("b")] == 1.0
+    assert dense_transitions(model, "a")[model.names.index("BOS"), model.names.index("a")] == 1.0
+    assert dense_transitions(model, "b")[model.names.index("a"), model.names.index("b")] == 1.0
     assert model.term[model.names.index("b")] == 1.0
     assert decide_tight(model).is_tight
     assert termination_probability(trim(model)) == pytest.approx(1.0, abs=1e-9)

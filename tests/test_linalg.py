@@ -32,6 +32,20 @@ def test_solve_reports_late_pivot():
     assert info.value.pivot_index == 1
 
 
+def test_solve_rejects_an_overflowing_solution():
+    with pytest.raises(Singular):
+        solve_linear(np.diag([1e-300, 1e-300]), np.array([1e300, 1.0]))
+
+
+def test_solve_rejects_a_solution_with_a_large_residual():
+    # the 14 x 14 Hilbert matrix has condition number near 1e17: LAPACK
+    # returns an answer, and only the residual check catches it
+    n = 14
+    hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+    with pytest.raises(Singular):
+        solve_linear(hilbert, np.ones(n))
+
+
 def test_solve_needs_pivoting():
     # zero leading entry forces a row swap
     a = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -1,13 +1,20 @@
 """Model file parsing, canonical serialization, digests, and builtins."""
 
+import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from seqtight import (ParityAsm, ParseError, RnnAsm, Sfssm, mle_ngram, parse_corpus,
-                      parse_model, write_model, model_digest)
+                      parse_model, trim, write_model, model_digest)
 from seqtight.modelfile import BUILTINS, load_model
+from seqtight.sfssm import ROW_TOL
+
+from conftest import dense_transitions, random_sfssm
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -18,7 +25,8 @@ def models_equal(a, b) -> bool:
     if isinstance(a, Sfssm):
         return (a.alphabet == b.alphabet and a.names == b.names
                 and np.array_equal(a.init, b.init) and np.array_equal(a.term, b.term)
-                and all(np.array_equal(a.trans[s], b.trans[s]) for s in a.alphabet.symbols))
+                and all(np.array_equal(dense_transitions(a, s), dense_transitions(b, s))
+                        for s in a.alphabet.symbols))
     if isinstance(a, RnnAsm):
         return (a.alphabet == b.alphabet and a.activation == b.activation
                 and np.array_equal(a.input_embedding, b.input_embedding)
@@ -61,7 +69,7 @@ def test_round_trip_degenerate_empty_alphabet():
 def test_round_trip_odd_probabilities_are_exact():
     model = mle_ngram([("a",), ("a", "a"), ("a", "a", "a")], 2)
     again = parse_model(write_model(model))
-    assert np.array_equal(np.asarray(model.trans["a"]), np.asarray(again.trans["a"]))
+    assert np.array_equal(dense_transitions(model, "a"), dense_transitions(again, "a"))
 
 
 def test_digest_is_stable_and_discriminating():
@@ -286,3 +294,188 @@ def test_write_model_rejects_unserializable_symbols():
     model = mle_ngram([("a#b",)], 2)
     with pytest.raises(ValueError):
         write_model(model)
+
+
+# -- the edge-list parser and writer -------------------------------------------
+
+def test_rnn_with_non_finite_parameters_is_a_parse_error():
+    text = write_model(BUILTINS["softplus-rnn"]())
+    assert "nan" in str(diagnose(text.replace("h0 0.0", "h0 nan")))
+    assert "inf" in str(diagnose(text.replace("bias 0.0", "bias inf")))
+
+
+# sha256 of write_model output, recorded from the dense-matrix writer that
+# preceded the edge-list layout; the digests must never change
+DENSE_WRITER_DIGESTS = {
+    "fig1a": "9ffa3f3ab5825ea0429eef8a1a8cac52fa6e1c07c85d4768a5ceda16ed4d948f",
+    "fig1b": "58dd7420f12c36f1ce27e6f6973811891c163dd95c5917474ac1174e01e04fde",
+    "acceptance pool": "e7c03515106d20d276460468c5fd1b29a41605a33e917cd2447d812baf555b84",
+}
+
+
+def test_writer_output_matches_the_dense_writer():
+    for name in ("fig1a", "fig1b"):
+        model = parse_model((MODELS_DIR / f"{name}.model").read_text())
+        assert model_digest(model) == DENSE_WRITER_DIGESTS[name]
+    rng = np.random.default_rng(91)   # the pool of tests/test_acceptance.py
+    pool = hashlib.sha256()
+    for _ in range(200):
+        pool.update(write_model(random_sfssm(rng, max_states=5, max_symbols=3)).encode())
+    assert pool.hexdigest() == DENSE_WRITER_DIGESTS["acceptance pool"]
+
+
+UNORDERED_MODEL = """model: sfssm
+
+[alphabet]
+a b
+
+[states]
+s0 s1 s2
+
+[init]
+s1 0.0
+s0 1.0
+
+[transitions b]
+s2 s2 0.25
+s1 s0 -0.0
+s0 s2 0.5
+
+[transitions a]
+s2 s0 0.75
+s1 s1 0.0
+s0 s1 0.25
+s0 s0 0.25
+s1 s2 1e-320
+
+[term]
+s1 1.0
+s2 -0.0
+"""
+
+# what the dense-matrix writer printed for UNORDERED_MODEL: row-major edges,
+# zero and negative-zero entries left out
+UNORDERED_MODEL_CANONICAL = """model: sfssm
+eos: EOS
+
+[alphabet]
+a b
+
+[states]
+s0 s1 s2
+
+[init]
+s0 1.0
+
+[transitions a]
+s0 s0 0.25
+s0 s1 0.25
+s1 s2 1e-320
+s2 s0 0.75
+
+[transitions b]
+s0 s2 0.5
+s2 s2 0.25
+
+[term]
+s1 1.0
+"""
+
+
+def test_write_model_refuses_trimmed_models(fig1a):
+    # trim(fig1a) keeps row a at 0.8: no model file can hold it
+    with pytest.raises(ValueError, match="trimmed"):
+        write_model(trim(fig1a))
+    with pytest.raises(ValueError, match="trimmed"):
+        model_digest(trim(fig1a))
+
+
+def test_writer_puts_edges_in_row_major_order_and_drops_zeros():
+    model = parse_model(UNORDERED_MODEL)
+    assert write_model(model) == UNORDERED_MODEL_CANONICAL
+    np.testing.assert_array_equal(model.offsets, [0, 4, 6])
+    np.testing.assert_array_equal(model.src, [0, 0, 1, 2, 0, 2])
+    np.testing.assert_array_equal(model.dst, [0, 1, 2, 0, 2, 2])
+
+
+def test_parsing_a_v200_bigram_file_stays_small():
+    # a seeded Zipf corpus like the benchmark's: 200 symbols, 201 states; a
+    # dense per-symbol layout of this model needs 65 MB
+    rng = np.random.default_rng(5)
+    weights = 1.0 / np.arange(1, 201) ** 1.1
+    corpus = [tuple(f"w{i:03d}" for i in rng.choice(200, size=n, p=weights / weights.sum()))
+              for n in rng.integers(1, 21, size=3000)]
+    corpus.append(tuple(f"w{i:03d}" for i in range(200)))   # every symbol occurs
+    text = write_model(mle_ngram(corpus, 2))
+    tracemalloc.start()
+    try:
+        model = parse_model(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (model.num_states, model.alphabet.size) == (201, 200)
+    assert peak < 8_000_000
+
+
+FUZZ_VALUES = ("1.0", "0.5", "0.25", "0.0", "-0.0", "1e-320", "nan", "inf", "-inf", "-0.5",
+               "junk", "1e400")
+
+
+@hst.composite
+def sfssm_texts(draw):
+    """Model files that are valid until mutated: rows split their mass into
+    1, 2 or 4 equal events, then values, lines and sections get scrambled."""
+    symbols = draw(hst.lists(hst.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    states = [f"s{i}" for i in range(draw(hst.integers(1, 3)))]
+    sections = {"alphabet": [" ".join(symbols)], "states": [" ".join(states)],
+                "init": [f"{states[0]} 1.0"], "term": []}
+    sections.update({f"transitions {a}": [] for a in symbols})
+    for s in states:
+        events = [None] + [(a, t) for a in symbols for t in states]
+        k = draw(hst.sampled_from([k for k in (1, 2, 4) if k <= len(events)]))
+        chosen = draw(hst.lists(hst.sampled_from(events), min_size=k, max_size=k, unique=True))
+        for event in chosen:
+            if event is None:
+                sections["term"].append(f"{s} {1 / k!r}")
+            else:
+                sections[f"transitions {event[0]}"].append(f"{s} {event[1]} {1 / k!r}")
+    names = list(sections)
+    for _ in range(draw(hst.integers(0, 3))):
+        name = draw(hst.sampled_from(names[2:]))
+        lines = sections[name]
+        action = draw(hst.sampled_from(["value", "duplicate", "extra", "unknown state"]))
+        if action == "value" and lines:
+            i = draw(hst.integers(0, len(lines) - 1))
+            lines[i] = lines[i].rsplit(" ", 1)[0] + " " + draw(hst.sampled_from(FUZZ_VALUES))
+        elif action == "duplicate" and lines:
+            lines.append(draw(hst.sampled_from(lines)))
+        elif action == "extra":
+            head = draw(hst.sampled_from(states)) + ("" if name in ("init", "term")
+                                                     else " " + draw(hst.sampled_from(states)))
+            lines.append(f"{head} {draw(hst.sampled_from(FUZZ_VALUES))}")
+        elif action == "unknown state":
+            lines.append("zz " + " ".join(lines[0].split()[1:]) if lines else "zz 0.5")
+    order = draw(hst.permutations(names))
+    if draw(hst.booleans()):
+        order.append(draw(hst.sampled_from(names)))   # a duplicated section
+    body = "\n\n".join(f"[{name}]\n" + "\n".join(draw(hst.permutations(sections[name])))
+                       for name in order)
+    return "model: sfssm\n\n" + body + "\n"
+
+
+@given(sfssm_texts())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_sfssm_files_are_rejected_or_valid_and_round_trip(text):
+    try:
+        model = parse_model(text)
+    except ParseError:
+        return
+    for values in (model.prob, model.init, model.term):
+        assert np.isfinite(values).all() and (values >= 0).all()
+    assert (model.prob != 0).all()
+    assert abs(model.init.sum() - 1.0) <= ROW_TOL
+    assert (np.abs(model.row_mass.sum(axis=1) - 1.0) <= ROW_TOL).all()
+    canonical = write_model(model)
+    again = parse_model(canonical)
+    assert models_equal(model, again)
+    assert write_model(again) == canonical

@@ -1,16 +1,24 @@
 """Finite-state engine: validation, probabilities, reachability, trimming,
 exact tightness decisions, and n-gram estimation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from seqtight import (Alphabet, BadInit, BadRow, EmptyCorpus, NegativeEntry,
-                      NoUsefulStates, accessible, build_sfssm, check_spectral_radius,
-                      coaccessible, decide_tight, mle_ngram, neumann_partial_sum,
-                      prefix_probability_fsa, string_probability_fsa,
-                      termination_probability, trim, useful_states)
+                      NoUsefulStates, Sfssm, SpectralRadiusTooLarge, TerminationShortfall,
+                      accessible, build_sfssm, check_spectral_radius, coaccessible,
+                      decide_tight, mle_ngram, neumann_partial_sum, prefix_probability_fsa,
+                      solve_tightness, string_probability_fsa, termination_probability,
+                      trim, useful_states)
+from seqtight import sfssm
+from seqtight.sfssm import _from_edges
 
-from conftest import random_corpus, random_sfssm, strings_up_to
+from conftest import dense_transitions, random_corpus, random_sfssm, strings_up_to
 
 
 def one_state_stopper():
@@ -56,6 +64,39 @@ def test_degenerate_single_state_model_is_fine():
     model = one_state_stopper()
     assert string_probability_fsa(model, ()) == 1.0
     assert decide_tight(model).is_tight
+
+
+def test_edges_are_stored_in_canonical_order_without_zeros():
+    # symbol b before a, rows out of order, one explicit zero
+    edges = [(1, 1, 0, 0.5), (0, 1, 1, 0.5), (0, 0, 0, 0.25), (0, 1, 0, 0.0)]
+    model = _from_edges(Alphabet(("a", "b")), edges, [1.0, 0.0], [0.75, 0.0])
+    np.testing.assert_array_equal(model.offsets, [0, 2, 3])
+    np.testing.assert_array_equal(model.src, [0, 1, 1])
+    np.testing.assert_array_equal(model.dst, [0, 1, 0])
+    np.testing.assert_array_equal(model.prob, [0.25, 0.5, 0.5])
+
+
+def test_malformed_edge_lists_are_rejected():
+    with pytest.raises(ValueError, match="offsets"):
+        _from_edges(Alphabet(("a",)), [(1, 0, 0, 0.5)], [1.0], [0.5])
+    with pytest.raises(ValueError, match="state index"):
+        _from_edges(Alphabet(("a",)), [(0, 0, 1, 0.5)], [1.0], [0.5])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_edge_arrays_agree_with_dense_matrices(seed):
+    rng = np.random.default_rng(4000 + seed)
+    model = random_sfssm(rng, ensure_useful=False)
+    dense = [dense_transitions(model, a) for a in model.alphabet.symbols]
+    total = np.zeros((model.num_states, model.num_states))
+    for mat in dense:
+        total = total + mat
+    np.testing.assert_array_equal(model.transition_sum, total)
+    row_mass = np.column_stack([mat.sum(axis=1) for mat in dense] + [model.term])
+    np.testing.assert_allclose(model.row_mass, row_mass, rtol=0, atol=1e-15)
+    alpha = rng.random(model.num_states)
+    for a, mat in zip(model.alphabet.symbols, dense):
+        np.testing.assert_allclose(model.forward(alpha, a), alpha @ mat, rtol=0, atol=1e-15)
 
 
 def test_missing_transition_matrices_default_to_zero():
@@ -128,15 +169,53 @@ def test_decide_tight_initial_mass_on_dead_state():
     assert verdict.leaked_mass == pytest.approx(0.5, abs=1e-12)
 
 
+def test_decide_tight_needs_no_solve_for_a_tight_model(fig1b, monkeypatch):
+    monkeypatch.setattr(sfssm, "solve_linear", None)
+    assert decide_tight(fig1b).is_tight
+
+
+def test_solve_tightness_matches_decide_tight_and_the_solve(fig1a, fig1b):
+    for model in (fig1a, fig1b):
+        verdict, termination = solve_tightness(model)
+        assert verdict == decide_tight(model)
+        assert termination == termination_probability(trim(model))
+
+
+def test_solve_tightness_without_useful_states():
+    verdict, termination = solve_tightness(all_zero_term_model())
+    assert verdict.is_non_tight and verdict.leaked_mass == 1.0
+    assert termination == 0.0
+
+
+@pytest.mark.parametrize("loop, stop, want", [
+    # rows rounded short of 1 by 9e-10 over an expected 1,000 steps
+    (0.999, 0.0009999991, 0.9999991),
+    # 1 - p is off by 8e-8 relative in floats: no rounding of the file
+    (0.99999999999, 1e-11, 0.9999999172596311),
+])
+def test_solve_tightness_allows_the_shortfall_of_rounded_rows(loop, stop, want):
+    model = build_sfssm(Alphabet(("a",)), {"a": np.array([[loop]])}, [1.0], [stop])
+    verdict, termination = solve_tightness(model)
+    assert verdict.is_tight
+    assert termination == pytest.approx(want, rel=1e-12)
+
+
+def test_solve_tightness_rejects_a_tight_verdict_far_below_one(fig1b, monkeypatch):
+    monkeypatch.setattr(sfssm, "termination_probability", lambda model: 0.99999)
+    with pytest.raises(TerminationShortfall, match="0.99999"):
+        solve_tightness(fig1b)
+
+
 # -- trimming ------------------------------------------------------------------
 
 def test_trim_drops_trapped_state(fig1a):
     sub = trim(fig1a)
+    assert isinstance(sub, Sfssm) and fig1a.state_map is None
     assert sub.names == ("BOS", "a")
     assert sub.state_map == (0, 1)
     np.testing.assert_array_equal(sub.init, [1.0, 0.0])
     np.testing.assert_array_equal(sub.term, [0.0, 0.1])
-    np.testing.assert_array_equal(sub.trans["a"], [[0.0, 1.0], [0.0, 0.7]])
+    np.testing.assert_array_equal(dense_transitions(sub, "a"), [[0.0, 1.0], [0.0, 0.7]])
 
 
 def test_trim_is_identity_on_clean_model(fig1b):
@@ -183,6 +262,24 @@ def test_spectral_radius_of_trimmed_models(fig1a, fig1b):
     assert check_spectral_radius(trim(fig1b)) == pytest.approx(0.9, abs=1e-9)
 
 
+def test_spectral_radius_check_rejects_untrimmed_leaky_model(fig1a):
+    # the trapped state b keeps its mass forever: spectral radius 1
+    with pytest.raises(SpectralRadiusTooLarge):
+        check_spectral_radius(fig1a)
+
+
+def test_spectral_radius_check_survives_python_optimize_flag():
+    probe = ("import seqtight as st\n"
+             "try:\n"
+             "    st.check_spectral_radius(st.BUILTINS['fig1a']())\n"
+             "except st.SpectralRadiusTooLarge:\n"
+             "    print('raised')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "raised"
+
+
 # -- randomized cross-checks ---------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(40))
@@ -213,8 +310,8 @@ def test_verdict_consistency_and_neumann_oracle(seed):
 def test_mle_bigram_single_string():
     model = mle_ngram([("a", "b")], 2)
     assert model.names == ("BOS", "a", "b")
-    assert model.trans["a"][0, 1] == 1.0
-    assert model.trans["b"][1, 2] == 1.0
+    assert dense_transitions(model, "a")[0, 1] == 1.0
+    assert dense_transitions(model, "b")[1, 2] == 1.0
     np.testing.assert_array_equal(model.term, [0.0, 0.0, 1.0])
     assert decide_tight(model).is_tight
 
@@ -229,7 +326,7 @@ def test_mle_bigram_empty_string_corpus():
 def test_mle_bigram_event_counts():
     model = mle_ngram([("a",), ("a", "a")], 2)
     a_state = model.names.index("a")
-    assert model.trans["a"][a_state, a_state] == pytest.approx(1.0 / 3.0)
+    assert dense_transitions(model, "a")[a_state, a_state] == pytest.approx(1.0 / 3.0)
     assert model.term[a_state] == pytest.approx(2.0 / 3.0)
     assert decide_tight(model).is_tight
     assert termination_probability(trim(model)) == pytest.approx(1.0, abs=1e-9)
@@ -238,8 +335,8 @@ def test_mle_bigram_event_counts():
 def test_mle_unigram_collapses_to_single_state():
     model = mle_ngram([("a", "b", "a")], 1)
     assert model.num_states == 1
-    assert model.trans["a"][0, 0] == pytest.approx(0.5)
-    assert model.trans["b"][0, 0] == pytest.approx(0.25)
+    assert dense_transitions(model, "a")[0, 0] == pytest.approx(0.5)
+    assert dense_transitions(model, "b")[0, 0] == pytest.approx(0.25)
     assert model.term[0] == pytest.approx(0.25)
 
 

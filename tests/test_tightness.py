@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from seqtight import (Alphabet, BoundViolated, BudgetExceeded, EmptyEvidence,
-                      EosBoundFamily, OutOfRange, SupportExhausted, build_sfssm,
+                      EosBoundFamily, FunctionAsm, InvalidWeight, OutOfRange,
+                      SupportExhausted, build_sfssm,
                       certify_nontight_upper_bound, certify_tight_lower_bound,
                       decide_tight, eos_hazard_enumerate, eos_hazard_fsa,
                       fit_geometric_tail, make_nontight_relu_rnn, make_parity_asm,
@@ -50,6 +51,17 @@ def test_enumerate_budget_guard():
     asm = StableRandomAsm(Alphabet(("a", "b", "c")), seed=5)
     with pytest.raises(BudgetExceeded):
         eos_hazard_enumerate(asm, horizon=12, budget=50)
+
+
+@pytest.mark.parametrize("conditional", [[math.nan, 0.6, 0.4], [-0.1, 0.7, 0.4]])
+def test_invalid_symbol_weight_is_an_error_not_lost_mass(conditional):
+    # the mass on a NaN or negative entry must not silently vanish, or the
+    # walk would report "prefix mass exhausted" and certify sure stopping
+    asm = FunctionAsm(Alphabet(("a", "b")), lambda prefix: conditional)
+    with pytest.raises(InvalidWeight, match="step 1"):
+        eos_hazard_enumerate(asm, horizon=5)
+    with pytest.raises(InvalidWeight):
+        certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=asm, horizon=5)
 
 
 def test_enumerate_sure_stop_truncates_and_flags():
