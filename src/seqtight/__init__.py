@@ -19,10 +19,9 @@ from .sfssm import (BadInit, BadRow, EmptyCorpus, NegativeEntry, NoUsefulStates,
                     prefix_probability_fsa, solve_tightness, string_probability_fsa,
                     termination_probability, trim, useful_states)
 from .asm_zoo import (DeadPrefix, ParityAsm, RnnAsm, SfssmAsm, make_nontight_relu_rnn,
-                      make_parity_asm, make_tight_softplus_rnn, rnn_conditional,
-                      rnn_step, sfssm_as_asm, softmax)
+                      make_tight_softplus_rnn, sfssm_as_asm, softmax)
 from .tightness import (BoundViolated, BudgetExceeded, DualityReport, EmptyEvidence,
-                        EosBoundFamily, EosHazardSeries, InvalidWeight, SupportExhausted,
+                        EosBoundFamily, EosHazardSeries, InvalidWeight,
                         TerminationEstimate, certify_nontight_upper_bound,
                         certify_tight_lower_bound, eos_hazard_enumerate,
                         eos_hazard_fsa, fit_geometric_tail, monte_carlo_termination,

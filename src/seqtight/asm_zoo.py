@@ -97,20 +97,20 @@ class RnnAsm(Asm):
     def hidden_dim(self) -> int:
         return len(self.initial_hidden)
 
-    def conditional(self, prefix: Str) -> np.ndarray:
-        h = self.initial_hidden
-        for token in prefix:
-            h = rnn_step(self, h, token)
-        return rnn_conditional(self, h)
-
     def initial_state(self):
         return self.initial_hidden
 
     def step(self, state, symbol: Token):
-        return rnn_step(self, state, symbol)
+        """One recurrence update of the hidden state, consuming ``symbol``."""
+        alphabet = self.alphabet
+        idx = alphabet.eos_index if symbol == alphabet.eos else alphabet.index(symbol)
+        pre = (self.input_weights @ self.input_embedding[idx]
+               + self.recurrent_weights @ np.asarray(state, dtype=float) + self.bias)
+        return _ACTIVATIONS[self.activation](pre)
 
     def state_conditional(self, state) -> np.ndarray:
-        return rnn_conditional(self, state)
+        """Softmax over output-embedding logits; strictly positive, sums to 1."""
+        return softmax(self.output_embedding @ np.asarray(state, dtype=float))
 
     def state_key(self, state):
         return tuple(np.asarray(state).ravel().tolist())
@@ -122,20 +122,6 @@ class RnnAsm(Asm):
         eos_row = self.output_embedding[-1]
         gaps = np.linalg.norm(self.output_embedding[:-1] - eos_row, axis=1)
         return float(gaps.max()) if len(gaps) else 0.0
-
-
-def rnn_step(m: RnnAsm, h: np.ndarray, symbol: Token) -> np.ndarray:
-    """One recurrence update: consume ``symbol`` from hidden state ``h``."""
-    idx = m.alphabet.index(symbol) if symbol != m.alphabet.eos else m.alphabet.eos_index
-    v = m.input_embedding[idx]
-    pre = m.input_weights @ v + m.recurrent_weights @ np.asarray(h, dtype=float) + m.bias
-    return _ACTIVATIONS[m.activation](pre)
-
-
-def rnn_conditional(m: RnnAsm, h: np.ndarray) -> np.ndarray:
-    """Softmax over output-embedding logits; strictly positive, sums to 1."""
-    logits = m.output_embedding @ np.asarray(h, dtype=float)
-    return softmax(logits)
 
 
 def make_nontight_relu_rnn() -> RnnAsm:
@@ -200,9 +186,6 @@ class ParityAsm(Asm):
         self.eos_prob_even = eos_prob_even
         self.alphabet = alphabet if alphabet is not None else Alphabet(("a", "b"))
 
-    def conditional(self, prefix: Str) -> np.ndarray:
-        return self.state_conditional(len(prefix))
-
     def initial_state(self):
         return 0
 
@@ -217,10 +200,6 @@ class ParityAsm(Asm):
         return vec
 
 
-def make_parity_asm(p_even: float = 0.1, alphabet: Alphabet | None = None) -> ParityAsm:
-    return ParityAsm(eos_prob_even=p_even, alphabet=alphabet)
-
-
 class SfssmAsm(Asm):
     """Any stochastic finite-state model viewed through the ASM interface.
 
@@ -233,16 +212,6 @@ class SfssmAsm(Asm):
     def __init__(self, model: Sfssm):
         self.model = model
         self.alphabet = model.alphabet
-
-    def conditional(self, prefix: Str) -> np.ndarray:
-        prefix = self.alphabet.check_string(prefix)
-        alpha = np.asarray(self.model.init, dtype=float)
-        for token in prefix:
-            alpha = self.model.forward(alpha, token)
-        mass = float(alpha.sum())
-        if mass <= 0.0:
-            raise DeadPrefix(prefix)
-        return (alpha / mass) @ self.model.row_mass
 
     def initial_state(self):
         return np.asarray(self.model.init, dtype=float)

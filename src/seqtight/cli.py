@@ -131,6 +131,15 @@ def _series_payload(series: EosHazardSeries) -> dict:
     return payload
 
 
+_ESTIMATE_KEYS = ("samples", "max_len", "seed", "terminated_fraction",
+                  "truncated_fraction", "confidence_halfwidth")
+
+
+def _estimate_payload(estimate) -> dict:
+    """The Monte Carlo summary shared by ``analyze`` and ``sample``."""
+    return {key: getattr(estimate, key) for key in _ESTIMATE_KEYS}
+
+
 def _verdict_for_series(series: EosHazardSeries, lower: EosBoundFamily | None,
                         upper: EosBoundFamily | None, asm, horizon: int,
                         budget: int, notes: list[str]) -> TightnessVerdict:
@@ -225,14 +234,7 @@ def cmd_analyze(args) -> int:
         payload["termination_probability"] = termination
         payload["leaked_mass"] = leaked
     if estimate is not None:
-        payload["monte_carlo"] = {
-            "samples": estimate.samples,
-            "max_len": estimate.max_len,
-            "seed": estimate.seed,
-            "terminated_fraction": estimate.terminated_fraction,
-            "truncated_fraction": estimate.truncated_fraction,
-            "confidence_halfwidth": estimate.confidence_halfwidth,
-        }
+        payload["monte_carlo"] = _estimate_payload(estimate)
     payload["notes"] = notes
 
     lines = [
@@ -294,12 +296,7 @@ def cmd_sample(args) -> int:
     payload = {
         "command": "sample",
         "model": args.model,
-        "samples": estimate.samples,
-        "max_len": estimate.max_len,
-        "seed": estimate.seed,
-        "terminated_fraction": estimate.terminated_fraction,
-        "truncated_fraction": estimate.truncated_fraction,
-        "confidence_halfwidth": estimate.confidence_halfwidth,
+        **_estimate_payload(estimate),
         "mean_length_of_terminated": (None if estimate.terminated == 0
                                       else estimate.mean_length_of_terminated),
         "length_counts": [list(pair) for pair in estimate.length_counts],

@@ -111,13 +111,12 @@ class Asm:
     """Autoregressive sequence model: a total map from prefixes to
     conditional next-symbol distributions.
 
-    Subclasses must set ``alphabet`` and implement :meth:`conditional`.
-    The incremental interface (:meth:`initial_state` / :meth:`step` /
-    :meth:`state_conditional`) exists so models with expensive
-    prefix-recomputation (RNNs, forward-weight adapters) can be walked
-    symbol by symbol; it must agree with :meth:`conditional`, which remains
-    the defining contract.  By default the carried state is the prefix
-    itself.
+    Subclasses set ``alphabet`` and override either :meth:`conditional` or
+    the carried-state hooks (:meth:`initial_state` / :meth:`step` /
+    :meth:`state_conditional`); the base class derives the other.  The
+    engines walk only the hooks, and the derived :meth:`conditional` walks
+    them along the prefix.  By default the carried state is the prefix
+    itself, so a prefix-only model works unchanged.
 
     Instances are immutable; per-call state is caller-owned, so models can
     be shared freely across threads.
@@ -127,7 +126,10 @@ class Asm:
 
     def conditional(self, prefix: Str) -> np.ndarray:
         """Probability vector over the extended alphabet (EOS last)."""
-        raise NotImplementedError
+        state = self.initial_state()
+        for token in self.alphabet.check_string(prefix):
+            state = self.step(state, token)
+        return self.state_conditional(state)
 
     # -- incremental interface -------------------------------------------
 
@@ -139,6 +141,8 @@ class Asm:
         return state + (symbol,)
 
     def state_conditional(self, state) -> np.ndarray:
+        if type(self).conditional is Asm.conditional:
+            raise NotImplementedError("override conditional() or the carried-state hooks")
         return self.conditional(state)
 
     def state_key(self, state):

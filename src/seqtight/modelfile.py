@@ -38,12 +38,12 @@ the canonical shape of each kind.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .asm_zoo import (ParityAsm, RnnAsm, make_nontight_relu_rnn, make_parity_asm,
-                      make_tight_softplus_rnn, sfssm_as_asm)
+from .asm_zoo import (ParityAsm, RnnAsm, make_nontight_relu_rnn, make_tight_softplus_rnn,
+                      sfssm_as_asm)
 from .core import Alphabet, Asm
 from .sfssm import Sfssm, _from_edges, build_sfssm
 
@@ -88,7 +88,7 @@ BUILTINS: dict[str, Callable[[], Model]] = {
     "fig1b": _fig1b,
     "relu-rnn": make_nontight_relu_rnn,
     "softplus-rnn": make_tight_softplus_rnn,
-    "parity": make_parity_asm,
+    "parity": ParityAsm,
 }
 
 
@@ -182,30 +182,27 @@ def _sections_by_name(sections: list[_Section]) -> dict[str, _Section]:
     return seen
 
 
-def _symbols_from(section: _Section | None, where: int) -> tuple[str, ...]:
-    if section is None:
-        raise ParseError("missing [alphabet] section", where)
-    symbols: list[str] = []
+def _required(by_name: dict[str, _Section], name: str, where: int) -> _Section:
+    if name not in by_name:
+        raise ParseError(f"missing [{name}] section", where)
+    return by_name[name]
+
+
+def _unique_tokens(section: _Section, what: str) -> tuple[str, ...]:
+    """Every token of ``section``, each at most once."""
+    tokens: dict[str, None] = {}   # insertion-ordered, with O(1) membership
     for line in section.lines:
         for token, col in line.tokens:
-            if token in symbols:
-                raise ParseError(f"duplicate alphabet symbol {token!r}", line.number, col)
-            symbols.append(token)
-    return tuple(symbols)
+            if token in tokens:
+                raise ParseError(f"duplicate {what} {token!r}", line.number, col)
+            tokens[token] = None
+    return tuple(tokens)
 
 
-def _parse_sfssm(eos: str, sections: list[_Section], model_line: int) -> Sfssm:
-    by_name = _sections_by_name(sections)
-    symbols = _symbols_from(by_name.get("alphabet"), model_line)
-    states_section = by_name.get("states")
-    if states_section is None:
-        raise ParseError("missing [states] section", model_line)
-    names: list[str] = []
-    for line in states_section.lines:
-        for token, col in line.tokens:
-            if token in names:
-                raise ParseError(f"duplicate state {token!r}", line.number, col)
-            names.append(token)
+def _parse_sfssm(eos: str, by_name: dict[str, _Section], model_line: int) -> Sfssm:
+    symbols = _unique_tokens(_required(by_name, "alphabet", model_line), "alphabet symbol")
+    states_section = _required(by_name, "states", model_line)
+    names = _unique_tokens(states_section, "state")
     if not names:
         raise ParseError("[states] section is empty", states_section.line)
     index = {name: i for i, name in enumerate(names)}
@@ -231,15 +228,12 @@ def _parse_sfssm(eos: str, sections: list[_Section], model_line: int) -> Sfssm:
             vec[i] = _parse_float(val_tok, line.number, vcol)
         return vec
 
-    init_section = by_name.get("init")
-    if init_section is None:
-        raise ParseError("missing [init] section", model_line)
-    init = read_pairs(init_section)
+    init = read_pairs(_required(by_name, "init", model_line))
     term = read_pairs(by_name["term"]) if "term" in by_name else np.zeros(q)
 
     symbol_index = {a: k for k, a in enumerate(symbols)}
     edges: list[tuple[int, int, int, float]] = []
-    for section in sections:
+    for section in by_name.values():
         if section.name_parts[0] != "transitions":
             continue
         if len(section.name_parts) != 2:
@@ -261,25 +255,12 @@ def _parse_sfssm(eos: str, sections: list[_Section], model_line: int) -> Sfssm:
                 raise ParseError(f"duplicate transition {ftok!r} -> {ttok!r}", line.number, fcol)
             seen_edges.add((i, j))
             edges.append((k, i, j, _parse_float(vtok, line.number, vcol)))
-
-    known = {"alphabet", "states", "init", "term"}
-    for section in sections:
-        if section.name not in known and section.name_parts[0] != "transitions":
-            raise ParseError(f"unexpected section [{section.name}] in an sfssm file", section.line)
-
-    try:
-        alphabet = Alphabet(symbols, eos=eos)
-        return _from_edges(alphabet, edges, init, term, names)
-    except ValueError as exc:
-        raise ParseError(str(exc), model_line) from exc
+    return _from_edges(Alphabet(symbols, eos=eos), edges, init, term, names)
 
 
-def _parse_rnn(eos: str, sections: list[_Section], model_line: int) -> RnnAsm:
-    by_name = _sections_by_name(sections)
-    symbols = _symbols_from(by_name.get("alphabet"), model_line)
-    rnn_section = by_name.get("rnn")
-    if rnn_section is None:
-        raise ParseError("missing [rnn] section", model_line)
+def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAsm:
+    symbols = _unique_tokens(_required(by_name, "alphabet", model_line), "alphabet symbol")
+    rnn_section = _required(by_name, "rnn", model_line)
     hidden: int | None = None
     activation: str | None = None
     rows: dict[str, list[float]] = {}
@@ -308,9 +289,7 @@ def _parse_rnn(eos: str, sections: list[_Section], model_line: int) -> RnnAsm:
         raise ParseError("[rnn] must declare 'activation <name>'", rnn_section.line)
 
     def read_matrix(name: str) -> np.ndarray:
-        section = by_name.get(name)
-        if section is None:
-            raise ParseError(f"missing [{name}] section", model_line)
+        section = _required(by_name, name, model_line)
         if len(section.lines) != hidden:
             raise ParseError(f"[{name}] needs exactly {hidden} rows", section.line)
         mat = np.zeros((hidden, hidden))
@@ -322,9 +301,7 @@ def _parse_rnn(eos: str, sections: list[_Section], model_line: int) -> RnnAsm:
         return mat
 
     def read_embedding(name: str) -> np.ndarray:
-        section = by_name.get(name)
-        if section is None:
-            raise ParseError(f"missing [{name}] section", model_line)
+        section = _required(by_name, name, model_line)
         emb = np.zeros((len(symbols) + 1, hidden))
         order = {s: i for i, s in enumerate(symbols)}
         order[eos] = len(symbols)
@@ -345,35 +322,21 @@ def _parse_rnn(eos: str, sections: list[_Section], model_line: int) -> RnnAsm:
             raise ParseError(f"missing embeddings for {sorted(missing)!r}", section.line)
         return emb
 
-    known = {"alphabet", "rnn", "input-weights", "recurrent-weights",
-             "input-embedding", "output-embedding"}
-    for section in sections:
-        if section.name not in known:
-            raise ParseError(f"unexpected section [{section.name}] in an rnn file", section.line)
-
-    try:
-        return RnnAsm(
-            alphabet=Alphabet(symbols, eos=eos),
-            input_embedding=read_embedding("input-embedding"),
-            output_embedding=read_embedding("output-embedding"),
-            input_weights=read_matrix("input-weights"),
-            recurrent_weights=read_matrix("recurrent-weights"),
-            bias=np.asarray(rows.get("bias", [0.0] * hidden)),
-            activation=activation,
-            initial_hidden=np.asarray(rows.get("h0", [0.0] * hidden)),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc), model_line) from exc
+    return RnnAsm(
+        alphabet=Alphabet(symbols, eos=eos),
+        input_embedding=read_embedding("input-embedding"),
+        output_embedding=read_embedding("output-embedding"),
+        input_weights=read_matrix("input-weights"),
+        recurrent_weights=read_matrix("recurrent-weights"),
+        bias=np.asarray(rows.get("bias", [0.0] * hidden)),
+        activation=activation,
+        initial_hidden=np.asarray(rows.get("h0", [0.0] * hidden)),
+    )
 
 
-def _parse_parity(eos: str, sections: list[_Section], model_line: int) -> ParityAsm:
-    by_name = _sections_by_name(sections)
-    known = {"alphabet", "parity"}
-    for section in sections:
-        if section.name not in known:
-            raise ParseError(f"unexpected section [{section.name}] in a parity file",
-                             section.line)
-    symbols = _symbols_from(by_name["alphabet"], model_line) if "alphabet" in by_name else ("a", "b")
+def _parse_parity(eos: str, by_name: dict[str, _Section], model_line: int) -> ParityAsm:
+    symbols = (_unique_tokens(by_name["alphabet"], "alphabet symbol")
+               if "alphabet" in by_name else ("a", "b"))
     p_even = 0.1
     parity_section = by_name.get("parity")
     if parity_section is not None:
@@ -382,10 +345,17 @@ def _parse_parity(eos: str, sections: list[_Section], model_line: int) -> Parity
             if key != "eos-prob-even" or len(line.tokens) != 2:
                 raise ParseError("[parity] lines are 'eos-prob-even <p>'", line.number, col)
             p_even = _parse_float(line.tokens[1][0], line.number, line.tokens[1][1])
-    try:
-        return make_parity_asm(p_even, alphabet=Alphabet(symbols, eos=eos))
-    except ValueError as exc:
-        raise ParseError(str(exc), model_line) from exc
+    return ParityAsm(p_even, alphabet=Alphabet(symbols, eos=eos))
+
+
+# kind -> (parser, "a(n) <kind>", known sections; "transitions" stands for
+# every [transitions <symbol>] section)
+_KINDS = {
+    "sfssm": (_parse_sfssm, "an sfssm", {"alphabet", "states", "init", "term", "transitions"}),
+    "rnn": (_parse_rnn, "an rnn", {"alphabet", "rnn", "input-weights", "recurrent-weights",
+                                    "input-embedding", "output-embedding"}),
+    "parity": (_parse_parity, "a parity", {"alphabet", "parity"}),
+}
 
 
 def parse_model(text: str) -> Model:
@@ -393,12 +363,20 @@ def parse_model(text: str) -> Model:
     headers, model_line, sections = _split_sections(text)
     kind = headers["model"]
     eos = headers.get("eos", "EOS")
-    if kind == "sfssm":
-        return _parse_sfssm(eos, sections, model_line)
-    if kind == "rnn":
-        return _parse_rnn(eos, sections, model_line)
-    if kind == "parity" and sections:
-        return _parse_parity(eos, sections, model_line)
+    if kind in _KINDS and (sections or kind not in BUILTINS):
+        parse, a_kind, known = _KINDS[kind]
+        by_name = _sections_by_name(sections)
+        for section in sections:
+            name = "transitions" if section.name_parts[0] == "transitions" else section.name
+            if name not in known:
+                raise ParseError(f"unexpected section [{section.name}] in {a_kind} file",
+                                 section.line)
+        try:
+            return parse(eos, by_name, model_line)
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc), model_line) from exc
     if kind in BUILTINS:
         if sections:
             raise ParseError(f"builtin model {kind!r} takes no sections", sections[0].line)

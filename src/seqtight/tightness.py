@@ -47,14 +47,6 @@ class BudgetExceeded(RuntimeError):
             f"lower the horizon, raise the budget, or use the finite-state engine")
 
 
-class SupportExhausted(RuntimeError):
-    """All prefix mass is gone at this step: the model stopped surely before it."""
-
-    def __init__(self, step: int):
-        self.step = step
-        super().__init__(f"no prefix mass remains at step {step}; generation surely stopped earlier")
-
-
 class BoundViolated(ValueError):
     """An asserted bound on the EOS probability failed an empirical check."""
 
@@ -68,7 +60,7 @@ class BoundViolated(ValueError):
 
 
 class InvalidWeight(ValueError):
-    """A model's conditional gave a symbol a NaN or negative probability."""
+    """A model's conditional gave a NaN or negative weight, or a hazard outside [0, 1]."""
 
 
 class EmptyEvidence(ValueError):
@@ -108,6 +100,8 @@ def _series_from_values(values: list[float], support_exhausted_at: int | None) -
     running_sum, running_prod = 0.0, 1.0
     hit = None
     for i, v in enumerate(values):
+        if not 0.0 <= v <= 1.0:
+            raise InvalidWeight(f"eos hazard {v!r} at step {i + 1} is outside [0, 1]")
         running_sum += v
         running_prod *= max(0.0, 1.0 - v)
         sums.append(running_sum)
@@ -157,8 +151,8 @@ def _prefix(node) -> Str:
     return tuple(reversed(symbols))
 
 
-def eos_hazard_enumerate(asm: Asm, horizon: int, budget: int = DEFAULT_ENUM_BUDGET,
-                         on_support_exhausted: str = "truncate") -> EosHazardSeries:
+def eos_hazard_enumerate(asm: Asm, horizon: int,
+                         budget: int = DEFAULT_ENUM_BUDGET) -> EosHazardSeries:
     """Hazard series by exhaustive enumeration of reachable states.
 
     Step ``t`` weighs the EOS probability of every live prefix of length
@@ -166,22 +160,17 @@ def eos_hazard_enumerate(asm: Asm, horizon: int, budget: int = DEFAULT_ENUM_BUDG
     a :meth:`Asm.state_key` are pooled and zero-mass ones pruned; if more
     than ``budget`` pooled states are ever live, :class:`BudgetExceeded`
     is raised.  When all prefix mass disappears (the model surely stopped
-    earlier) the series ends there, or raises :class:`SupportExhausted`
-    with ``on_support_exhausted="raise"``.
+    earlier) the series ends there and records the step in
+    ``support_exhausted_at``.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if on_support_exhausted not in ("truncate", "raise"):
-        raise ValueError(f"on_support_exhausted must be 'truncate' or 'raise', "
-                         f"got {on_support_exhausted!r}")
     eos_idx = asm.alphabet.eos_index
     groups = [(asm.initial_state(), 1.0, None)]
     values: list[float] = []
     exhausted = None
     for t in range(1, horizon + 1):
         if not groups:
-            if on_support_exhausted == "raise":
-                raise SupportExhausted(t)
             exhausted = t
             break
         conds = [np.asarray(asm.state_conditional(state), dtype=float)
@@ -197,8 +186,7 @@ def eos_hazard_enumerate(asm: Asm, horizon: int, budget: int = DEFAULT_ENUM_BUDG
     return _series_from_values(values, exhausted)
 
 
-def eos_hazard_fsa(m: Sfssm, horizon: int,
-                   on_support_exhausted: str = "truncate") -> EosHazardSeries:
+def eos_hazard_fsa(m: Sfssm, horizon: int) -> EosHazardSeries:
     """Hazard series for a finite-state model in polynomial time.
 
     Maintains the unnormalized forward state distribution: the hazard at
@@ -209,9 +197,6 @@ def eos_hazard_fsa(m: Sfssm, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if on_support_exhausted not in ("truncate", "raise"):
-        raise ValueError(f"on_support_exhausted must be 'truncate' or 'raise', "
-                         f"got {on_support_exhausted!r}")
     p = m.transition_sum
     term = np.asarray(m.term, dtype=float)
     alpha = np.asarray(m.init, dtype=float).copy()
@@ -220,8 +205,6 @@ def eos_hazard_fsa(m: Sfssm, horizon: int,
     for t in range(1, horizon + 1):
         den = float(alpha.sum())
         if den <= 0.0:
-            if on_support_exhausted == "raise":
-                raise SupportExhausted(t)
             exhausted = t
             break
         values.append(min(max(float(alpha @ term) / den, 0.0), 1.0))
@@ -267,30 +250,26 @@ class EosBoundFamily:
     entries: tuple[float, ...] = ()
 
     def __post_init__(self):
-        peak = None
-        if self.kind == CONSTANT:
-            peak = self.scale
-        elif self.kind == HARMONIC:
+        if self.kind == TABLE:
+            for i, v in enumerate(self.entries):
+                if not (0.0 <= v <= 1.0):
+                    raise OutOfRange(f"table entry {i} is {v!r}, outside [0, 1]")
+            return
+        if self.kind == HARMONIC:
             if self.scale < 0 or self.shift < 0:
                 raise OutOfRange("harmonic bound needs c >= 0 and d >= 0")
-            peak = self.scale / (1.0 + self.shift)
         elif self.kind == LOG_HARMONIC:
             if self.scale < 0 or self.shift <= 0:
                 raise OutOfRange("log-harmonic bound needs c >= 0 and d > 0")
-            peak = self.scale / ((1.0 + self.shift) * math.log(1.0 + self.shift))
         elif self.kind == GEOMETRIC:
             if not (0.0 < self.ratio < 1.0):
                 raise OutOfRange(f"geometric ratio must be in (0, 1), got {self.ratio!r}")
             if self.scale < 0:
                 raise OutOfRange("geometric bound needs c >= 0")
-            peak = self.scale * self.ratio
-        elif self.kind == TABLE:
-            for i, v in enumerate(self.entries):
-                if not (0.0 <= v <= 1.0):
-                    raise OutOfRange(f"table entry {i} is {v!r}, outside [0, 1]")
-        else:
+        elif self.kind != CONSTANT:
             raise ValueError(f"unknown bound family kind: {self.kind!r}")
-        if peak is not None and not (0.0 <= peak <= 1.0):
+        peak = self.value(1)  # every non-table family is nonincreasing in t
+        if not (0.0 <= peak <= 1.0):
             raise OutOfRange(f"bound values leave [0, 1] (peak {peak!r})")
 
     # constructors ----------------------------------------------------
@@ -378,7 +357,7 @@ def _check_lower_bound(asm: Asm, bound: EosBoundFamily, horizon: int,
         for state, mass, node in groups:
             cond = np.asarray(asm.state_conditional(state), dtype=float)
             observed = float(cond[eos_idx])
-            if observed < want - tol:
+            if not observed >= want - tol:  # NaN fails too
                 raise BoundViolated(t, _prefix(node), observed, want)
             splits.append((mass * cond).tolist())
         if t < steps:

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from seqtight import (Alphabet, DeadPrefix, OutOfRange, RnnAsm, make_nontight_relu_rnn,
-                      make_parity_asm, make_tight_softplus_rnn, rnn_conditional,
-                      rnn_step, sfssm_as_asm, string_probability,
-                      string_probability_fsa, validate_conditional)
+from seqtight import (Alphabet, DeadPrefix, OutOfRange, ParityAsm, RnnAsm, UnknownSymbol,
+                      make_nontight_relu_rnn, make_tight_softplus_rnn, sfssm_as_asm,
+                      string_probability, string_probability_fsa, validate_conditional)
 
 from conftest import random_sfssm, strings_up_to
 
@@ -59,12 +58,12 @@ def test_softplus_rnn_eos_schedule():
 
 def test_rnn_step_relu_instance():
     m = make_nontight_relu_rnn()
-    assert rnn_step(m, np.array([0.0]), "a")[0] == 1.0
+    assert m.step(np.array([0.0]), "a")[0] == 1.0
 
 
 def test_rnn_step_softplus_instance():
     m = make_tight_softplus_rnn()
-    out = rnn_step(m, np.array([math.log(2.0)]), "a")
+    out = m.step(np.array([math.log(2.0)]), "a")
     assert out[0] == pytest.approx(math.log(3.0), abs=1e-12)
 
 
@@ -78,23 +77,23 @@ def test_rnn_step_zero_weights_fixed_point():
                bias=np.zeros(2),
                activation="relu",
                initial_hidden=np.zeros(2))
-    np.testing.assert_array_equal(rnn_step(m, np.zeros(2), "a"), np.zeros(2))
+    np.testing.assert_array_equal(m.step(np.zeros(2), "a"), np.zeros(2))
 
 
 def test_rnn_conditional_matches_closed_forms():
     relu = make_nontight_relu_rnn()
     for t in (1, 3, 10):
-        vec = rnn_conditional(relu, np.array([float(t)]))
+        vec = relu.state_conditional(np.array([float(t)]))
         assert vec[-1] == pytest.approx(1.0 / (math.exp(t) + 1.0), rel=1e-12)
     soft = make_tight_softplus_rnn()
     for t in (1, 4, 25):
-        vec = rnn_conditional(soft, np.array([math.log(float(t))]))
+        vec = soft.state_conditional(np.array([math.log(float(t))]))
         assert vec[-1] == pytest.approx(1.0 / (t + 1.0), rel=1e-12)
 
 
 def test_rnn_conditional_uniform_at_zero_hidden():
     m = make_nontight_relu_rnn()
-    np.testing.assert_allclose(rnn_conditional(m, np.array([0.0])), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(m.state_conditional(np.array([0.0])), [0.5, 0.5], atol=1e-15)
 
 
 def test_rnn_conditionals_strictly_positive_and_normalized():
@@ -125,7 +124,7 @@ def test_rnn_output_gap():
 # -- parity model ------------------------------------------------------------------
 
 def test_parity_eos_only_on_even_steps():
-    m = make_parity_asm()
+    m = ParityAsm()
     assert m.conditional(())[-1] == 0.0           # step 1
     assert m.conditional(("a",))[-1] == 0.1       # step 2
     assert m.conditional(("a", "b"))[-1] == 0.0   # step 3
@@ -133,7 +132,7 @@ def test_parity_eos_only_on_even_steps():
 
 
 def test_parity_even_length_strings_impossible():
-    m = make_parity_asm()
+    m = ParityAsm()
     assert string_probability(m, ()) == 0.0
     assert string_probability(m, ("a", "b")) == 0.0
     assert string_probability(m, ("a",)) > 0.0
@@ -141,13 +140,19 @@ def test_parity_even_length_strings_impossible():
 
 def test_parity_validates_probability_range():
     with pytest.raises(OutOfRange):
-        make_parity_asm(0.0)
+        ParityAsm(0.0)
     with pytest.raises(OutOfRange):
-        make_parity_asm(1.0)
+        ParityAsm(1.0)
+
+
+def test_parity_conditional_checks_symbols():
+    # the derived conditional walks only checked tokens, though the state is a count
+    with pytest.raises(UnknownSymbol):
+        ParityAsm().conditional(("z",))
 
 
 def test_parity_spreads_rest_uniformly():
-    m = make_parity_asm(0.2)
+    m = ParityAsm(0.2)
     vec = m.conditional(("a",))
     np.testing.assert_allclose(vec, [0.4, 0.4, 0.2], atol=1e-15)
 

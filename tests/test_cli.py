@@ -1,5 +1,6 @@
 """Command-line behaviour: reports, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -190,6 +191,37 @@ def test_analyze_machine_format_is_byte_stable(capsys):
     assert payload["series"]["horizon"] == 20
     assert payload["provenance"]["seed"] == 9
     assert len(payload["series"]["eos_hazard"]) == 20
+
+
+# sha256 of the --format machine stdout, recorded before the model layer
+# derived each conditional from its carried-state hooks; the output of these
+# commands must never change
+GOLDEN_MACHINE_OUTPUT = [
+    (("analyze", "builtin:fig1a"),
+     "e1f01ab7a805eb31695e28c87e1d1c2b492f16c7354cd2e88160f0458cdeef86"),
+    (("analyze", "models/fig1b.model"),
+     "d244438dc8ef8a1346daa7d02d4995367a78cd3a1e19091ab73c1defa55dee53"),
+    (("analyze", "builtin:parity", "--horizon", "16"),
+     "6d8c517d9872d258f5ee7533c91c02c0771fdf5f223f84f9f7593617fb58a0cc"),
+    (("analyze", "builtin:softplus-rnn", "--horizon", "300", "--bound", "harmonic:1,1"),
+     "a271fa93826007c123c55f5576de19474007acc7c7b3b1b755efd42c664496b9"),
+    (("analyze", "builtin:relu-rnn", "--horizon", "50", "--upper-bound",
+      "geometric:2.7182818278008387,0.3678794411746719"),
+     "c48fdf33d13f11065679d6c400b86e71c07e504592fdd4964c61110d1c45c0a4"),
+    (("sample", "builtin:fig1a", "--samples", "100000", "--seed", "1"),
+     "dc554ebe7c851c6af2a4bb0aef3f1835c9672725a0b8693d7b4ce707fa90eaa0"),
+    (("prob", "models/fig1b.model", "a b"),
+     "e089b1891abea473f74f36e8e8646cb30edc6113c61dd3cb926dab2597bf6e3f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_MACHINE_OUTPUT,
+                         ids=[" ".join(argv[:2]) for argv, _ in GOLDEN_MACHINE_OUTPUT])
+def test_machine_output_matches_golden_hash(capsys, monkeypatch, argv, digest):
+    monkeypatch.chdir(MODELS_DIR.parent)   # the payload records the model path as given
+    code, out, _ = run(capsys, *argv, "--format", "machine")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_analyze_machine_format_leaky_model(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from seqtight import (Alphabet, FunctionAsm, NotADistribution, UnknownSymbol,
+from seqtight import (Alphabet, Asm, FunctionAsm, NotADistribution, UnknownSymbol,
                       prefix_probability, sfssm_as_asm, string_probability,
                       validate_conditional)
 
@@ -135,6 +135,46 @@ def test_incremental_interface_agrees_with_pure_conditional(fig1b):
         pure = asm.conditional(("a", "a", "b", "b")[:i])
         np.testing.assert_allclose(walked, pure, atol=1e-12)
         state = asm.step(state, symbol)
+
+
+class StepCounter(Asm):
+    """Hooks-only model: the state counts symbols, EOS probability 1/(n + 2)."""
+
+    def __init__(self):
+        self.alphabet = Alphabet(("a", "b"))
+
+    def initial_state(self):
+        return 0
+
+    def step(self, state, symbol):
+        return state + 1
+
+    def state_conditional(self, state):
+        eos = 1.0 / (state + 2)
+        return np.array([(1.0 - eos) / 2, (1.0 - eos) / 2, eos])
+
+
+def test_conditional_is_derived_from_the_carried_state_hooks():
+    asm = StepCounter()
+    for prefix in strings_up_to(("a", "b"), 3):
+        state = asm.initial_state()
+        for symbol in prefix:
+            state = asm.step(state, symbol)
+        np.testing.assert_array_equal(asm.conditional(prefix), asm.state_conditional(state))
+    assert asm.conditional(("a", "b"))[-1] == 0.25
+    assert string_probability(asm, ("a",)) == pytest.approx(0.5 * 0.5 * (1 / 3), abs=1e-15)
+    with pytest.raises(UnknownSymbol):
+        asm.conditional(("a", "z"))
+
+
+def test_asm_overriding_nothing_is_not_implemented():
+    class Bare(Asm):
+        alphabet = Alphabet(("a",))
+
+    with pytest.raises(NotImplementedError):
+        Bare().conditional(())
+    with pytest.raises(NotImplementedError):
+        Bare().state_conditional(())
 
 
 def test_conditionals_locally_normalized_on_random_asms():

@@ -10,10 +10,10 @@ from hypothesis import strategies as hst
 
 from seqtight import (Alphabet, BoundViolated, BudgetExceeded, EmptyEvidence,
                       EosBoundFamily, FunctionAsm, InvalidWeight, OutOfRange,
-                      SupportExhausted, build_sfssm,
+                      ParityAsm, build_sfssm,
                       certify_nontight_upper_bound, certify_tight_lower_bound,
                       decide_tight, eos_hazard_enumerate, eos_hazard_fsa,
-                      fit_geometric_tail, make_nontight_relu_rnn, make_parity_asm,
+                      fit_geometric_tail, make_nontight_relu_rnn,
                       make_tight_softplus_rnn, monte_carlo_termination,
                       RnnAsm, product_sum_duality_check, rnn_log_norm_test, sfssm_as_asm,
                       suggests_tight, termination_cdf, termination_probability, trim)
@@ -40,10 +40,10 @@ def test_enumerate_bigram_first_step_cannot_stop(fig1a):
 
 
 def test_enumerate_parity_alternates():
-    series = eos_hazard_enumerate(make_parity_asm(), 4)
+    series = eos_hazard_enumerate(ParityAsm(), 4)
     assert series.values == pytest.approx((0.0, 0.1, 0.0, 0.1), abs=1e-15)
     # all 2^t prefixes of length t share one state, so a single pooled state stays live
-    series = eos_hazard_enumerate(make_parity_asm(), 40, budget=1)
+    series = eos_hazard_enumerate(ParityAsm(), 40, budget=1)
     assert series.values == pytest.approx((0.0, 0.1) * 20, abs=1e-15)
 
 
@@ -64,6 +64,24 @@ def test_invalid_symbol_weight_is_an_error_not_lost_mass(conditional):
         certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=asm, horizon=5)
 
 
+def nan_eos_asm():
+    return FunctionAsm(Alphabet(("a",)), lambda prefix: [0.5, math.nan])
+
+
+def test_nan_eos_fails_the_lower_bound_walk():
+    # every comparison with NaN is False, so a plain `observed < want` check passes it
+    with pytest.raises(BoundViolated) as info:
+        certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=nan_eos_asm(), horizon=4)
+    assert info.value.step == 1
+    assert math.isnan(info.value.observed)
+
+
+def test_nan_hazard_is_an_error_not_sure_stopping():
+    # max(0, 1 - nan) is 0, so an unchecked NaN hazard reads as survival 0 and CDF 1
+    with pytest.raises(InvalidWeight, match="step 1"):
+        eos_hazard_enumerate(nan_eos_asm(), horizon=4)
+
+
 def test_enumerate_sure_stop_truncates_and_flags():
     asm = sfssm_as_asm(sure_stopper())
     series = eos_hazard_enumerate(asm, 5)
@@ -74,10 +92,9 @@ def test_enumerate_sure_stop_truncates_and_flags():
 
 
 def test_enumerate_sure_stop_raise_mode():
-    asm = sfssm_as_asm(sure_stopper())
-    with pytest.raises(SupportExhausted) as info:
-        eos_hazard_enumerate(asm, 5, on_support_exhausted="raise")
-    assert info.value.step == 2
+    # exhaustion ends the series and is reported in it, never raised
+    series = eos_hazard_enumerate(sfssm_as_asm(sure_stopper()), 5)
+    assert series.support_exhausted_at == 2
 
 
 # -- hazard series: forward recursion ---------------------------------------------
@@ -105,8 +122,8 @@ def test_fsa_sure_stop_sets_hit_one():
 
 
 def test_fsa_raise_mode():
-    with pytest.raises(SupportExhausted):
-        eos_hazard_fsa(sure_stopper(), 3, on_support_exhausted="raise")
+    # exhaustion ends the series and is reported in it, never raised
+    assert eos_hazard_fsa(sure_stopper(), 3).support_exhausted_at == 2
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -230,7 +247,7 @@ def test_lower_bound_violation_is_reported():
 
 
 def test_lower_bound_violation_witness_is_a_real_prefix():
-    asm = make_parity_asm()
+    asm = ParityAsm()
     with pytest.raises(BoundViolated) as info:
         certify_tight_lower_bound(EosBoundFamily.table([0.0, 0.05, 0.0, 0.2]),
                                   asm=asm, horizon=4)
@@ -460,6 +477,4 @@ def test_series_ops_validate_arguments(fig1a):
     with pytest.raises(ValueError):
         eos_hazard_fsa(fig1a, 0)
     with pytest.raises(ValueError):
-        eos_hazard_fsa(fig1a, 5, on_support_exhausted="explode")
-    with pytest.raises(ValueError):
-        eos_hazard_enumerate(make_parity_asm(), 3, on_support_exhausted="explode")
+        eos_hazard_enumerate(ParityAsm(), 0)
