@@ -90,10 +90,7 @@ def _tokens_for(model: Model, text: str) -> tuple[str, ...]:
     compact = tuple(text.replace(" ", ""))
     if compact and all(ch in known for ch in compact):
         return compact
-    for tok in tokens:
-        if tok not in known:
-            raise UnknownSymbol(tok)
-    return tokens
+    return alphabet.check_string(tokens)  # raises UnknownSymbol
 
 
 def _emit(payload: dict, text_lines: list[str], fmt: str, out: str | None) -> None:
@@ -150,7 +147,7 @@ def _verdict_for_series(series: EosHazardSeries, lower: EosBoundFamily | None,
             detail=f"generation surely stops by step {step}")
     if lower is not None:
         try:
-            verdict = certify_tight_lower_bound(lower, asm=asm, horizon=horizon, budget=budget)
+            verdict = certify_tight_lower_bound(lower, asm, horizon, budget, series=series)
             if verdict.is_tight:
                 return verdict
             notes.append(f"lower bound {lower.describe()}: {verdict.evidence}")

@@ -148,7 +148,8 @@ class Asm:
     def state_key(self, state):
         """Hashable key identifying ``state``; equal keys must imply equal
         conditional behaviour from here on.  Used to pool identical states
-        during hazard enumeration, bound checking and sampling."""
+        during hazard enumeration, bound checking and sampling, where a
+        recurring key's conditional and successors are reused, not recomputed."""
         return state
 
 
@@ -178,20 +179,23 @@ def validate_conditional(asm: Asm, prefix: Str, tol: float = DEFAULT_TOL) -> Non
         raise NotADistribution(prefix, total, offending)
 
 
+def _prefix_walk(asm: Asm, x: Iterable[Token]) -> tuple[float, object]:
+    """Probability of the prefix ``x`` and the state after it (None if 0)."""
+    state = asm.initial_state()
+    p = 1.0
+    for token in asm.alphabet.check_string(x):
+        p *= float(asm.state_conditional(state)[asm.alphabet.index(token)])
+        if p == 0.0:
+            return 0.0, None
+        state = asm.step(state, token)
+    return p, state
+
+
 def string_probability(asm: Asm, x: Iterable[Token]) -> float:
     """Probability that the model generates exactly the string ``x``:
     the product of each symbol's conditional followed by EOS."""
-    x = asm.alphabet.check_string(x)
-    state = asm.initial_state()
-    p = 1.0
-    for token in x:
-        vec = asm.state_conditional(state)
-        p *= float(vec[asm.alphabet.index(token)])
-        if p == 0.0:
-            return 0.0
-        state = asm.step(state, token)
-    p *= float(asm.state_conditional(state)[asm.alphabet.eos_index])
-    return as_prob(p)
+    p, state = _prefix_walk(asm, x)
+    return as_prob(p * float(asm.state_conditional(state)[asm.alphabet.eos_index])) if p else 0.0
 
 
 def prefix_probability(asm: Asm, x: Iterable[Token]) -> float:
@@ -201,13 +205,4 @@ def prefix_probability(asm: Asm, x: Iterable[Token]) -> float:
     probability plus the prefix probabilities of all one-symbol
     extensions.
     """
-    x = asm.alphabet.check_string(x)
-    state = asm.initial_state()
-    p = 1.0
-    for token in x:
-        vec = asm.state_conditional(state)
-        p *= float(vec[asm.alphabet.index(token)])
-        if p == 0.0:
-            return 0.0
-        state = asm.step(state, token)
-    return as_prob(p)
+    return as_prob(_prefix_walk(asm, x)[0])

@@ -61,31 +61,22 @@ class ParseError(ValueError):
 
 # -- builtins --------------------------------------------------------------
 
-def _fig1a() -> Sfssm:
-    """Two-symbol bigram table that leaks mass: state b can never stop."""
+def _fig1(stay: float, stop: float) -> Sfssm:
+    """Two-symbol bigram table; state b loops with ``stay`` and stops with
+    ``stop``.  fig1a (``stop = 0``) leaks mass, since b can never stop;
+    fig1b gives b an escape hatch and terminates surely."""
     alphabet = Alphabet(("a", "b"))
     trans = {
         "a": np.array([[0, 1, 0], [0, 0.7, 0], [0, 0, 0]], dtype=float),
-        "b": np.array([[0, 0, 0], [0, 0, 0.2], [0, 0, 1.0]], dtype=float),
+        "b": np.array([[0, 0, 0], [0, 0, 0.2], [0, 0, stay]], dtype=float),
     }
-    return build_sfssm(alphabet, trans, init=[1, 0, 0], term=[0, 0.1, 0],
-                       names=("BOS", "a", "b"))
-
-
-def _fig1b() -> Sfssm:
-    """Same skeleton with an escape hatch from state b; terminates surely."""
-    alphabet = Alphabet(("a", "b"))
-    trans = {
-        "a": np.array([[0, 1, 0], [0, 0.7, 0], [0, 0, 0]], dtype=float),
-        "b": np.array([[0, 0, 0], [0, 0, 0.2], [0, 0, 0.9]], dtype=float),
-    }
-    return build_sfssm(alphabet, trans, init=[1, 0, 0], term=[0, 0.1, 0.1],
+    return build_sfssm(alphabet, trans, init=[1, 0, 0], term=[0, 0.1, stop],
                        names=("BOS", "a", "b"))
 
 
 BUILTINS: dict[str, Callable[[], Model]] = {
-    "fig1a": _fig1a,
-    "fig1b": _fig1b,
+    "fig1a": lambda: _fig1(1.0, 0.0),
+    "fig1b": lambda: _fig1(0.9, 0.1),
     "relu-rnn": make_nontight_relu_rnn,
     "softplus-rnn": make_tight_softplus_rnn,
     "parity": ParityAsm,

@@ -295,7 +295,11 @@ def trim(m: Sfssm) -> Sfssm:
     :class:`NoUsefulStates` when nothing survives (the model assigns
     probability 0 to every string).
     """
-    keep = sorted(useful_states(m))
+    return _trim(m, useful_states(m))
+
+
+def _trim(m: Sfssm, useful: frozenset[int]) -> Sfssm:
+    keep = sorted(useful)
     if not keep:
         raise NoUsefulStates("no state is both accessible and co-accessible")
     idx = np.asarray(keep, dtype=np.intp)
@@ -340,9 +344,9 @@ def _non_tight(m: Sfssm, witness: int, termination: float) -> TightnessVerdict:
         detail=f"state {m.names[witness]} is accessible but cannot reach termination")
 
 
-def _trimmed_termination(m: Sfssm) -> tuple[float, Sfssm | None]:
+def _trimmed_termination(m: Sfssm, useful: frozenset[int]) -> tuple[float, Sfssm | None]:
     try:
-        sub = trim(m)
+        sub = _trim(m, useful)
     except NoUsefulStates:
         return 0.0, None
     return termination_probability(sub), sub
@@ -355,8 +359,9 @@ def decide_tight(m: Sfssm) -> TightnessVerdict:
     the lowest-index accessible state that cannot reach termination plus
     the exact leaked mass (one minus the termination probability).
     """
-    bad = sorted(accessible(m) - coaccessible(m))
-    return _non_tight(m, bad[0], _trimmed_termination(m)[0]) if bad else _TIGHT
+    acc, co = accessible(m), coaccessible(m)
+    bad = sorted(acc - co)
+    return _non_tight(m, bad[0], _trimmed_termination(m, acc & co)[0]) if bad else _TIGHT
 
 
 def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
@@ -370,8 +375,9 @@ def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
     ``ROW_TOL``.  A shortfall above twice the bound, which covers rounding
     in the solves, raises :class:`TerminationShortfall`.
     """
-    bad = sorted(accessible(m) - coaccessible(m))
-    termination, sub = _trimmed_termination(m)
+    acc, co = accessible(m), coaccessible(m)
+    bad = sorted(acc - co)
+    termination, sub = _trimmed_termination(m, acc & co)
     if bad:
         return _non_tight(m, bad[0], termination), termination
     if termination < 1.0 - ROW_TOL:

@@ -21,7 +21,7 @@ attached as evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .verdicts import Certificate, TightnessVerdict
 HIT_ONE_THRESHOLD = 1.0 - 1e-12
 DEFAULT_ENUM_BUDGET = 1_000_000
 SAMPLE_CHUNK = 65536
+_UNSTEPPED = object()  # successor key of a symbol an entry has not stepped along
 
 
 class BudgetExceeded(RuntimeError):
@@ -77,6 +78,8 @@ class EosHazardSeries:
     in which case the series ends just before it.  Either condition means
     generation stops surely, so ``1 - survival[-1]`` is the exact
     termination probability restricted to the computed horizon.
+    ``min_eos[i]``, recorded by :func:`eos_hazard_enumerate` only, is the
+    smallest EOS probability over the states live at step ``i + 1``.
     """
 
     values: tuple[float, ...]
@@ -84,6 +87,7 @@ class EosHazardSeries:
     survival: tuple[float, ...]
     hit_one_at: int | None = None
     support_exhausted_at: int | None = None
+    min_eos: tuple[float, ...] | None = None
 
     @property
     def horizon(self) -> int:
@@ -113,33 +117,69 @@ def _series_from_values(values: list[float], support_exhausted_at: int | None) -
                            support_exhausted_at=support_exhausted_at)
 
 
-def _pooled_step(asm: Asm, groups: list, splits: list, t: int, budget: int,
-                 witness: bool = False) -> list:
-    """Advance ``(state, weight, node)`` groups by one symbol; ``splits[i][j]``
-    is the weight group ``i`` sends along symbol ``j`` (an EOS entry is
-    ignored).  Successors with equal state keys share all future
-    conditionals, so they pool exactly.  With ``witness`` each keeps the
-    first arrival's ``(node, symbol)`` parent pointer; otherwise ``node``
-    is ``None``, so live groups never hold ancestor chains.  Raises
-    :class:`InvalidWeight` on a NaN or negative split entry, and
-    :class:`BudgetExceeded` past ``budget`` live groups at step ``t``."""
+class _Entry:
+    """A state key's entry in a walk: its state, conditional (computed once),
+    successor state key by symbol, and its weight and parent pointer."""
+
+    __slots__ = ("key", "state", "cond", "succ", "weight", "node")
+
+    def __init__(self, asm: Asm, state):
+        self.key, self.state, self.cond, self.succ = asm.state_key(state), state, None, None
+
+    def conditional(self, asm: Asm, sampling: bool = False) -> np.ndarray:
+        """The conditional as floats, computed once; for ``sampling``, clipped and normalized."""
+        if self.cond is None:
+            cond = np.asarray(asm.state_conditional(self.state), dtype=float)
+            if sampling:
+                cond = np.clip(cond, 0.0, None)
+                cond = cond / cond.sum()
+            self.cond = cond
+        return self.cond
+
+
+def _root(asm: Asm, weight) -> dict:
+    """A walk's first frontier; see :func:`_pooled_step`."""
+    entry = _Entry(asm, asm.initial_state())
+    entry.weight, entry.node = weight, None
+    return {entry.key: entry}
+
+
+def _pooled_step(asm: Asm, groups: dict, splits: list, t: int, budget: int,
+                 witness: bool = False) -> dict:
+    """Advance the frontier ``groups`` (state key -> entry) by one symbol;
+    ``splits[i][j]`` is the weight its ``i``-th entry sends along symbol
+    ``j`` (an EOS slot is ignored).  Successors with equal state keys share
+    all future conditionals, so they pool exactly.  Only the frontier holds
+    entries, one per key; an entry keeps the successor key of each symbol it
+    stepped along, so while those stay live it costs only lookups.  With
+    ``witness`` an entry keeps its first arrival's ``(node, symbol)`` parent
+    pointer; otherwise ``node`` is ``None``, so no ancestor chains are held.
+    Raises :class:`InvalidWeight` on a NaN or negative split entry, and
+    :class:`BudgetExceeded` past ``budget`` live entries at step ``t``."""
     grown: dict = {}
-    for (state, _, node), split in zip(groups, splits):
+    nodes = [entry.node for entry in groups.values()]  # before a revisited entry is re-pointed
+    for entry, node, split in zip(groups.values(), nodes, splits):
+        succ = entry.succ = entry.succ or {}
         for a, w in zip(asm.alphabet.symbols, split):
             if w > 0:
-                nxt = asm.step(state, a)
-                key = asm.state_key(nxt)
-                entry = grown.get(key)
-                if entry is None:
-                    grown[key] = (nxt, w, (node, a) if witness else None)
+                key = succ.get(a, _UNSTEPPED)
+                nxt = grown.get(key) or groups.get(key)
+                if nxt is None:
+                    nxt = _Entry(asm, asm.step(entry.state, a))
+                    nxt = grown.get(nxt.key) or groups.get(nxt.key) or nxt
+                    succ[a] = nxt.key
+                live = grown.get(nxt.key)
+                if live is None:
+                    grown[nxt.key] = nxt
+                    nxt.weight, nxt.node = w, (node, a) if witness else None
                 else:
-                    grown[key] = (entry[0], entry[1] + w, entry[2])
+                    live.weight += w
             elif w != 0:
                 raise InvalidWeight(f"symbol {a!r} got weight {w!r} at step {t - 1}; "
                                     f"the model's conditional is not a distribution")
     if len(grown) > budget:
         raise BudgetExceeded(t, len(grown), budget)
-    return list(grown.values())
+    return grown
 
 
 def _prefix(node) -> Str:
@@ -166,24 +206,25 @@ def eos_hazard_enumerate(asm: Asm, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     eos_idx = asm.alphabet.eos_index
-    groups = [(asm.initial_state(), 1.0, None)]
+    groups = _root(asm, 1.0)
     values: list[float] = []
+    min_eos: list[float] = []
     exhausted = None
     for t in range(1, horizon + 1):
         if not groups:
             exhausted = t
             break
-        conds = [np.asarray(asm.state_conditional(state), dtype=float)
-                 for state, _, _ in groups]
-        den = math.fsum(mass for _, mass, _ in groups)
-        num = math.fsum(mass * float(cond[eos_idx])
-                        for (_, mass, _), cond in zip(groups, conds))
+        conds = [entry.conditional(asm) for entry in groups.values()]
+        eos = [float(cond[eos_idx]) for cond in conds]
+        den = math.fsum(entry.weight for entry in groups.values())
+        num = math.fsum(entry.weight * e for entry, e in zip(groups.values(), eos))
         values.append(min(max(num / den, 0.0), 1.0))
+        min_eos.append(min(eos))
         if t == horizon:
             break
-        splits = [(mass * cond).tolist() for (_, mass, _), cond in zip(groups, conds)]
+        splits = [(entry.weight * cond).tolist() for entry, cond in zip(groups.values(), conds)]
         groups = _pooled_step(asm, groups, splits, t + 1, budget)
-    return _series_from_values(values, exhausted)
+    return replace(_series_from_values(values, exhausted), min_eos=tuple(min_eos))
 
 
 def eos_hazard_fsa(m: Sfssm, horizon: int) -> EosHazardSeries:
@@ -342,43 +383,53 @@ class EosBoundFamily:
         return f"table of {len(self.entries)} steps"
 
 
-def _check_lower_bound(asm: Asm, bound: EosBoundFamily, horizon: int,
-                       budget: int, tol: float) -> None:
-    """Walk all reachable model states up to ``horizon`` and verify the EOS
-    probability never drops below ``f(t) - tol``.  States with identical
-    keys are pooled (they share all future conditionals), keeping the walk
-    polynomial for finite-state and fixed-trajectory models."""
+def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int, tol: float,
+                witness: bool) -> bool:
+    """Whether every reachable state's EOS probability is at least ``f(t) - tol`` for
+    ``steps`` steps; with ``witness`` a failure raises :class:`BoundViolated` naming the prefix."""
     eos_idx = asm.alphabet.eos_index
-    groups = [(asm.initial_state(), 1.0, None)]
-    steps = horizon if bound.claimed_steps is None else min(horizon, bound.claimed_steps)
+    groups = _root(asm, 1.0)
     for t in range(1, steps + 1):
         want = bound.value(t)
         splits = []
-        for state, mass, node in groups:
-            cond = np.asarray(asm.state_conditional(state), dtype=float)
+        for entry in groups.values():
+            cond = entry.conditional(asm)
             observed = float(cond[eos_idx])
             if not observed >= want - tol:  # NaN fails too
-                raise BoundViolated(t, _prefix(node), observed, want)
-            splits.append((mass * cond).tolist())
+                if witness:
+                    raise BoundViolated(t, _prefix(entry.node), observed, want)
+                return False
+            splits.append((entry.weight * cond).tolist())
         if t < steps:
-            groups = _pooled_step(asm, groups, splits, t + 1, budget, witness=True)
+            groups = _pooled_step(asm, groups, splits, t + 1, budget, witness)
+    return True
 
 
 def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
                               horizon: int = 32, budget: int = 100_000,
-                              tol: float = 1e-12) -> TightnessVerdict:
+                              tol: float = 1e-12,
+                              series: EosHazardSeries | None = None) -> TightnessVerdict:
     """Verdict from an asserted per-step lower bound on the EOS probability.
 
     The caller asserts that every prefix of length ``t - 1`` has EOS
     probability at least ``bound.value(t)``; when ``asm`` is supplied the
     assertion is checked empirically up to ``horizon`` steps (raising
     :class:`BoundViolated` on failure), but the tail remains the caller's
-    claim.  A divergent family certifies tightness; geometric and table
-    families cannot — no finite partial sum certifies divergence — so they
-    come back inconclusive.
+    claim.  Given ``series = eos_hazard_enumerate(asm, horizon, budget)``,
+    the check reads its ``min_eos`` instead of walking the same states
+    again.  A divergent family certifies tightness; geometric and
+    table families cannot — no finite partial sum certifies divergence —
+    so they come back inconclusive.
     """
     if asm is not None:
-        _check_lower_bound(asm, bound, horizon, budget, tol)
+        steps = horizon if bound.claimed_steps is None else min(horizon, bound.claimed_steps)
+        lows = None if series is None else series.min_eos
+        if lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None):
+            holds = all(low >= bound.value(t) - tol for t, low in enumerate(lows[:steps], 1))
+        else:
+            holds = _bound_walk(asm, bound, steps, budget, tol, witness=False)
+        if not holds:  # walk again with parent pointers to name the prefix
+            _bound_walk(asm, bound, steps, budget, tol, witness=True)
     if bound.diverges:
         if bound.kind == CONSTANT:
             return TightnessVerdict.tight(
@@ -522,7 +573,8 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     distributing chunks over workers reproduces the serial result exactly.
     Within a chunk, runs sharing the same model state are pooled and
     advanced with one multinomial draw per state, which keeps sampling
-    cheap even for huge sample counts.
+    cheap even for huge sample counts; a recurring state's sampling
+    distribution and successors are reused, not recomputed at each step.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -535,21 +587,20 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     for chunk_index, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
         chunk = min(SAMPLE_CHUNK, samples - start)
         rng = np.random.default_rng([seed, chunk_index])
-        groups = [(asm.initial_state(), chunk, None)]
+        groups = _root(asm, chunk)
         for t in range(1, max_len + 1):
             if not groups:
                 break
             splits = []
-            for state, count, _ in groups:
-                p = np.clip(np.asarray(asm.state_conditional(state), dtype=float), 0.0, None)
-                draws = rng.multinomial(count, p / p.sum()).tolist()
+            for entry in groups.values():
+                draws = rng.multinomial(entry.weight, entry.conditional(asm, sampling=True)).tolist()
                 stopped = draws[eos_idx]
                 if stopped:
                     terminated += stopped
                     lengths[t - 1] = lengths.get(t - 1, 0) + stopped
                 splits.append(draws)
             groups = _pooled_step(asm, groups, splits, t + 1, chunk)
-        truncated += sum(count for _, count, _ in groups)
+        truncated += sum(entry.weight for entry in groups.values())
     return TerminationEstimate(
         samples=samples, max_len=max_len, seed=seed,
         terminated=terminated, truncated=truncated,

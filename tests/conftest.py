@@ -95,6 +95,29 @@ class StableRandomAsm(Asm):
         return vec
 
 
+class CountingAsm(Asm):
+    """Delegates to ``inner`` and counts its ``step`` and ``state_conditional`` calls."""
+
+    def __init__(self, inner: Asm):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.calls = {"step": 0, "state_conditional": 0}
+
+    def initial_state(self):
+        return self.inner.initial_state()
+
+    def step(self, state, symbol):
+        self.calls["step"] += 1
+        return self.inner.step(state, symbol)
+
+    def state_conditional(self, state):
+        self.calls["state_conditional"] += 1
+        return self.inner.state_conditional(state)
+
+    def state_key(self, state):
+        return self.inner.state_key(state)
+
+
 @pytest.fixture(scope="session")
 def fig1a():
     return BUILTINS["fig1a"]()

@@ -137,18 +137,19 @@ def test_analyze_rejects_nan_rnn(capsys, tmp_path):
 
 @pytest.mark.parametrize("name, verdict", [("fig1a", "non-tight"), ("fig1b", "tight")])
 def test_analyze_trims_and_solves_once(capsys, monkeypatch, name, verdict):
-    calls = {"trim": 0, "solve_linear": 0}
+    counted_names = ("accessible", "coaccessible", "_trim", "solve_linear")
+    calls = dict.fromkeys(counted_names, 0)
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
         return wrapper
-    monkeypatch.setattr(sfssm, "trim", counted("trim", sfssm.trim))
-    monkeypatch.setattr(sfssm, "solve_linear", counted("solve_linear", sfssm.solve_linear))
+    for fname in counted_names:
+        monkeypatch.setattr(sfssm, fname, counted(fname, getattr(sfssm, fname)))
     code, out, _ = run(capsys, "analyze", f"builtin:{name}", "--horizon", "5")
     assert code == 0 and f"verdict: {verdict} " in out
-    assert calls == {"trim": 1, "solve_linear": 1}
+    assert calls == dict.fromkeys(counted_names, 1)
 
 
 def test_analyze_tight_verdict_below_one_is_an_invariant_violation(capsys, monkeypatch):
@@ -212,11 +213,25 @@ GOLDEN_MACHINE_OUTPUT = [
      "dc554ebe7c851c6af2a4bb0aef3f1835c9672725a0b8693d7b4ce707fa90eaa0"),
     (("prob", "models/fig1b.model", "a b"),
      "e089b1891abea473f74f36e8e8646cb30edc6113c61dd3cb926dab2597bf6e3f"),
+    # several pooled groups per step through the finite-state adapter
+    (("sample", "models/fig1b.model", "--samples", "100000", "--max-len", "50", "--seed", "3"),
+     "3c3b51d805a86c5862b02e9d3bb661532b7b64cdd786df36d798564f7fe25ff3"),
+    # the table fails at step 5 after ('a', 'a', 'a', 'a'): the bound walk reruns for the witness
+    (("analyze", "builtin:parity", "--horizon", "16", "--bound", "table:0,0.1,0,0.1,0.2"),
+     "cee0217264130c253dffb3e9634f165178e792a9e089756ae92931de2b276b06"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_MACHINE_OUTPUT,
-                         ids=[" ".join(argv[:2]) for argv, _ in GOLDEN_MACHINE_OUTPUT])
+def golden_ids() -> list[str]:
+    """Subcommand and model, or the whole command line when those repeat."""
+    ids: list[str] = []
+    for argv, _ in GOLDEN_MACHINE_OUTPUT:
+        short = " ".join(argv[:2])
+        ids.append(" ".join(argv) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_MACHINE_OUTPUT, ids=golden_ids())
 def test_machine_output_matches_golden_hash(capsys, monkeypatch, argv, digest):
     monkeypatch.chdir(MODELS_DIR.parent)   # the payload records the model path as given
     code, out, _ = run(capsys, *argv, "--format", "machine")

@@ -1,5 +1,6 @@
 """Hazard series, certificates, Monte Carlo, and the product/sum duality."""
 
+import gc
 import math
 import tracemalloc
 
@@ -19,7 +20,7 @@ from seqtight import (Alphabet, BoundViolated, BudgetExceeded, EmptyEvidence,
                       suggests_tight, termination_cdf, termination_probability, trim)
 from seqtight.verdicts import Certificate
 
-from conftest import StableRandomAsm, random_sfssm
+from conftest import CountingAsm, StableRandomAsm, random_sfssm
 
 
 def sure_stopper():
@@ -265,6 +266,65 @@ def test_lower_bound_empirical_check_pools_states(fig1b):
     assert verdict.is_inconclusive
 
 
+def test_enumeration_records_the_smallest_live_eos_probability():
+    series = eos_hazard_enumerate(ParityAsm(0.1), 4)
+    assert series.min_eos == pytest.approx((0.0, 0.1, 0.0, 0.1), abs=1e-15)
+    assert eos_hazard_fsa(sure_stopper(), 2).min_eos is None
+
+
+def test_lower_bound_check_reads_the_enumerated_series():
+    asm = CountingAsm(make_tight_softplus_rnn())
+    series = eos_hazard_enumerate(asm, 50)
+    asm.calls = {"step": 0, "state_conditional": 0}
+    verdict = certify_tight_lower_bound(EosBoundFamily.harmonic(1, 1), asm=asm,
+                                        horizon=50, series=series)
+    assert verdict.is_tight
+    assert asm.calls == {"step": 0, "state_conditional": 0}
+
+
+@pytest.mark.parametrize("asm, bound", [
+    (make_tight_softplus_rnn(), EosBoundFamily.constant(0.4)),
+    (ParityAsm(), EosBoundFamily.table([0.0, 0.05, 0.0, 0.2])),
+    (ParityAsm(), EosBoundFamily.constant(0.05)),
+])
+def test_lower_bound_violation_is_the_same_with_a_series(asm, bound):
+    # a failing minimum reruns the walk, which names the same step and prefix
+    with pytest.raises(BoundViolated) as walked:
+        certify_tight_lower_bound(bound, asm=asm, horizon=10)
+    with pytest.raises(BoundViolated) as read:
+        certify_tight_lower_bound(bound, asm=asm, horizon=10,
+                                  series=eos_hazard_enumerate(asm, 10))
+    assert str(read.value) == str(walked.value)
+
+
+def test_lower_bound_witness_keeps_the_parent_of_a_revisited_key():
+    # y is live at step 2 and reached again from x before y itself is
+    # stepped; z's witness must extend y's own prefix ('b',), not ('a', 'a')
+    z = np.zeros((4, 4))
+    ta, tb, tc = z.copy(), z.copy(), z.copy()
+    ta[0, 1], tb[0, 2], ta[1, 2], tc[2, 3], tc[3, 3] = 0.5, 0.5, 1.0, 0.5, 0.8
+    model = build_sfssm(Alphabet(("a", "b", "c")), {"a": ta, "b": tb, "c": tc},
+                        [1, 0, 0, 0], [0, 0, 0.5, 0.2], names=("BOS", "x", "y", "z"))
+    with pytest.raises(BoundViolated) as info:
+        certify_tight_lower_bound(EosBoundFamily.table([0.0, 0.0, 0.3]),
+                                  asm=sfssm_as_asm(model), horizon=3)
+    assert (info.value.step, info.value.prefix) == (3, ("b", "c"))
+
+
+def test_lower_bound_walk_memory_stays_flat_as_horizon_grows():
+    # softplus states never repeat: a walk cache that kept the root or any
+    # dead ancestor would grow with the horizon
+    bound = EosBoundFamily.harmonic(1, 1)
+    certify_tight_lower_bound(bound, asm=make_tight_softplus_rnn(), horizon=5)  # warm caches
+    peaks = []
+    for horizon in (2_000, 20_000):
+        tracemalloc.start()
+        certify_tight_lower_bound(bound, asm=make_tight_softplus_rnn(), horizon=horizon)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+
+
 # -- upper-bound certificates -------------------------------------------------------------
 
 def test_geometric_upper_bound_certifies_leak():
@@ -409,6 +469,37 @@ def test_monte_carlo_memory_stays_flat_as_max_len_grows():
         tracemalloc.stop()
         assert estimate.truncated == 100
     assert peaks[1] < 2 * peaks[0]
+
+
+def test_monte_carlo_steps_each_state_key_once(fig1a):
+    # two thirds of the runs stay in the absorbing state b until max_len; its
+    # conditional and successor are computed once, not once per step
+    counts = []
+    for max_len in (1_000, 10_000):
+        asm = CountingAsm(sfssm_as_asm(fig1a))
+        estimate = monte_carlo_termination(asm, 1000, max_len=max_len, seed=0)
+        assert estimate.truncated > 0
+        counts.append(asm.calls)
+    assert counts[0] == counts[1] == {"step": 4, "state_conditional": 3}
+
+
+def test_walks_leave_nothing_for_the_cycle_collector(fig1a):
+    # fig1a's absorbing b is its own successor; a walk that linked to it
+    # strongly would leave a reference cycle behind every walk
+    asm = sfssm_as_asm(fig1a)
+
+    def walks():
+        monte_carlo_termination(asm, 1000, max_len=50, seed=0)
+        eos_hazard_enumerate(asm, 50)
+        certify_tight_lower_bound(EosBoundFamily.constant(0.0), asm=asm, horizon=50)
+    walks()  # warm caches outside the check
+    gc.collect()
+    gc.disable()
+    try:
+        walks()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- product/sum duality -----------------------------------------------------------------------
