@@ -20,12 +20,11 @@ from .sfssm import (BadInit, BadRow, EmptyCorpus, NegativeEntry, NoUsefulStates,
                     termination_probability, trim, useful_states)
 from .asm_zoo import (DeadPrefix, ParityAsm, RnnAsm, SfssmAsm, make_nontight_relu_rnn,
                       make_tight_softplus_rnn, sfssm_as_asm, softmax)
-from .tightness import (BoundViolated, BudgetExceeded, DualityReport, EmptyEvidence,
-                        EosBoundFamily, EosHazardSeries, InvalidWeight,
-                        TerminationEstimate, certify_nontight_upper_bound,
-                        certify_tight_lower_bound, eos_hazard_enumerate,
-                        eos_hazard_fsa, fit_geometric_tail, monte_carlo_termination,
-                        product_sum_duality_check, rnn_log_norm_test, suggests_tight,
+from .tightness import (BoundViolated, BudgetExceeded, DualityReport, EosBoundFamily,
+                        EosHazardSeries, InvalidWeight, TerminationEstimate,
+                        certify_nontight_upper_bound, certify_tight_lower_bound,
+                        eos_hazard_enumerate, eos_hazard_fsa, fit_geometric_tail,
+                        monte_carlo_termination, product_sum_duality_check, suggests_tight,
                         termination_cdf)
 from .modelfile import (BUILTINS, ParseError, as_asm, load_model, model_digest,
                         parse_corpus, parse_model, write_model)

@@ -115,14 +115,6 @@ class RnnAsm(Asm):
     def state_key(self, state):
         return tuple(np.asarray(state).ravel().tolist())
 
-    def output_gap(self) -> float:
-        """Largest distance between a symbol's output embedding and the EOS
-        output embedding; the constant paired with hidden-state norms in
-        the log-bound tightness test."""
-        eos_row = self.output_embedding[-1]
-        gaps = np.linalg.norm(self.output_embedding[:-1] - eos_row, axis=1)
-        return float(gaps.max()) if len(gaps) else 0.0
-
 
 def make_nontight_relu_rnn() -> RnnAsm:
     """One-symbol ReLU RNN whose hidden scalar counts the symbols consumed.
@@ -231,7 +223,9 @@ class SfssmAsm(Asm):
         return (alpha / mass) @ self.model.row_mass
 
     def state_key(self, state):
-        return tuple(np.asarray(state).ravel().tolist())
+        # bytes cache their hash; states are finite and nonnegative, so no
+        # -0.0 or NaN can give equal floats unequal bytes
+        return np.asarray(state, dtype=float).tobytes()
 
 
 def sfssm_as_asm(m: Sfssm) -> SfssmAsm:

@@ -23,8 +23,8 @@ from .modelfile import (BUILTINS, Model, ParseError, as_asm, load_model, model_d
                         parse_corpus, write_model)
 from .sfssm import (EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa,
                     solve_tightness, string_probability_fsa)
-from .tightness import (BoundViolated, BudgetExceeded, EosBoundFamily, EosHazardSeries,
-                        certify_nontight_upper_bound, certify_tight_lower_bound,
+from .tightness import (DEFAULT_ENUM_BUDGET, BoundViolated, BudgetExceeded, EosBoundFamily,
+                        EosHazardSeries, certify_nontight_upper_bound, certify_tight_lower_bound,
                         eos_hazard_enumerate, eos_hazard_fsa, fit_geometric_tail,
                         monte_carlo_termination, suggests_tight, termination_cdf)
 from .verdicts import Certificate, TightnessVerdict
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        f"(builtins: {', '.join(sorted(BUILTINS))})")
     analyze.add_argument("--horizon", type=int, default=50,
                          help="hazard series length (default %(default)s)")
-    analyze.add_argument("--budget", type=int, default=1_000_000,
+    analyze.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
                          help="max live pooled states for enumeration (default %(default)s)")
     analyze.add_argument("--samples", type=int, default=10_000,
                          help="Monte Carlo samples for non-finite-state models; "

@@ -27,10 +27,10 @@ files diff cleanly and round-trip exactly::
     [term]              # lines are "state probability"
     a 0.1
 
-``model:`` names the kind — ``sfssm``, ``rnn``, ``parity``, or one of the
-builtin example names (``fig1a``, ``fig1b``, ``relu-rnn``,
-``softplus-rnn``, ``parity``), which need no sections.  ``#`` starts a
-comment anywhere on a line.  RNN files carry the weight matrices row by
+``model:`` names the kind — ``sfssm``, ``rnn``, ``parity`` (sections
+optional), or a builtin example name (``fig1a``, ``fig1b``, ``relu-rnn``,
+``softplus-rnn``), which takes no sections and no ``eos:``.  ``#`` starts
+a comment anywhere on a line.  RNN files carry the weight matrices row by
 row plus per-symbol embedding lines; see :func:`write_model` output for
 the canonical shape of each kind.
 """
@@ -117,8 +117,8 @@ class _Section:
         return " ".join(self.name_parts)
 
 
-def _split_sections(text: str) -> tuple[dict[str, str], int, list[_Section]]:
-    """Return (header key/values, line of ``model:``, sections)."""
+def _split_sections(text: str) -> tuple[dict[str, str], dict[str, int], list[_Section]]:
+    """Return (header key/values, header key/line numbers, sections)."""
     headers: dict[str, str] = {}
     header_lines: dict[str, int] = {}
     sections: list[_Section] = []
@@ -146,6 +146,8 @@ def _split_sections(text: str) -> tuple[dict[str, str], int, list[_Section]]:
             raise ParseError(f"expected 'key: value' before the first section, got {first!r}",
                              number, col)
         key = first[:-1]
+        if key not in ("model", "eos"):
+            raise ParseError(f"unknown header {key!r}", number, col)
         if key in headers:
             raise ParseError(f"duplicate header {key!r}", number, col)
         if len(line.tokens) != 2:
@@ -154,7 +156,7 @@ def _split_sections(text: str) -> tuple[dict[str, str], int, list[_Section]]:
         header_lines[key] = number
     if "model" not in headers:
         raise ParseError("missing 'model: <kind>' header", 1)
-    return headers, header_lines["model"], sections
+    return headers, header_lines, sections
 
 
 def _parse_float(token: str, line: int, col: int) -> float:
@@ -171,6 +173,17 @@ def _sections_by_name(sections: list[_Section]) -> dict[str, _Section]:
             raise ParseError(f"duplicate section [{section.name}]", section.line)
         seen[section.name] = section
     return seen
+
+
+def _entries(section: _Section) -> list[_Line]:
+    """The lines of ``section``, whose first tokens (entry names) must differ."""
+    seen = set()
+    for line in section.lines:
+        key, col = line.tokens[0]
+        if key in seen:
+            raise ParseError(f"duplicate [{section.name}] entry {key!r}", line.number, col)
+        seen.add(key)
+    return section.lines
 
 
 def _required(by_name: dict[str, _Section], name: str, where: int) -> _Section:
@@ -255,7 +268,7 @@ def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAs
     hidden: int | None = None
     activation: str | None = None
     rows: dict[str, list[float]] = {}
-    for line in rnn_section.lines:
+    for line in _entries(rnn_section):
         key, col = line.tokens[0]
         values = line.tokens[1:]
         if key == "hidden":
@@ -331,7 +344,7 @@ def _parse_parity(eos: str, by_name: dict[str, _Section], model_line: int) -> Pa
     p_even = 0.1
     parity_section = by_name.get("parity")
     if parity_section is not None:
-        for line in parity_section.lines:
+        for line in _entries(parity_section):
             key, col = line.tokens[0]
             if key != "eos-prob-even" or len(line.tokens) != 2:
                 raise ParseError("[parity] lines are 'eos-prob-even <p>'", line.number, col)
@@ -351,10 +364,10 @@ _KINDS = {
 
 def parse_model(text: str) -> Model:
     """Parse model-file text into exactly one validated model."""
-    headers, model_line, sections = _split_sections(text)
-    kind = headers["model"]
+    headers, header_lines, sections = _split_sections(text)
+    kind, model_line = headers["model"], header_lines["model"]
     eos = headers.get("eos", "EOS")
-    if kind in _KINDS and (sections or kind not in BUILTINS):
+    if kind in _KINDS:
         parse, a_kind, known = _KINDS[kind]
         by_name = _sections_by_name(sections)
         for section in sections:
@@ -369,8 +382,9 @@ def parse_model(text: str) -> Model:
         except ValueError as exc:
             raise ParseError(str(exc), model_line) from exc
     if kind in BUILTINS:
-        if sections:
-            raise ParseError(f"builtin model {kind!r} takes no sections", sections[0].line)
+        if sections or "eos" in headers:
+            where = sections[0].line if sections else header_lines["eos"]
+            raise ParseError(f"builtin model {kind!r} takes no sections and no 'eos:'", where)
         return BUILTINS[kind]()
     raise ParseError(f"unknown model kind {kind!r}", model_line)
 

@@ -324,8 +324,8 @@ def termination_probability(m: Sfssm) -> float:
 
 
 def check_spectral_radius(m: Sfssm) -> float:
-    """Power-iteration estimate of a trimmed model's transition-sum spectral
-    radius.  Raises :class:`SpectralRadiusTooLarge` unless it is below 1,
+    """Spectral radius of a trimmed model's transition-sum matrix, from its
+    eigenvalues.  Raises :class:`SpectralRadiusTooLarge` unless it is below 1,
     as it is for every genuinely trimmed model."""
     estimate, bound = spectral_radius_estimate(m.transition_sum)
     if not estimate < 1.0:

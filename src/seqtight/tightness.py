@@ -11,9 +11,9 @@ duality for sequences in [0, 1)).
 Because only finitely many terms can ever be computed, a numeric series
 by itself never proves tightness.  Verdicts here are therefore issued
 only against analytic certificates — a divergent lower-bound family on
-the EOS probability, a hazard that hits 1, a sub-logarithmic bound on RNN
-hidden norms, or (for the non-tight direction) a geometric upper-bound
-family whose tail leaves the survival product bounded away from zero.
+the EOS probability, a hazard that hits 1, or (for the non-tight
+direction) a geometric upper-bound family whose tail leaves the
+survival product bounded away from zero.
 Everything short of that is reported as inconclusive, with the numbers
 attached as evidence.
 """
@@ -33,6 +33,11 @@ from .verdicts import Certificate, TightnessVerdict
 HIT_ONE_THRESHOLD = 1.0 - 1e-12
 DEFAULT_ENUM_BUDGET = 1_000_000
 SAMPLE_CHUNK = 65536
+_TOL = 1e-12                # slack when checking a computed series against an asserted bound
+_SUM_THRESHOLD = 20.0       # suggests_tight: hazard sum above this
+_SURVIVAL_THRESHOLD = 1e-6  # and survival below this
+_MAX_RATIO = 0.999          # fit_geometric_tail: trailing step-to-step ratios below this
+_MAX_WOBBLE = 1.01          # and largest over smallest ratio at most this
 _UNSTEPPED = object()  # successor key of a symbol an entry has not stepped along
 
 
@@ -62,10 +67,6 @@ class BoundViolated(ValueError):
 
 class InvalidWeight(ValueError):
     """A model's conditional gave a NaN or negative weight, or a hazard outside [0, 1]."""
-
-
-class EmptyEvidence(ValueError):
-    """The norm-bound test was given no usable evidence."""
 
 
 @dataclass(frozen=True)
@@ -100,20 +101,15 @@ class EosHazardSeries:
 
 
 def _series_from_values(values: list[float], support_exhausted_at: int | None) -> EosHazardSeries:
-    sums, survival = [], []
-    running_sum, running_prod = 0.0, 1.0
-    hit = None
-    for i, v in enumerate(values):
-        if not 0.0 <= v <= 1.0:
-            raise InvalidWeight(f"eos hazard {v!r} at step {i + 1} is outside [0, 1]")
-        running_sum += v
-        running_prod *= max(0.0, 1.0 - v)
-        sums.append(running_sum)
-        survival.append(running_prod)
-        if hit is None and v >= HIT_ONE_THRESHOLD:
-            hit = i + 1
-    return EosHazardSeries(values=tuple(values), partial_sums=tuple(sums),
-                           survival=tuple(survival), hit_one_at=hit,
+    v = np.asarray(values, dtype=float)
+    inside = (v >= 0.0) & (v <= 1.0)  # False for NaN
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise InvalidWeight(f"eos hazard {values[i]!r} at step {i + 1} is outside [0, 1]")
+    hits = np.flatnonzero(v >= HIT_ONE_THRESHOLD)
+    return EosHazardSeries(values=tuple(values), partial_sums=tuple(np.cumsum(v).tolist()),
+                           survival=tuple(np.cumprod(1.0 - v).tolist()),
+                           hit_one_at=int(hits[0]) + 1 if hits.size else None,
                            support_exhausted_at=support_exhausted_at)
 
 
@@ -383,9 +379,9 @@ class EosBoundFamily:
         return f"table of {len(self.entries)} steps"
 
 
-def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int, tol: float,
+def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int,
                 witness: bool) -> bool:
-    """Whether every reachable state's EOS probability is at least ``f(t) - tol`` for
+    """Whether every reachable state's EOS probability is at least ``f(t) - _TOL`` for
     ``steps`` steps; with ``witness`` a failure raises :class:`BoundViolated` naming the prefix."""
     eos_idx = asm.alphabet.eos_index
     groups = _root(asm, 1.0)
@@ -395,7 +391,7 @@ def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int, tol: f
         for entry in groups.values():
             cond = entry.conditional(asm)
             observed = float(cond[eos_idx])
-            if not observed >= want - tol:  # NaN fails too
+            if not observed >= want - _TOL:  # NaN fails too
                 if witness:
                     raise BoundViolated(t, _prefix(entry.node), observed, want)
                 return False
@@ -406,8 +402,7 @@ def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int, tol: f
 
 
 def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
-                              horizon: int = 32, budget: int = 100_000,
-                              tol: float = 1e-12,
+                              horizon: int = 32, budget: int = DEFAULT_ENUM_BUDGET,
                               series: EosHazardSeries | None = None) -> TightnessVerdict:
     """Verdict from an asserted per-step lower bound on the EOS probability.
 
@@ -425,11 +420,11 @@ def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
         steps = horizon if bound.claimed_steps is None else min(horizon, bound.claimed_steps)
         lows = None if series is None else series.min_eos
         if lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None):
-            holds = all(low >= bound.value(t) - tol for t, low in enumerate(lows[:steps], 1))
+            holds = all(low >= bound.value(t) - _TOL for t, low in enumerate(lows[:steps], 1))
         else:
-            holds = _bound_walk(asm, bound, steps, budget, tol, witness=False)
+            holds = _bound_walk(asm, bound, steps, budget, witness=False)
         if not holds:  # walk again with parent pointers to name the prefix
-            _bound_walk(asm, bound, steps, budget, tol, witness=True)
+            _bound_walk(asm, bound, steps, budget, witness=True)
     if bound.diverges:
         if bound.kind == CONSTANT:
             return TightnessVerdict.tight(
@@ -443,8 +438,7 @@ def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
         f"it cannot certify tightness")
 
 
-def certify_nontight_upper_bound(series: EosHazardSeries, bound: EosBoundFamily,
-                                 tol: float = 1e-12) -> TightnessVerdict:
+def certify_nontight_upper_bound(series: EosHazardSeries, bound: EosBoundFamily) -> TightnessVerdict:
     """Verdict from an asserted geometric upper bound on the hazard series.
 
     If ``hazard(t) <= c * r^t`` for all ``t`` (checked against the computed
@@ -463,7 +457,7 @@ def certify_nontight_upper_bound(series: EosHazardSeries, bound: EosBoundFamily,
             f"only geometric upper bounds certify non-tightness")
     for i, observed in enumerate(series.values):
         want = bound.value(i + 1)
-        if observed > want + tol:
+        if observed > want + _TOL:
             raise BoundViolated(i + 1, None, observed, want)
     horizon = series.horizon
     survival = series.survival[-1] if series.values else 1.0
@@ -477,37 +471,6 @@ def certify_nontight_upper_bound(series: EosHazardSeries, bound: EosBoundFamily,
     return TightnessVerdict.inconclusive(
         f"geometric tail after step {horizon} is too large to keep the survival "
         f"product away from zero")
-
-
-def rnn_log_norm_test(k: float, hidden_norms: Sequence[float],
-                      threshold_index: int = 1, tol: float = 1e-9) -> TightnessVerdict:
-    """Tightness from the sub-logarithmic hidden-norm criterion.
-
-    ``hidden_norms[i]`` must be (an upper bound on) the largest hidden-state
-    norm over all prefixes of length ``i``, i.e. the state from which step
-    ``i + 1``'s conditional is computed, and ``k`` the largest distance
-    between any symbol's output embedding and the EOS output embedding
-    (see :meth:`RnnAsm.output_gap`).  If ``k * norm <= log t`` for every
-    provided step ``t >= threshold_index``, the EOS probability is bounded
-    below by a divergent harmonic-like family and the model is tight.
-    Finite evidence cannot refute tightness, so violations yield an
-    inconclusive verdict rather than a non-tight one.
-    """
-    checked = 0
-    for i, norm in enumerate(hidden_norms):
-        t = i + 1
-        if t < threshold_index:
-            continue
-        checked += 1
-        if k * norm > math.log(t) + tol:
-            return TightnessVerdict.inconclusive(
-                f"k*norm = {k * norm:.6g} exceeds log({t}) = {math.log(t):.6g} at step {t}; "
-                f"the norm-growth criterion does not apply")
-    if checked == 0:
-        raise EmptyEvidence("no hidden norms at or past the threshold index")
-    return TightnessVerdict.tight(
-        Certificate.LOG_NORM_BOUND,
-        detail=f"k*norm <= log t for all {checked} provided steps >= {threshold_index}")
 
 
 # -- Monte Carlo ---------------------------------------------------------
@@ -623,15 +586,13 @@ class DualityReport:
     partial_sum: float
 
 
-def product_sum_duality_check(p_seq: Sequence[float], horizon: int | None = None) -> DualityReport:
+def product_sum_duality_check(p_seq: Sequence[float]) -> DualityReport:
     """Compute the truncated survival product and hazard sum of ``p_seq``.
 
     Entries must lie in ``[0, 1)``; anything else raises
     :class:`OutOfRange`.
     """
     values = list(p_seq)
-    if horizon is not None:
-        values = values[:horizon]
     product = 1.0
     for i, p in enumerate(values):
         if not (0.0 <= p < 1.0):
@@ -644,32 +605,28 @@ def product_sum_duality_check(p_seq: Sequence[float], horizon: int | None = None
 
 # -- numeric heuristics (evidence, never certificates) --------------------
 
-def suggests_tight(series: EosHazardSeries, sum_threshold: float = 20.0,
-                   survival_threshold: float = 1e-6) -> bool:
+def suggests_tight(series: EosHazardSeries) -> bool:
     """Numeric-only indication that the hazard series is diverging.
 
     True when the series already proves sure stopping, or when the partial
-    sums exceed ``sum_threshold`` while survival has fallen below
-    ``survival_threshold``.  This is evidence for a report, not a
+    sums exceed 20 while survival has fallen below 1e-6.  This is evidence for a report, not a
     certificate: no finite prefix of a series proves divergence.
     """
     if series.sure_termination:
         return True
     if not series.values:
         return False
-    return (series.partial_sums[-1] > sum_threshold
-            and series.survival[-1] < survival_threshold)
+    return (series.partial_sums[-1] > _SUM_THRESHOLD
+            and series.survival[-1] < _SURVIVAL_THRESHOLD)
 
 
-def fit_geometric_tail(series: EosHazardSeries, max_ratio: float = 0.999,
-                       max_wobble: float = 1.01) -> EosBoundFamily | None:
+def fit_geometric_tail(series: EosHazardSeries) -> EosBoundFamily | None:
     """Conservative geometric family dominating the computed hazard values.
 
     Looks at the step-to-step ratios over the trailing half of the series;
-    if they stay below ``max_ratio`` and are stable (largest over smallest
-    within ``max_wobble`` — the signature of geometric decay, which
-    polynomially decaying series fail because their ratios drift toward
-    1), returns ``c * r^t`` with ``r`` the largest observed ratio and
+    if they stay below 0.999 and are stable (largest over smallest within
+    1% — the signature of geometric decay, which polynomially decaying
+    series fail because their ratios drift toward 1), returns ``c * r^t`` with ``r`` the largest observed ratio and
     ``c`` scaled so the family dominates every computed value.  Returns
     None when the series does not look geometric.  The fit only
     summarizes the computed horizon — using it to certify non-tightness
@@ -682,9 +639,9 @@ def fit_geometric_tail(series: EosHazardSeries, max_ratio: float = 0.999,
         return None
     half = len(vals) // 2
     ratios = [vals[i + 1] / vals[i] for i in range(half, len(vals) - 1)]
-    if not ratios or max(ratios) >= max_ratio:
+    if not ratios or max(ratios) >= _MAX_RATIO:
         return None
-    if max(ratios) > min(ratios) * max_wobble:
+    if max(ratios) > min(ratios) * _MAX_WOBBLE:
         return None
     r = max(ratios)
     c = max(v / r ** (i + 1) for i, v in enumerate(vals))

@@ -27,8 +27,6 @@ class Certificate(Enum):
     DIVERGENT_BOUND_FAMILY = "divergent-bound-family"
     # The EOS hazard reaches 1 at some finite step: generation surely stops.
     EOS_HITS_ONE = "eos-hits-one"
-    # Output-embedding gap times hidden-state norm stays under log t.
-    LOG_NORM_BOUND = "log-norm-bound"
 
 
 TIGHT = "tight"

@@ -117,10 +117,6 @@ def test_rnn_rejects_unknown_activation():
                initial_hidden=np.zeros(1))
 
 
-def test_rnn_output_gap():
-    assert make_nontight_relu_rnn().output_gap() == pytest.approx(1.0)
-
-
 # -- parity model ------------------------------------------------------------------
 
 def test_parity_eos_only_on_even_steps():

@@ -247,6 +247,38 @@ def test_builtin_with_sections_rejected():
     assert "no sections" in str(err)
 
 
+def test_unknown_header_rejected():
+    err = diagnose("model: fig1a\neso: STOP\n")
+    assert (err.line, err.col) == (2, 1)
+    assert "'eso'" in str(err)
+
+
+def test_builtin_with_eos_header_rejected():
+    err = diagnose("model: fig1a\neos: STOP\n")
+    assert err.line == 2
+    assert "eos" in str(err)
+
+
+def test_parity_without_sections_keeps_eos():
+    assert model_digest(parse_model("model: parity\n")) == model_digest(ParityAsm())
+    model = parse_model("model: parity\neos: STOP\n")
+    assert model.alphabet.eos == "STOP"
+    assert model.eos_prob_even == ParityAsm().eos_prob_even
+
+
+def test_duplicate_rnn_entry_rejected():
+    text = write_model(BUILTINS["softplus-rnn"]()).replace("h0 0.0\n", "h0 0.0\nh0 5.0\n")
+    err = diagnose(text)
+    assert (err.line, err.col) == (text.splitlines().index("h0 5.0") + 1, 1)
+    assert "duplicate [rnn] entry 'h0'" in str(err)
+
+
+def test_duplicate_parity_entry_rejected():
+    err = diagnose("model: parity\n\n[parity]\neos-prob-even 0.2\neos-prob-even 0.3\n")
+    assert (err.line, err.col) == (5, 1)
+    assert "duplicate [parity] entry" in str(err)
+
+
 def test_rnn_missing_sections_reported():
     err = diagnose("model: rnn\n\n[alphabet]\na\n")
     assert "rnn" in str(err)

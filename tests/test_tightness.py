@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from seqtight import (Alphabet, BoundViolated, BudgetExceeded, EmptyEvidence,
+from seqtight import (Alphabet, BoundViolated, BudgetExceeded,
                       EosBoundFamily, FunctionAsm, InvalidWeight, OutOfRange,
                       ParityAsm, build_sfssm,
                       certify_nontight_upper_bound, certify_tight_lower_bound,
                       decide_tight, eos_hazard_enumerate, eos_hazard_fsa,
                       fit_geometric_tail, make_nontight_relu_rnn,
                       make_tight_softplus_rnn, monte_carlo_termination,
-                      RnnAsm, product_sum_duality_check, rnn_log_norm_test, sfssm_as_asm,
+                      RnnAsm, product_sum_duality_check, sfssm_as_asm,
                       suggests_tight, termination_cdf, termination_probability, trim)
+from seqtight.tightness import _series_from_values
 from seqtight.verdicts import Certificate
 
 from conftest import CountingAsm, StableRandomAsm, random_sfssm
@@ -25,6 +26,21 @@ from conftest import CountingAsm, StableRandomAsm, random_sfssm
 
 def sure_stopper():
     return build_sfssm(Alphabet(("a",)), {"a": np.zeros((1, 1))}, [1.0], [1.0])
+
+
+def test_series_accumulators_match_running_loop():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 7, 3000):
+        values = (rng.random(n) ** 3).tolist()
+        series = _series_from_values(values, None)
+        running_sum, running_prod, sums, survival = 0.0, 1.0, [], []
+        for v in values:
+            running_sum += v
+            running_prod *= max(0.0, 1.0 - v)
+            sums.append(running_sum)
+            survival.append(running_prod)
+        assert series.partial_sums == tuple(sums)
+        assert series.survival == tuple(survival)
 
 
 # -- hazard series: exhaustive enumeration -------------------------------------
@@ -379,40 +395,6 @@ def test_bound_family_values_and_divergence():
     assert EosBoundFamily.log_harmonic(0.5, 1.0).diverges is True
     assert EosBoundFamily.geometric(0.5, 0.5).diverges is False
     assert EosBoundFamily.table([0.5]).diverges is None
-
-
-# -- hidden-norm criterion ---------------------------------------------------------------------
-
-def test_log_norm_bound_accepts_logarithmic_growth():
-    norms = [math.log(t) for t in range(1, 80)]
-    verdict = rnn_log_norm_test(1.0, norms)
-    assert verdict.is_tight
-    assert verdict.certificate is Certificate.LOG_NORM_BOUND
-
-
-def test_log_norm_bound_rejects_linear_growth():
-    norms = [float(t) for t in range(1, 80)]
-    verdict = rnn_log_norm_test(1.0, norms)
-    assert verdict.is_inconclusive
-
-
-def test_log_norm_bound_accepts_bounded_norms_past_threshold():
-    norms = [1.5] * 100
-    verdict = rnn_log_norm_test(1.0, norms, threshold_index=5)
-    assert verdict.is_tight
-
-
-def test_log_norm_bound_needs_evidence():
-    with pytest.raises(EmptyEvidence):
-        rnn_log_norm_test(1.0, [])
-    with pytest.raises(EmptyEvidence):
-        rnn_log_norm_test(1.0, [0.1, 0.2], threshold_index=10)
-
-
-def test_log_norm_uses_output_gap_of_relu_instance():
-    m = make_nontight_relu_rnn()
-    norms = [float(t) for t in range(1, 30)]  # hidden norm at step t is t - 1... grows linearly
-    assert rnn_log_norm_test(m.output_gap(), norms).is_inconclusive
 
 
 # -- Monte Carlo --------------------------------------------------------------------------------
