@@ -51,10 +51,11 @@ def _parse_bound(text: str) -> EosBoundFamily:
             if len(params) != 1:
                 raise _UsageError("constant bound takes one parameter: constant:<eps>")
             return EosBoundFamily.constant(params[0])
-        if kind == "harmonic":
-            return EosBoundFamily.harmonic(*params[:2])
-        if kind == "log-harmonic":
-            return EosBoundFamily.log_harmonic(*params[:2])
+        if kind in ("harmonic", "log-harmonic"):
+            if len(params) > 2:
+                raise _UsageError(f"{kind} bound takes at most two parameters: {kind}:<c>,<d>")
+            make = EosBoundFamily.harmonic if kind == "harmonic" else EosBoundFamily.log_harmonic
+            return make(*params)
         if kind == "geometric":
             if len(params) != 2:
                 raise _UsageError("geometric bound takes two parameters: geometric:<c>,<r>")
@@ -112,8 +113,7 @@ def _preview(values, count: int = 10) -> str:
 
 # -- analyze ----------------------------------------------------------------
 
-def _series_payload(series: EosHazardSeries) -> dict:
-    cdf = termination_cdf(series)
+def _series_payload(series: EosHazardSeries, cdf: tuple[float, ...]) -> dict:
     payload = {
         "horizon": series.horizon,
         "eos_hazard": list(series.values),
@@ -226,7 +226,7 @@ def cmd_analyze(args) -> int:
 
     cdf = termination_cdf(series)
     payload["verdict"] = verdict.to_dict()
-    payload["series"] = _series_payload(series)
+    payload["series"] = _series_payload(series, cdf)
     if termination is not None:
         payload["termination_probability"] = termination
         payload["leaked_mass"] = leaked

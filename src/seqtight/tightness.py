@@ -33,7 +33,7 @@ from .verdicts import Certificate, TightnessVerdict
 HIT_ONE_THRESHOLD = 1.0 - 1e-12
 DEFAULT_ENUM_BUDGET = 1_000_000
 SAMPLE_CHUNK = 65536
-_TOL = 1e-12                # slack when checking a computed series against an asserted bound
+_TOL = 1e-12                # relative slack when checking a computed series against an asserted bound
 _SUM_THRESHOLD = 20.0       # suggests_tight: hazard sum above this
 _SURVIVAL_THRESHOLD = 1e-6  # and survival below this
 _MAX_RATIO = 0.999          # fit_geometric_tail: trailing step-to-step ratios below this
@@ -178,6 +178,21 @@ def _pooled_step(asm: Asm, groups: dict, splits: list, t: int, budget: int,
     return grown
 
 
+def _trapped(groups: dict, symbols, eos_idx: int) -> bool:
+    """Whether the frontier ``groups`` is a closed set that cannot stop: each
+    entry's cached conditional gives EOS exactly 0 and each symbol it can draw
+    has a cached successor key that is live.  False at the first entry that
+    can stop or leave, so a frontier that can stop pays about one lookup."""
+    for entry in groups.values():
+        cond = entry.cond  # set in the step that also sets entry.succ
+        if cond is None or cond[eos_idx] != 0.0:
+            return False
+        for a, p in zip(symbols, cond):
+            if p > 0.0 and entry.succ.get(a, _UNSTEPPED) not in groups:
+                return False
+    return True
+
+
 def _prefix(node) -> Str:
     """The prefix spelled by following ``(parent, symbol)`` pointers to the root."""
     symbols = []
@@ -292,12 +307,15 @@ class EosBoundFamily:
                 if not (0.0 <= v <= 1.0):
                     raise OutOfRange(f"table entry {i} is {v!r}, outside [0, 1]")
             return
+        for name in ("scale", "shift", "ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise OutOfRange(f"bound {name} must be finite, got {getattr(self, name)!r}")
         if self.kind == HARMONIC:
             if self.scale < 0 or self.shift < 0:
                 raise OutOfRange("harmonic bound needs c >= 0 and d >= 0")
         elif self.kind == LOG_HARMONIC:
-            if self.scale < 0 or self.shift <= 0:
-                raise OutOfRange("log-harmonic bound needs c >= 0 and d > 0")
+            if self.scale < 0 or self.shift <= 0 or math.log(1.0 + self.shift) == 0.0:
+                raise OutOfRange("log-harmonic bound needs c >= 0 and d > 0 with log(1 + d) > 0")
         elif self.kind == GEOMETRIC:
             if not (0.0 < self.ratio < 1.0):
                 raise OutOfRange(f"geometric ratio must be in (0, 1), got {self.ratio!r}")
@@ -381,7 +399,7 @@ class EosBoundFamily:
 
 def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int,
                 witness: bool) -> bool:
-    """Whether every reachable state's EOS probability is at least ``f(t) - _TOL`` for
+    """Whether every reachable state's EOS probability is at least ``f(t) * (1 - _TOL)`` for
     ``steps`` steps; with ``witness`` a failure raises :class:`BoundViolated` naming the prefix."""
     eos_idx = asm.alphabet.eos_index
     groups = _root(asm, 1.0)
@@ -391,7 +409,7 @@ def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int,
         for entry in groups.values():
             cond = entry.conditional(asm)
             observed = float(cond[eos_idx])
-            if not observed >= want - _TOL:  # NaN fails too
+            if not observed >= want * (1.0 - _TOL):  # NaN fails too
                 if witness:
                     raise BoundViolated(t, _prefix(entry.node), observed, want)
                 return False
@@ -420,7 +438,7 @@ def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
         steps = horizon if bound.claimed_steps is None else min(horizon, bound.claimed_steps)
         lows = None if series is None else series.min_eos
         if lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None):
-            holds = all(low >= bound.value(t) - _TOL for t, low in enumerate(lows[:steps], 1))
+            holds = all(low >= bound.value(t) * (1.0 - _TOL) for t, low in enumerate(lows[:steps], 1))
         else:
             holds = _bound_walk(asm, bound, steps, budget, witness=False)
         if not holds:  # walk again with parent pointers to name the prefix
@@ -457,7 +475,7 @@ def certify_nontight_upper_bound(series: EosHazardSeries, bound: EosBoundFamily)
             f"only geometric upper bounds certify non-tightness")
     for i, observed in enumerate(series.values):
         want = bound.value(i + 1)
-        if observed > want + _TOL:
+        if observed > want * (1.0 + _TOL):
             raise BoundViolated(i + 1, None, observed, want)
     horizon = series.horizon
     survival = series.survival[-1] if series.values else 1.0
@@ -538,6 +556,15 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     advanced with one multinomial draw per state, which keeps sampling
     cheap even for huge sample counts; a recurring state's sampling
     distribution and successors are reused, not recomputed at each step.
+
+    Sampling a chunk stops once every live run sits in a closed set of
+    states with zero EOS probability: no such run can stop, so the rest
+    are counted as truncated without drawing them to ``max_len``, and the
+    result is the same as if they had been.  A leaking model's cost thus
+    stops growing with ``max_len``.  Only the current frontier is checked
+    for closure, so a trap whose live states alternate (a deterministic
+    two-state cycle entered at one step parity) is still walked to
+    ``max_len``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -552,7 +579,7 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
         rng = np.random.default_rng([seed, chunk_index])
         groups = _root(asm, chunk)
         for t in range(1, max_len + 1):
-            if not groups:
+            if not groups or _trapped(groups, asm.alphabet.symbols, eos_idx):
                 break
             splits = []
             for entry in groups.values():

@@ -78,6 +78,22 @@ def test_analyze_violated_lower_bound_noted(capsys):
     assert "does not hold" in out
 
 
+def test_analyze_bound_below_the_absolute_slack_is_checked(capsys):
+    # relu's eos probability is about 1e-26 at step 60; a 1e-13 floor must fail
+    code, out, _ = run(capsys, "analyze", "builtin:relu-rnn", "--horizon", "60",
+                       "--samples", "0", "--bound", "constant:1e-13")
+    assert code == 0
+    assert "inconclusive" in out
+    assert "bound violated at step 31" in out
+
+
+def test_analyze_trap_model(capsys):
+    code, out, _ = run(capsys, "analyze", str(MODELS_DIR / "trap.model"), "--samples", "0")
+    assert code == 0
+    assert "non-tight" in out
+    assert "termination probability: 0.54" in out
+
+
 def test_analyze_sure_stopper_certificate(capsys, tmp_path):
     model = mle_ngram([()], 1)
     from seqtight import write_model
@@ -219,6 +235,12 @@ GOLDEN_MACHINE_OUTPUT = [
     # the table fails at step 5 after ('a', 'a', 'a', 'a'): the bound walk reruns for the witness
     (("analyze", "builtin:parity", "--horizon", "16", "--bound", "table:0,0.1,0,0.1,0.2"),
      "cee0217264130c253dffb3e9634f165178e792a9e089756ae92931de2b276b06"),
+    # runs trapped in T, which loops on a and b, and in a two-state cycle
+    # entered at step 1 only, whose live state alternates
+    (("sample", "models/trap.model", "--samples", "100000", "--max-len", "1000", "--seed", "1"),
+     "620c5493e1c8f377fe8f5d743e1f84d4f4a1d7188f329c0afddb29d7f776cebb"),
+    (("sample", "models/trap.model", "--samples", "3000", "--max-len", "10000", "--seed", "2"),
+     "8be61dd849ead2ed9c13f4874d599c3193ce22f0787624f4227ba523d00d596f"),
 ]
 
 
@@ -390,6 +412,16 @@ def test_malformed_model_reports_location(capsys, tmp_path):
 def test_bad_bound_spec_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "builtin:fig1a", "--bound", "quadratic:1")
     assert code == 1
+    assert "bound" in err
+
+
+@pytest.mark.parametrize("bound", ["harmonic:1,inf", "log-harmonic:1,1e-300",
+                                   "harmonic:1,1,7", "log-harmonic:1,1,7"])
+def test_degenerate_bound_is_usage_error(capsys, bound):
+    code, out, err = run(capsys, "analyze", "builtin:relu-rnn", "--horizon", "5",
+                         "--samples", "0", "--bound", bound)
+    assert code == 1
+    assert out == ""
     assert "bound" in err
 
 

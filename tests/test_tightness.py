@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from seqtight import (Alphabet, BoundViolated, BudgetExceeded,
                       make_tight_softplus_rnn, monte_carlo_termination,
                       RnnAsm, product_sum_duality_check, sfssm_as_asm,
                       suggests_tight, termination_cdf, termination_probability, trim)
+from seqtight import tightness
+from seqtight.modelfile import BUILTINS
 from seqtight.tightness import _series_from_values
 from seqtight.verdicts import Certificate
 
@@ -327,6 +330,19 @@ def test_lower_bound_witness_keeps_the_parent_of_a_revisited_key():
     assert (info.value.step, info.value.prefix) == (3, ("b", "c"))
 
 
+@pytest.mark.parametrize("read_series", [False, True])
+def test_lower_bound_slack_is_relative(read_series):
+    # relu's eos probability 1/(e^(t-1)+1) falls below 1e-13 at step 31 and
+    # reaches about 1e-26 by step 60; an absolute 1e-12 slack passed them all
+    asm = make_nontight_relu_rnn()
+    series = eos_hazard_enumerate(asm, 60) if read_series else None
+    with pytest.raises(BoundViolated) as info:
+        certify_tight_lower_bound(EosBoundFamily.constant(1e-13), asm=asm, horizon=60,
+                                  series=series)
+    assert info.value.step == 31
+    assert info.value.observed < 1e-13
+
+
 def test_lower_bound_walk_memory_stays_flat_as_horizon_grows():
     # softplus states never repeat: a walk cache that kept the root or any
     # dead ancestor would grow with the horizon
@@ -357,6 +373,14 @@ def test_upper_bound_violation_detected():
         certify_nontight_upper_bound(series, EosBoundFamily.geometric(0.5, 0.25))
 
 
+def test_upper_bound_slack_is_relative():
+    # a hazard twice the bound is a violation however small both are
+    series = _series_from_values([1e-13] * 5, None)
+    with pytest.raises(BoundViolated) as info:
+        certify_nontight_upper_bound(series, EosBoundFamily.geometric(1e-13, 0.5))
+    assert info.value.step == 1
+
+
 def test_non_geometric_upper_bound_inconclusive():
     series = eos_hazard_enumerate(make_nontight_relu_rnn(), 20)
     verdict = certify_nontight_upper_bound(series, EosBoundFamily.harmonic(1.0, 1.0))
@@ -383,6 +407,19 @@ def test_bound_families_validate_ranges():
         EosBoundFamily.log_harmonic(1.0, 0.0)
     with pytest.raises(OutOfRange):
         EosBoundFamily.table([0.5, -0.1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EosBoundFamily.harmonic(1.0, math.inf),      # identically 0, yet "divergent"
+    lambda: EosBoundFamily.harmonic(math.nan, 1.0),
+    lambda: EosBoundFamily.log_harmonic(1.0, math.inf),
+    lambda: EosBoundFamily.log_harmonic(1.0, 1e-300),    # log(1 + d) is 0
+    lambda: EosBoundFamily.geometric(math.inf, 0.5),
+    lambda: EosBoundFamily.constant(math.nan),
+])
+def test_bound_families_reject_degenerate_parameters(make):
+    with pytest.raises(OutOfRange):
+        make()
 
 
 def test_bound_family_values_and_divergence():
@@ -454,8 +491,8 @@ def test_monte_carlo_memory_stays_flat_as_max_len_grows():
 
 
 def test_monte_carlo_steps_each_state_key_once(fig1a):
-    # two thirds of the runs stay in the absorbing state b until max_len; its
-    # conditional and successor are computed once, not once per step
+    # two thirds of the runs end up in the absorbing state b; its conditional
+    # and successor are computed once, not once per step
     counts = []
     for max_len in (1_000, 10_000):
         asm = CountingAsm(sfssm_as_asm(fig1a))
@@ -463,6 +500,57 @@ def test_monte_carlo_steps_each_state_key_once(fig1a):
         assert estimate.truncated > 0
         counts.append(asm.calls)
     assert counts[0] == counts[1] == {"step": 4, "state_conditional": 3}
+
+
+def two_symbol_trap():
+    # S stops with probability 0.3 or falls into T, which loops on both a and b
+    ta = np.array([[0.5, 0.0], [0.0, 0.5]])
+    tb = np.array([[0.0, 0.2], [0.0, 0.5]])
+    return build_sfssm(Alphabet(("a", "b")), {"a": ta, "b": tb}, [1, 0], [0.3, 0],
+                       names=("S", "T"))
+
+
+@pytest.mark.parametrize("make", [lambda: BUILTINS["fig1a"](), two_symbol_trap],
+                         ids=["fig1a", "two-symbol-trap"])
+def test_monte_carlo_stops_once_every_live_run_is_trapped(monkeypatch, make):
+    # once the live runs sit in a closed set that cannot stop, the chunk ends:
+    # the steps taken and the estimate do not depend on max_len
+    steps = [0]
+    pooled_step = tightness._pooled_step
+
+    def counted(*args, **kwargs):
+        steps[0] += 1
+        return pooled_step(*args, **kwargs)
+    monkeypatch.setattr(tightness, "_pooled_step", counted)
+    seen = []
+    for max_len in (10**3, 10**6):
+        steps[0] = 0
+        estimate = monte_carlo_termination(sfssm_as_asm(make()), 1000, max_len=max_len, seed=0)
+        assert estimate.truncated > 0
+        seen.append((steps[0], replace(estimate, max_len=None)))
+    assert seen[0] == seen[1]
+    assert seen[0][0] < 100
+
+
+def test_monte_carlo_samples_on_while_a_live_run_can_leave():
+    # X cannot stop but leaves for the stopping state Y; a frontier holding
+    # only X is not closed, since X's successor Y is not live
+    ta = np.array([[0.5, 0.0], [0.0, 0.0]])
+    tb = np.array([[0.0, 0.5], [0.0, 0.0]])
+    model = build_sfssm(Alphabet(("a", "b")), {"a": ta, "b": tb}, [1, 0], [0, 1],
+                        names=("X", "Y"))
+    estimate = monte_carlo_termination(sfssm_as_asm(model), 1000, max_len=1000, seed=0)
+    assert estimate.terminated == 1000
+
+
+@pytest.mark.parametrize("conditional", [
+    lambda prefix: [0.5, math.nan],
+    lambda prefix: [1.0, 0.0] if not prefix else [math.nan, 0.0],  # NaN after a step with no EOS
+])
+def test_monte_carlo_nan_conditional_fails_the_draw(conditional):
+    asm = FunctionAsm(Alphabet(("a",)), conditional)
+    with pytest.raises(ValueError, match="pvals"):
+        monte_carlo_termination(asm, 100, max_len=10, seed=0)
 
 
 def test_walks_leave_nothing_for_the_cycle_collector(fig1a):
