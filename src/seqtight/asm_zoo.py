@@ -116,6 +116,15 @@ class RnnAsm(Asm):
         return tuple(np.asarray(state).ravel().tolist())
 
 
+def _one_symbol_rnn(input_weight: float, activation: str) -> RnnAsm:
+    """Scalar RNN over ``a``: embeddings 1 (``a``) and 0 (EOS), recurrent
+    weight 1, zero bias and initial state."""
+    emb = np.array([[1.0], [0.0]])  # a, EOS
+    return RnnAsm(alphabet=Alphabet(("a",)), input_embedding=emb, output_embedding=emb,
+                  input_weights=np.array([[input_weight]]), recurrent_weights=np.array([[1.0]]),
+                  bias=np.array([0.0]), activation=activation, initial_hidden=np.array([0.0]))
+
+
 def make_nontight_relu_rnn() -> RnnAsm:
     """One-symbol ReLU RNN whose hidden scalar counts the symbols consumed.
 
@@ -126,18 +135,7 @@ def make_nontight_relu_rnn() -> RnnAsm:
     generation runs forever with probability about 0.298: the model is
     non-tight even though EOS is possible at every step.
     """
-    alphabet = Alphabet(("a",))
-    emb = np.array([[1.0], [0.0]])  # a, EOS
-    return RnnAsm(
-        alphabet=alphabet,
-        input_embedding=emb,
-        output_embedding=emb,
-        input_weights=np.array([[1.0]]),
-        recurrent_weights=np.array([[1.0]]),
-        bias=np.array([0.0]),
-        activation="relu",
-        initial_hidden=np.array([0.0]),
-    )
+    return _one_symbol_rnn(1.0, "relu")
 
 
 def make_tight_softplus_rnn() -> RnnAsm:
@@ -149,18 +147,7 @@ def make_tight_softplus_rnn() -> RnnAsm:
     ``1 / (t + 1)``.  The EOS series diverges harmonically, so the model
     terminates with probability one despite EOS probability tending to 0.
     """
-    alphabet = Alphabet(("a",))
-    emb = np.array([[1.0], [0.0]])
-    return RnnAsm(
-        alphabet=alphabet,
-        input_embedding=emb,
-        output_embedding=emb,
-        input_weights=np.array([[0.0]]),
-        recurrent_weights=np.array([[1.0]]),
-        bias=np.array([0.0]),
-        activation="softplus",
-        initial_hidden=np.array([0.0]),
-    )
+    return _one_symbol_rnn(0.0, "softplus")
 
 
 class ParityAsm(Asm):
@@ -192,6 +179,14 @@ class ParityAsm(Asm):
         return vec
 
 
+def _normalized(alpha: np.ndarray) -> np.ndarray:
+    """A forward state distribution scaled to sum 1; :class:`DeadPrefix` if it is 0."""
+    mass = float(alpha.sum())
+    if mass <= 0.0:
+        raise DeadPrefix(None)
+    return alpha / mass
+
+
 class SfssmAsm(Asm):
     """Any stochastic finite-state model viewed through the ASM interface.
 
@@ -209,18 +204,10 @@ class SfssmAsm(Asm):
         return np.asarray(self.model.init, dtype=float)
 
     def step(self, state, symbol: Token):
-        alpha = self.model.forward(np.asarray(state, dtype=float), symbol)
-        mass = float(alpha.sum())
-        if mass <= 0.0:
-            raise DeadPrefix(None)
-        return alpha / mass
+        return _normalized(self.model.forward(np.asarray(state, dtype=float), symbol))
 
     def state_conditional(self, state) -> np.ndarray:
-        alpha = np.asarray(state, dtype=float)
-        mass = float(alpha.sum())
-        if mass <= 0.0:
-            raise DeadPrefix(None)
-        return (alpha / mass) @ self.model.row_mass
+        return _normalized(np.asarray(state, dtype=float)) @ self.model.row_mass
 
     def state_key(self, state):
         # bytes cache their hash; states are finite and nonnegative, so no

@@ -13,6 +13,7 @@ problems, 2 for internal invariant violations.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import traceback
@@ -38,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
     # usage errors exit with 1 here; argparse's built-in error path exits 2
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {int(text)}")
+        return int(text)
+    parse.__name__ = "int"   # so a non-integer reads "invalid int value: ..."
+    return parse
 
 
 def _parse_bound(text: str) -> EosBoundFamily:
@@ -71,13 +82,8 @@ def _parse_bound(text: str) -> EosBoundFamily:
 
 
 def _model_kind(model: Model) -> str:
-    if isinstance(model, Sfssm):
-        return "sfssm"
-    if isinstance(model, RnnAsm):
-        return "rnn"
-    if isinstance(model, ParityAsm):
-        return "parity"
-    return type(model).__name__
+    kinds = {Sfssm: "sfssm", RnnAsm: "rnn", ParityAsm: "parity"}
+    return kinds.get(type(model), type(model).__name__)
 
 
 def _tokens_for(model: Model, text: str) -> tuple[str, ...]:
@@ -315,7 +321,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate_ngram(args) -> int:
-    with open(args.corpus, encoding="utf-8") as handle:
+    with open(args.corpus, encoding="utf-8-sig") as handle:   # a leading byte-order mark is skipped
         corpus = parse_corpus(handle.read())
     try:
         model = mle_ngram(corpus, args.order)
@@ -331,7 +337,8 @@ def cmd_estimate_ngram(args) -> int:
         "out": args.out,
         "states": model.num_states,
         "symbols": list(model.alphabet.symbols),
-        "provenance": {"model_digest": model_digest(model)},
+        # model_digest(model), from the text just written rather than a second write_model
+        "provenance": {"model_digest": hashlib.sha256(text.encode("utf-8")).hexdigest()},
     }
     lines = [
         f"estimated order-{args.order} model from {len(corpus)} strings",
@@ -361,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
                                          "for everything else.")
     analyze.add_argument("model", help="model file path or builtin:<name> "
                                        f"(builtins: {', '.join(sorted(BUILTINS))})")
-    analyze.add_argument("--horizon", type=int, default=50,
+    analyze.add_argument("--horizon", type=_int_at_least(1), default=50,
                          help="hazard series length (default %(default)s)")
-    analyze.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+    analyze.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_ENUM_BUDGET,
                          help="max live pooled states for enumeration (default %(default)s)")
-    analyze.add_argument("--samples", type=int, default=10_000,
+    analyze.add_argument("--samples", type=_int_at_least(0), default=10_000,
                          help="Monte Carlo samples for non-finite-state models; "
                               "0 disables (default %(default)s)")
-    analyze.add_argument("--max-len", type=int, default=1_000,
+    analyze.add_argument("--max-len", type=_int_at_least(1), default=1_000,
                          help="sampling truncation length (default %(default)s)")
     analyze.add_argument("--bound", default=None, metavar="FAMILY:PARAMS",
                          help="asserted per-step lower bound on EOS probability, e.g. "
@@ -389,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser("sample", help="seeded ancestral sampling summary")
     sample.add_argument("model")
-    sample.add_argument("--samples", type=int, default=10_000,
+    sample.add_argument("--samples", type=_int_at_least(1), default=10_000,
                         help="number of runs (default %(default)s)")
-    sample.add_argument("--max-len", type=int, default=10_000,
+    sample.add_argument("--max-len", type=_int_at_least(1), default=10_000,
                         help="truncation length (default %(default)s)")
     common(sample)
     sample.set_defaults(func=cmd_sample)
@@ -413,10 +420,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, UnknownSymbol, EmptyCorpus, BudgetExceeded, OutOfRange, OSError) as exc:
+    except (_UsageError, ParseError, UnknownSymbol, EmptyCorpus, BudgetExceeded, OutOfRange,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # internal invariant violation

@@ -38,6 +38,7 @@ the canonical shape of each kind.
 from __future__ import annotations
 
 import hashlib
+from itertools import count
 from typing import Callable, Union
 
 import numpy as np
@@ -85,105 +86,92 @@ BUILTINS: dict[str, Callable[[], Model]] = {
 
 # -- parsing ----------------------------------------------------------------
 
-class _Line:
-    def __init__(self, number: int, raw: str):
-        self.number = number
-        text = raw.split("#", 1)[0]
-        self.text = text.rstrip()
-        self.tokens: list[tuple[str, int]] = []
-        col = 0
-        for piece in text.split():
-            col = text.index(piece, col)
-            self.tokens.append((piece, col + 1))
-            col += len(piece)
+# A non-blank line is the tuple (1-based number, raw text, words): the words
+# of the text before any '#'.  Columns are worked out only for an error.
 
-    @property
-    def is_blank(self) -> bool:
-        return not self.tokens
+def _where(line: tuple[int, str, list[str]], k: int = 0) -> tuple[int, int]:
+    """The line number and 1-based column of the ``k``-th word of ``line``."""
+    number, raw, words = line
+    text = raw.split("#", 1)[0]
+    col = 0
+    for word in words[:k]:
+        col = text.index(word, col) + len(word)
+    return number, text.index(words[k], col) + 1
 
-    @property
-    def is_header(self) -> bool:
-        return bool(self.tokens) and self.text.lstrip().startswith("[")
+
+def _lines(first: int, raws: list[str]) -> list[tuple[int, str, list[str]]]:
+    """The non-blank lines of ``raws``, whose first is line number ``first``."""
+    return [line for line in zip(count(first), raws, [raw.split("#", 1)[0].split() for raw in raws])
+            if line[2]]
 
 
 class _Section:
-    def __init__(self, name_parts: list[str], line: int):
+    """A section's name, header line number and raw lines up to the next header;
+    each reader splits the lines it reads, so a section's words are not kept."""
+
+    def __init__(self, name_parts: list[str], line: int, raws: list[str]):
         self.name_parts = name_parts
+        self.name = " ".join(name_parts)
         self.line = line
-        self.lines: list[_Line] = []
+        self.raws = raws
 
     @property
-    def name(self) -> str:
-        return " ".join(self.name_parts)
+    def lines(self) -> list[tuple[int, str, list[str]]]:
+        return _lines(self.line + 1, self.raws)
 
 
 def _split_sections(text: str) -> tuple[dict[str, str], dict[str, int], list[_Section]]:
     """Return (header key/values, header key/line numbers, sections)."""
+    raws = text.splitlines()
+    starts = [n for n, raw in enumerate(raws) if raw.lstrip().startswith("[")]
     headers: dict[str, str] = {}
     header_lines: dict[str, int] = {}
-    sections: list[_Section] = []
-    current: _Section | None = None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = _Line(number, raw)
-        if line.is_blank:
-            continue
-        if line.is_header:
-            body = line.text.strip()
-            if not body.endswith("]"):
-                raise ParseError("section header does not end with ']'", number,
-                                 line.tokens[0][1])
-            name_parts = body[1:-1].split()
-            if not name_parts:
-                raise ParseError("empty section header", number, line.tokens[0][1])
-            current = _Section(name_parts, number)
-            sections.append(current)
-            continue
-        if current is not None:
-            current.lines.append(line)
-            continue
-        first, col = line.tokens[0]
+    for line in _lines(1, raws[:starts[0] if starts else len(raws)]):
+        number, _, (first, *values) = line
+        key = first[:-1]
         if not first.endswith(":"):
             raise ParseError(f"expected 'key: value' before the first section, got {first!r}",
-                             number, col)
-        key = first[:-1]
+                             *_where(line))
         if key not in ("model", "eos"):
-            raise ParseError(f"unknown header {key!r}", number, col)
+            raise ParseError(f"unknown header {key!r}", *_where(line))
         if key in headers:
-            raise ParseError(f"duplicate header {key!r}", number, col)
-        if len(line.tokens) != 2:
-            raise ParseError(f"header {key!r} takes exactly one value", number, col)
-        headers[key] = line.tokens[1][0]
+            raise ParseError(f"duplicate header {key!r}", *_where(line))
+        if len(values) != 1:
+            raise ParseError(f"header {key!r} takes exactly one value", *_where(line))
+        headers[key] = values[0]
         header_lines[key] = number
+    sections: list[_Section] = []
+    for lo, hi in zip(starts, starts[1:] + [len(raws)]):
+        head = _lines(lo + 1, raws[lo:lo + 1])[0]
+        if not head[2][-1].endswith("]"):
+            raise ParseError("section header does not end with ']'", *_where(head))
+        name_parts = raws[lo].split("#", 1)[0].strip()[1:-1].split()
+        if not name_parts:
+            raise ParseError("empty section header", *_where(head))
+        sections.append(_Section(name_parts, lo + 1, raws[lo + 1:hi]))
     if "model" not in headers:
         raise ParseError("missing 'model: <kind>' header", 1)
     return headers, header_lines, sections
 
 
-def _parse_float(token: str, line: int, col: int) -> float:
+def _parse_float(line: tuple[int, str, list[str]], k: int) -> float:
+    """The ``k``-th word of ``line`` as a float."""
     try:
-        return float(token)
+        return float(line[2][k])
     except ValueError:
-        raise ParseError(f"expected a number, got {token!r}", line, col) from None
+        raise ParseError(f"expected a number, got {line[2][k]!r}", *_where(line, k)) from None
 
 
-def _sections_by_name(sections: list[_Section]) -> dict[str, _Section]:
-    seen: dict[str, _Section] = {}
-    for section in sections:
-        if section.name in seen:
-            raise ParseError(f"duplicate section [{section.name}]", section.line)
-        seen[section.name] = section
-    return seen
-
-
-def _entries(section: _Section) -> list[_Line]:
-    """The lines of ``section``, whose first tokens (entry names) must differ."""
+def _entries(section: _Section) -> list[tuple[int, str, list[str]]]:
+    """The lines of ``section``, whose first words (entry names) must differ."""
     seen = set()
-    for line in section.lines:
-        key, col = line.tokens[0]
+    lines = section.lines
+    for line in lines:
+        key = line[2][0]
         if key in seen:
-            raise ParseError(f"duplicate [{section.name}] entry {key!r}", line.number, col)
+            raise ParseError(f"duplicate [{section.name}] entry {key!r}", *_where(line))
         seen.add(key)
-    return section.lines
+    return lines
 
 
 def _required(by_name: dict[str, _Section], name: str, where: int) -> _Section:
@@ -193,14 +181,48 @@ def _required(by_name: dict[str, _Section], name: str, where: int) -> _Section:
 
 
 def _unique_tokens(section: _Section, what: str) -> tuple[str, ...]:
-    """Every token of ``section``, each at most once."""
+    """Every word of ``section``, each at most once."""
     tokens: dict[str, None] = {}   # insertion-ordered, with O(1) membership
     for line in section.lines:
-        for token, col in line.tokens:
+        for k, token in enumerate(line[2]):
             if token in tokens:
-                raise ParseError(f"duplicate {what} {token!r}", line.number, col)
+                raise ParseError(f"duplicate {what} {token!r}", *_where(line, k))
             tokens[token] = None
     return tuple(tokens)
+
+
+def _state_columns(section: _Section, index: dict[str, int], width: int, usage: str,
+                   duplicate: str) -> list[list]:
+    """The columns of a section whose lines are ``width - 1`` state names and
+    a number: each name column as state indices, then the numbers.
+
+    Whole columns go through the state dict and ``float``; if a check fails,
+    the lines are checked one by one, so the error names the first failing
+    line at the column of its first failing word."""
+    rows = list(filter(None, [raw.split("#", 1)[0].split() for raw in section.raws]))
+    if set(map(len, rows)) <= {width}:
+        *names, values = zip(*rows) if rows else [()] * width
+        try:
+            columns = [list(map(index.__getitem__, column)) for column in names]
+            columns.append(list(map(float, values)))
+        except (KeyError, ValueError):
+            pass
+        else:
+            if len(set(zip(*names))) == len(rows):
+                return columns
+    seen = set()
+    for line in section.lines:
+        key = tuple(line[2][:-1])
+        if len(line[2]) != width:
+            raise ParseError(usage, *_where(line))
+        for k, name in enumerate(key):
+            if name not in index:
+                raise ParseError(f"unknown state {name!r}", *_where(line, k))
+        if key in seen:
+            raise ParseError(duplicate.format(*key), *_where(line))
+        seen.add(key)
+        _parse_float(line, width - 1)
+    raise AssertionError("a failed section has no failing line")
 
 
 def _parse_sfssm(eos: str, by_name: dict[str, _Section], model_line: int) -> Sfssm:
@@ -210,55 +232,33 @@ def _parse_sfssm(eos: str, by_name: dict[str, _Section], model_line: int) -> Sfs
     if not names:
         raise ParseError("[states] section is empty", states_section.line)
     index = {name: i for i, name in enumerate(names)}
-    q = len(names)
-
-    def state_index(token: str, line: int, col: int) -> int:
-        if token not in index:
-            raise ParseError(f"unknown state {token!r}", line, col)
-        return index[token]
 
     def read_pairs(section: _Section) -> np.ndarray:
-        vec = np.zeros(q)
-        filled = set()
-        for line in section.lines:
-            if len(line.tokens) != 2:
-                raise ParseError(f"[{section.name}] lines are 'state probability'",
-                                 line.number, line.tokens[0][1])
-            (state_tok, scol), (val_tok, vcol) = line.tokens
-            i = state_index(state_tok, line.number, scol)
-            if i in filled:
-                raise ParseError(f"duplicate entry for state {state_tok!r}", line.number, scol)
-            filled.add(i)
-            vec[i] = _parse_float(val_tok, line.number, vcol)
+        vec = np.zeros(len(names))
+        states, values = _state_columns(section, index, 2,
+                                        f"[{section.name}] lines are 'state probability'",
+                                        "duplicate entry for state {!r}")
+        vec[states] = values
         return vec
 
     init = read_pairs(_required(by_name, "init", model_line))
-    term = read_pairs(by_name["term"]) if "term" in by_name else np.zeros(q)
+    term = read_pairs(by_name["term"]) if "term" in by_name else np.zeros(len(names))
 
     symbol_index = {a: k for k, a in enumerate(symbols)}
-    edges: list[tuple[int, int, int, float]] = []
+    edges: tuple[list, list, list, list] = ([], [], [], [])   # symbol index, src, dst, prob
     for section in by_name.values():
         if section.name_parts[0] != "transitions":
             continue
         if len(section.name_parts) != 2:
             raise ParseError("transition sections are named [transitions <symbol>]",
                              section.line)
-        symbol = section.name_parts[1]
-        if symbol not in symbol_index:
-            raise ParseError(f"transition section for unknown symbol {symbol!r}", section.line)
-        k = symbol_index[symbol]
-        seen_edges = set()
-        for line in section.lines:
-            if len(line.tokens) != 3:
-                raise ParseError("transition lines are 'from to probability'",
-                                 line.number, line.tokens[0][1])
-            (ftok, fcol), (ttok, tcol), (vtok, vcol) = line.tokens
-            i = state_index(ftok, line.number, fcol)
-            j = state_index(ttok, line.number, tcol)
-            if (i, j) in seen_edges:
-                raise ParseError(f"duplicate transition {ftok!r} -> {ttok!r}", line.number, fcol)
-            seen_edges.add((i, j))
-            edges.append((k, i, j, _parse_float(vtok, line.number, vcol)))
+        a = section.name_parts[1]
+        if a not in symbol_index:
+            raise ParseError(f"transition section for unknown symbol {a!r}", section.line)
+        columns = _state_columns(section, index, 3, "transition lines are 'from to probability'",
+                                 "duplicate transition {!r} -> {!r}")
+        for edge_column, column in zip(edges, ([symbol_index[a]] * len(columns[0]), *columns)):
+            edge_column += column
     return _from_edges(Alphabet(symbols, eos=eos), edges, init, term, names)
 
 
@@ -269,24 +269,23 @@ def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAs
     activation: str | None = None
     rows: dict[str, list[float]] = {}
     for line in _entries(rnn_section):
-        key, col = line.tokens[0]
-        values = line.tokens[1:]
+        key, values = line[2][0], line[2][1:]
         if key == "hidden":
             if len(values) != 1:
-                raise ParseError("'hidden' takes one integer", line.number, col)
+                raise ParseError("'hidden' takes one integer", *_where(line))
             try:
-                hidden = int(values[0][0])
+                hidden = int(values[0])
             except ValueError:
-                raise ParseError(f"expected an integer, got {values[0][0]!r}",
-                                 line.number, values[0][1]) from None
+                raise ParseError(f"expected an integer, got {values[0]!r}",
+                                 *_where(line, 1)) from None
         elif key == "activation":
             if len(values) != 1:
-                raise ParseError("'activation' takes one name", line.number, col)
-            activation = values[0][0]
+                raise ParseError("'activation' takes one name", *_where(line))
+            activation = values[0]
         elif key in ("h0", "bias"):
-            rows[key] = [_parse_float(tok, line.number, c) for tok, c in values]
+            rows[key] = [_parse_float(line, k) for k in range(1, len(line[2]))]
         else:
-            raise ParseError(f"unknown [rnn] entry {key!r}", line.number, col)
+            raise ParseError(f"unknown [rnn] entry {key!r}", *_where(line))
     if hidden is None or hidden < 1:
         raise ParseError("[rnn] must declare 'hidden <d>' with d >= 1", rnn_section.line)
     if activation is None:
@@ -294,14 +293,14 @@ def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAs
 
     def read_matrix(name: str) -> np.ndarray:
         section = _required(by_name, name, model_line)
-        if len(section.lines) != hidden:
+        lines = section.lines
+        if len(lines) != hidden:
             raise ParseError(f"[{name}] needs exactly {hidden} rows", section.line)
         mat = np.zeros((hidden, hidden))
-        for r, line in enumerate(section.lines):
-            if len(line.tokens) != hidden:
-                raise ParseError(f"[{name}] rows need exactly {hidden} numbers",
-                                 line.number, line.tokens[0][1])
-            mat[r] = [_parse_float(tok, line.number, c) for tok, c in line.tokens]
+        for r, line in enumerate(lines):
+            if len(line[2]) != hidden:
+                raise ParseError(f"[{name}] rows need exactly {hidden} numbers", *_where(line))
+            mat[r] = [_parse_float(line, k) for k in range(hidden)]
         return mat
 
     def read_embedding(name: str) -> np.ndarray:
@@ -311,16 +310,15 @@ def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAs
         order[eos] = len(symbols)
         filled = set()
         for line in section.lines:
-            token, col = line.tokens[0]
+            token = line[2][0]
             if token not in order:
-                raise ParseError(f"embedding for unknown symbol {token!r}", line.number, col)
+                raise ParseError(f"embedding for unknown symbol {token!r}", *_where(line))
             if token in filled:
-                raise ParseError(f"duplicate embedding for {token!r}", line.number, col)
+                raise ParseError(f"duplicate embedding for {token!r}", *_where(line))
             filled.add(token)
-            values = line.tokens[1:]
-            if len(values) != hidden:
-                raise ParseError(f"embeddings need exactly {hidden} numbers", line.number, col)
-            emb[order[token]] = [_parse_float(tok, line.number, c) for tok, c in values]
+            if len(line[2]) != hidden + 1:
+                raise ParseError(f"embeddings need exactly {hidden} numbers", *_where(line))
+            emb[order[token]] = [_parse_float(line, k) for k in range(1, hidden + 1)]
         missing = set(order) - filled
         if missing:
             raise ParseError(f"missing embeddings for {sorted(missing)!r}", section.line)
@@ -345,10 +343,9 @@ def _parse_parity(eos: str, by_name: dict[str, _Section], model_line: int) -> Pa
     parity_section = by_name.get("parity")
     if parity_section is not None:
         for line in _entries(parity_section):
-            key, col = line.tokens[0]
-            if key != "eos-prob-even" or len(line.tokens) != 2:
-                raise ParseError("[parity] lines are 'eos-prob-even <p>'", line.number, col)
-            p_even = _parse_float(line.tokens[1][0], line.number, line.tokens[1][1])
+            if line[2][0] != "eos-prob-even" or len(line[2]) != 2:
+                raise ParseError("[parity] lines are 'eos-prob-even <p>'", *_where(line))
+            p_even = _parse_float(line, 1)
     return ParityAsm(p_even, alphabet=Alphabet(symbols, eos=eos))
 
 
@@ -369,7 +366,10 @@ def parse_model(text: str) -> Model:
     eos = headers.get("eos", "EOS")
     if kind in _KINDS:
         parse, a_kind, known = _KINDS[kind]
-        by_name = _sections_by_name(sections)
+        by_name: dict[str, _Section] = {}
+        for section in sections:
+            if by_name.setdefault(section.name, section) is not section:
+                raise ParseError(f"duplicate section [{section.name}]", section.line)
         for section in sections:
             name = "transitions" if section.name_parts[0] == "transitions" else section.name
             if name not in known:
@@ -397,7 +397,7 @@ def load_model(spec: str) -> Model:
             raise ParseError(f"unknown builtin model {name!r} "
                              f"(available: {', '.join(sorted(BUILTINS))})", 1)
         return BUILTINS[name]()
-    with open(spec, encoding="utf-8") as handle:
+    with open(spec, encoding="utf-8-sig") as handle:   # a leading byte-order mark is skipped
         return parse_model(handle.read())
 
 
@@ -428,16 +428,18 @@ def write_model(model: Model) -> str:
         out += ["[alphabet]", " ".join(model.alphabet.symbols) or "# (empty)", ""]
         out += ["[states]", " ".join(model.names), ""]
         out.append("[init]")
-        out += [f"{model.names[i]} {_fmt(v)}" for i, v in enumerate(model.init) if v != 0]
+        out += [f"{model.names[i]} {v!r}" for i, v in enumerate(model.init.tolist()) if v != 0]
         out.append("")
+        name = model.names.__getitem__
+        edges = list(map(" ".join, zip(map(name, model.src.tolist()), map(name, model.dst.tolist()),
+                                       map(repr, model.prob.tolist()))))
         bounds = model.offsets.tolist()
         for a, lo, hi in zip(model.alphabet.symbols, bounds, bounds[1:]):
             out.append(f"[transitions {a}]")
-            out += [f"{model.names[i]} {model.names[j]} {_fmt(p)}" for i, j, p in
-                    zip(*(v[lo:hi].tolist() for v in (model.src, model.dst, model.prob)))]
+            out += edges[lo:hi]
             out.append("")
         out.append("[term]")
-        out += [f"{model.names[i]} {_fmt(v)}" for i, v in enumerate(model.term) if v != 0]
+        out += [f"{model.names[i]} {v!r}" for i, v in enumerate(model.term.tolist()) if v != 0]
     elif isinstance(model, RnnAsm):
         d = model.hidden_dim
         out += ["model: rnn", f"eos: {model.alphabet.eos}", ""]

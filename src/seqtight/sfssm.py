@@ -171,11 +171,11 @@ class Sfssm:
         return mass
 
 
-def _from_edges(alphabet: Alphabet, edges: Sequence[tuple[int, int, int, float]],
+def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
                 init: Sequence[float], term: Sequence[float],
                 names: Sequence[str] | None = None, tol: float = ROW_TOL) -> Sfssm:
-    """:func:`build_sfssm` from distinct ``(symbol index, src, dst, prob)``
-    edges in any order; zero entries are dropped."""
+    """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of
+    distinct edges in any order; zero entries are dropped."""
     init = np.asarray(init, dtype=float)
     term = np.asarray(term, dtype=float)
     state_names = tuple(names) if names is not None else _default_names(len(init))
@@ -183,10 +183,10 @@ def _from_edges(alphabet: Alphabet, edges: Sequence[tuple[int, int, int, float]]
         raise NegativeEntry(("init", int(idx)))
     for idx in np.flatnonzero(term < 0):
         raise NegativeEntry(("term", int(idx)))
-    table = np.asarray(edges, dtype=float).reshape(-1, 4)
-    table = table[np.lexsort((table[:, 2], table[:, 1], table[:, 0]))]
-    symbol, src, dst = table[:, :3].T.astype(np.intp)
-    prob = table[:, 3]
+    symbol, src, dst = (np.asarray(column, dtype=np.intp) for column in edges[:3])
+    order = np.lexsort((dst, src, symbol))
+    symbol, src, dst = symbol[order], src[order], dst[order]
+    prob = np.asarray(edges[3], dtype=float)[order]
     for e in np.flatnonzero(prob < 0)[:1]:
         raise NegativeEntry(("trans", alphabet.symbols[symbol[e]], int(src[e]), int(dst[e])))
     kept = prob != 0
@@ -230,7 +230,7 @@ def build_sfssm(alphabet: Alphabet,
             raise ValueError(f"transition matrix for {a!r} has shape {mat.shape}, expected {(q, q)}")
         i, j = np.nonzero(mat)
         edges.append(np.column_stack([np.full(len(i), k), i, j, mat[i, j]]))
-    return _from_edges(alphabet, np.concatenate(edges), init, term, names, tol)
+    return _from_edges(alphabet, np.concatenate(edges).T, init, term, names, tol)
 
 
 def _forward_string(m: Sfssm, x: Iterable[Token]) -> np.ndarray:
@@ -461,4 +461,4 @@ def mle_ngram(corpus: Sequence[Sequence[Token]], order: int,
                   for h in history_order)
     if len(set(names)) != q:
         names = _default_names(q)
-    return _from_edges(alphabet, edges, init, term, names)
+    return _from_edges(alphabet, np.array(edges, dtype=float).reshape(-1, 4).T, init, term, names)

@@ -178,18 +178,19 @@ def _pooled_step(asm: Asm, groups: dict, splits: list, t: int, budget: int,
     return grown
 
 
-def _trapped(groups: dict, symbols, eos_idx: int) -> bool:
-    """Whether the frontier ``groups`` is a closed set that cannot stop: each
-    entry's cached conditional gives EOS exactly 0 and each symbol it can draw
-    has a cached successor key that is live.  False at the first entry that
-    can stop or leave, so a frontier that can stop pays about one lookup."""
-    for entry in groups.values():
-        cond = entry.cond  # set in the step that also sets entry.succ
-        if cond is None or cond[eos_idx] != 0.0:
-            return False
-        for a, p in zip(symbols, cond):
-            if p > 0.0 and entry.succ.get(a, _UNSTEPPED) not in groups:
+def _trapped(symbols, eos_idx: int, *frontiers: dict) -> bool:
+    """Whether the union of stepped ``frontiers`` is a closed set that cannot
+    stop: each entry's cached conditional gives EOS exactly 0 and each symbol
+    it can draw has a cached successor key in one of the frontiers.  False at
+    the first entry that can stop or leave, so a frontier that can stop pays
+    about one lookup."""
+    for groups in frontiers:
+        for entry in groups.values():
+            if entry.cond[eos_idx] != 0.0:
                 return False
+            for a, p in zip(symbols, entry.cond):
+                if p > 0.0 and not any(entry.succ.get(a, _UNSTEPPED) in f for f in frontiers):
+                    return False
     return True
 
 
@@ -561,10 +562,10 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     states with zero EOS probability: no such run can stop, so the rest
     are counted as truncated without drawing them to ``max_len``, and the
     result is the same as if they had been.  A leaking model's cost thus
-    stops growing with ``max_len``.  Only the current frontier is checked
-    for closure, so a trap whose live states alternate (a deterministic
-    two-state cycle entered at one step parity) is still walked to
-    ``max_len``.
+    stops growing with ``max_len``.  The closed set is sought in the union
+    of the last two frontiers, so a trap whose live states alternate (a
+    two-state cycle) is caught; one whose live states cycle with period 3
+    or more is still walked to ``max_len``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -577,9 +578,9 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     for chunk_index, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
         chunk = min(SAMPLE_CHUNK, samples - start)
         rng = np.random.default_rng([seed, chunk_index])
-        groups = _root(asm, chunk)
+        groups, previous = _root(asm, chunk), {}
         for t in range(1, max_len + 1):
-            if not groups or _trapped(groups, asm.alphabet.symbols, eos_idx):
+            if not groups:
                 break
             splits = []
             for entry in groups.values():
@@ -589,7 +590,11 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
                     terminated += stopped
                     lengths[t - 1] = lengths.get(t - 1, 0) + stopped
                 splits.append(draws)
-            groups = _pooled_step(asm, groups, splits, t + 1, chunk)
+            stepped, groups = groups, _pooled_step(asm, groups, splits, t + 1, chunk)
+            # every run now live was drawn from ``stepped``, so it is trapped too
+            if _trapped(asm.alphabet.symbols, eos_idx, stepped, previous):
+                break
+            previous = stepped
         truncated += sum(entry.weight for entry in groups.values())
     return TerminationEstimate(
         samples=samples, max_len=max_len, seed=seed,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from seqtight import (Alphabet, RnnAsm, decide_tight, make_tight_softplus_rnn,
-                      termination_probability, trim, parse_model, mle_ngram, write_model)
+                      termination_probability, trim, parse_model, mle_ngram, model_digest,
+                      write_model)
 from seqtight import cli, sfssm
 from seqtight.cli import main
 
@@ -433,6 +434,53 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_bad_flag_value_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "builtin:fig1a", "--horizon", "soon")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "builtin:fig1a", "--horizon", "0"),
+    ("analyze", "builtin:relu-rnn", "--max-len", "0"),
+    ("analyze", "builtin:relu-rnn", "--budget", "0"),
+    ("analyze", "builtin:relu-rnn", "--samples", "-3"),
+    ("sample", "builtin:fig1a", "--samples", "0"),
+    ("sample", "builtin:fig1a", "--max-len", "-1"),
+], ids=lambda argv: " ".join(argv[2:]) + f" ({argv[0]})")
+def test_out_of_range_integer_flag_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: argument {argv[2]}: must be at least ")
+    assert err.count("\n") == 1
+
+
+def test_analyze_accepts_zero_samples(capsys):
+    code, out, _ = run(capsys, "analyze", "builtin:relu-rnn", "--horizon", "5",
+                       "--samples", "0", "--format", "machine")
+    assert code == 0
+    assert "monte_carlo" not in json.loads(out)
+
+
+def test_estimate_ngram_skips_a_byte_order_mark(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("w1 w2\nw2\n", encoding="utf-8")
+    marked.write_text("w1 w2\nw2\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for corpus, model in ((plain, tmp_path / "plain.model"), (marked, tmp_path / "marked.model")):
+        code, _, _ = run(capsys, "estimate-ngram", str(corpus), "--order", "2",
+                         "--out", str(model))
+        assert code == 0
+    assert (tmp_path / "marked.model").read_text() == (tmp_path / "plain.model").read_text()
+    assert parse_model((tmp_path / "marked.model").read_text()).alphabet.symbols == ("w1", "w2")
+
+
+def test_estimate_ngram_digest_is_the_written_file_digest(capsys, tmp_path):
+    corpus, model = tmp_path / "corpus.txt", tmp_path / "m.model"
+    corpus.write_text("a b\nb a a\n")
+    code, out, _ = run(capsys, "estimate-ngram", str(corpus), "--order", "2",
+                       "--out", str(model), "--format", "machine")
+    assert code == 0
+    digest = json.loads(out)["provenance"]["model_digest"]
+    assert digest == hashlib.sha256(model.read_bytes()).hexdigest()
+    assert digest == model_digest(parse_model(model.read_text()))
 
 
 def test_estimate_ngram_unserializable_token_is_usage_error(capsys, tmp_path):

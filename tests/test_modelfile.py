@@ -1,6 +1,8 @@
 """Model file parsing, canonical serialization, digests, and builtins."""
 
 import hashlib
+import importlib.util
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as hst
 
 from seqtight import (ParityAsm, ParseError, RnnAsm, Sfssm, mle_ngram, parse_corpus,
                       parse_model, trim, write_model, model_digest)
+from seqtight.cli import main
 from seqtight.modelfile import BUILTINS, load_model
 from seqtight.sfssm import ROW_TOL
 
@@ -309,6 +312,178 @@ def test_rnn_file_round_trip_with_edits():
     tweaked = text.replace("activation softplus", "activation tanh")
     parsed = parse_model(tweaked)
     assert parsed.activation == "tanh"
+
+
+# -- pinned diagnostics --------------------------------------------------------
+
+PINNED_SFSSM = """model: sfssm
+
+[alphabet]
+a b
+
+[states]
+s0 s1 s ss
+
+[init]
+s0 1.0
+
+[transitions a]
+s0 s1 0.5
+s1 s1 0.5
+s ss 1.0
+ss s 1.0
+
+[transitions b]
+s0 s0 0.5
+
+[term]
+s1 0.5
+"""
+
+PINNED_RNN = write_model(BUILTINS["softplus-rnn"]()).replace("eos: EOS\n", "")
+
+# (case, text replaced, replacement, (message, line, column)), recorded from the
+# line-by-line parser that preceded the column-by-column one
+PINNED_SFSSM_ERRORS = [
+    ('two tokens', 's1 s1 0.5', 's1 s1',
+     ("transition lines are 'from to probability'", 14, 1)),
+    ('four tokens', 's1 s1 0.5', 's1 s1 0.5 0.5',
+     ("transition lines are 'from to probability'", 14, 1)),
+    ('unknown from-state', 's1 s1 0.5', 'zz s1 0.5',
+     ("unknown state 'zz'", 14, 1)),
+    ('unknown to-state', 's1 s1 0.5', 's1 zz 0.5',
+     ("unknown state 'zz'", 14, 4)),
+    ('repeated token', 's1 s1 0.5', 's0 s0 junk',
+     ("expected a number, got 'junk'", 14, 7)),
+    ('token inside an earlier one', 'ss s 1.0', 'ss s junk',
+     ("expected a number, got 'junk'", 16, 6)),
+    ('duplicate transition', 'ss s 1.0', 'ss s 1.0\ns ss 0.0\nss s 0.5',
+     ("duplicate transition 's' -> 'ss'", 17, 1)),
+    ('bad number', 's0 s1 0.5', 's0 s1 0.5.0',
+     ("expected a number, got '0.5.0'", 13, 7)),
+    ('earliest of two faults', 's1 s1 0.5', 's1 s1 x\nzz s1 0.5',
+     ("expected a number, got 'x'", 14, 7)),
+    ('bad number before a short line', 's1 s1 0.5', 's1 s1 x\ns1 s1',
+     ("expected a number, got 'x'", 14, 7)),
+    ('duplicate before a bad number', 'ss s 1.0', 'ss s 1.0\nss s 0.0\ns s x',
+     ("duplicate transition 'ss' -> 's'", 17, 1)),
+    ('unknown state and bad number', 's1 s1 0.5', 's1 zz x',
+     ("unknown state 'zz'", 14, 4)),
+    ('duplicate with a bad number', 'ss s 1.0', 'ss s 1.0\nss s x',
+     ("duplicate transition 'ss' -> 's'", 17, 1)),
+    ('bad init value', '[init]\ns0 1.0', '[init]\ns0 one',
+     ("expected a number, got 'one'", 10, 4)),
+    ('bad term value', '[term]\ns1 0.5', '[term]\ns1 half',
+     ("expected a number, got 'half'", 22, 4)),
+    ('init line with three tokens', '[init]\ns0 1.0', '[init]\ns0 1.0 2.0',
+     ("[init] lines are 'state probability'", 10, 1)),
+    ('duplicate term entry', '[term]\ns1 0.5', '[term]\ns1 0.5\ns1 0.5',
+     ("duplicate entry for state 's1'", 23, 1)),
+    ('tab-separated tokens', 's1 s1 0.5', 's1\ts1\t\tjunk',
+     ("expected a number, got 'junk'", 14, 8)),
+    ('trailing comment', 's1 s1 0.5', '  s1   zz 0.5   # zz is not a state',
+     ("unknown state 'zz'", 14, 8)),
+    ('second transition section', 's0 s0 0.5', 's0 s0 0.5\ns1 ss nope',
+     ("expected a number, got 'nope'", 20, 7)),
+    ('unknown init state', '[init]\ns0 1.0', '[init]\ns0 1.0\nq 0.0',
+     ("unknown state 'q'", 11, 1)),
+    ('unknown symbol section', '[transitions b]', '[transitions c]',
+     ("transition section for unknown symbol 'c'", 18, 1)),
+    ('unterminated header', '[transitions b]', '  [transitions b',
+     ("section header does not end with ']'", 18, 3)),
+]
+PINNED_RNN_ERRORS = [
+    ('rnn hidden not an integer', 'hidden 1', 'hidden one',
+     ("expected an integer, got 'one'", 7, 8)),
+    ('rnn bad bias', 'bias 0.0', 'bias   zero',
+     ("expected a number, got 'zero'", 10, 8)),
+    ('rnn bad matrix entry', '[recurrent-weights]\n1.0', '[recurrent-weights]\n\t1.0x',
+     ("expected a number, got '1.0x'", 16, 2)),
+    ('rnn matrix row too long', '[recurrent-weights]\n1.0', '[recurrent-weights]\n 1.0 2.0',
+     ('[recurrent-weights] rows need exactly 1 numbers', 16, 2)),
+    ('rnn embedding value repeats its symbol', '[output-embedding]\na 1.0',
+     '[output-embedding]\na a',
+     ("expected a number, got 'a'", 23, 3)),
+]
+PINNED_HEADER_ERRORS = [
+    ('parity bad value', 'model: parity\n[parity]\neos-prob-even  x\n',
+     ("expected a number, got 'x'", 3, 16)),
+    ('header with two values', 'model: sfssm extra\n',
+     ("header 'model' takes exactly one value", 1, 1)),
+    ('header not key-value', '\n  model sfssm\n',
+     ("expected 'key: value' before the first section, got 'model'", 2, 3)),
+]
+
+
+def error_tuple(text: str) -> tuple[str, int, int]:
+    err = diagnose(text)
+    return str(err).split(": ", 1)[1], err.line, err.col
+
+
+def test_pinned_models_parse():
+    assert isinstance(parse_model(PINNED_SFSSM), Sfssm)
+    assert isinstance(parse_model(PINNED_RNN), RnnAsm)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("old, new, expected", [case[1:] for case in PINNED_SFSSM_ERRORS],
+                         ids=[case[0] for case in PINNED_SFSSM_ERRORS])
+def test_sfssm_parse_errors_are_pinned(old, new, expected, newline):
+    assert old in PINNED_SFSSM
+    text = PINNED_SFSSM.replace(old, new, 1).replace("\n", newline)
+    assert error_tuple(text) == expected
+
+
+@pytest.mark.parametrize("old, new, expected", [case[1:] for case in PINNED_RNN_ERRORS],
+                         ids=[case[0] for case in PINNED_RNN_ERRORS])
+def test_rnn_parse_errors_are_pinned(old, new, expected):
+    assert old in PINNED_RNN
+    assert error_tuple(PINNED_RNN.replace(old, new, 1)) == expected
+
+
+@pytest.mark.parametrize("text, expected", [case[1:] for case in PINNED_HEADER_ERRORS],
+                         ids=[case[0] for case in PINNED_HEADER_ERRORS])
+def test_header_and_parity_parse_errors_are_pinned(text, expected):
+    assert error_tuple(text) == expected
+
+
+def test_load_model_skips_a_byte_order_mark(tmp_path):
+    text = (MODELS_DIR / "fig1b.model").read_text()
+    marked = tmp_path / "marked.model"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert models_equal(load_model(str(marked)), BUILTINS["fig1b"]())
+    with pytest.raises(ParseError):
+        parse_model("\ufeff" + text)   # parse_model itself takes the text as given
+
+
+# sha256 digests (model_digest) of the ngram-exact benchmark's bigram files
+# per seed: mle.model as ``estimate-ngram`` writes it, then leaky.model
+BENCH_DIGESTS = {
+    1: ("a423622e71b1903485ccad3b0a4c99470b75a7d642931e42b794e7969293251c",
+        "0a90b57967052f4f3bcd02b80adce857982d3ec02fbe60773893ccd13ae6ceaa"),
+    2: ("8edcbe4eb36f679515f5365176e47c7f861a6afde4ee9ab7d0aed5059b86cf75",
+        "651101616c6cc1b9ef45d238e90c1d29aec76b1a0a09028287d429ff2cf2b1d3"),
+    3: ("c1a7e1c6dad552e2b5d2985ed5424ea2031d91710be57efc73bfd59ef3c0c106",
+        "2a9c4eb383eb66d4a35467c219c29dfebda011982facf889d783177d12753887"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_DIGESTS))
+def test_bench_bigram_files_keep_their_digests(seed, tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", MODELS_DIR.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    workloads.ngram_exact(seed, tmp_path)
+    assert main(["estimate-ngram", str(tmp_path / "corpus.txt"), "--order", "2",
+                 "--out", str(tmp_path / "mle.model")]) == 0
+    capsys.readouterr()
+    for name, digest in zip(("mle.model", "leaky.model"), BENCH_DIGESTS[seed]):
+        path = tmp_path / name
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert model_digest(load_model(str(path))) == digest
 
 
 # -- corpus ------------------------------------------------------------------

@@ -68,8 +68,8 @@ def test_degenerate_single_state_model_is_fine():
 
 def test_edges_are_stored_in_canonical_order_without_zeros():
     # symbol b before a, rows out of order, one explicit zero
-    edges = [(1, 1, 0, 0.5), (0, 1, 1, 0.5), (0, 0, 0, 0.25), (0, 1, 0, 0.0)]
-    model = _from_edges(Alphabet(("a", "b")), edges, [1.0, 0.0], [0.75, 0.0])
+    symbol, src, dst, prob = [1, 0, 0, 0], [1, 1, 0, 1], [0, 1, 0, 0], [0.5, 0.5, 0.25, 0.0]
+    model = _from_edges(Alphabet(("a", "b")), (symbol, src, dst, prob), [1.0, 0.0], [0.75, 0.0])
     np.testing.assert_array_equal(model.offsets, [0, 2, 3])
     np.testing.assert_array_equal(model.src, [0, 1, 1])
     np.testing.assert_array_equal(model.dst, [0, 1, 0])
@@ -78,9 +78,9 @@ def test_edges_are_stored_in_canonical_order_without_zeros():
 
 def test_malformed_edge_lists_are_rejected():
     with pytest.raises(ValueError, match="offsets"):
-        _from_edges(Alphabet(("a",)), [(1, 0, 0, 0.5)], [1.0], [0.5])
+        _from_edges(Alphabet(("a",)), ([1], [0], [0], [0.5]), [1.0], [0.5])
     with pytest.raises(ValueError, match="state index"):
-        _from_edges(Alphabet(("a",)), [(0, 0, 1, 0.5)], [1.0], [0.5])
+        _from_edges(Alphabet(("a",)), ([0], [0], [1], [0.5]), [1.0], [0.5])
 
 
 @pytest.mark.parametrize("seed", range(20))

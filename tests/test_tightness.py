@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from seqtight import (Alphabet, BoundViolated, BudgetExceeded,
                       RnnAsm, product_sum_duality_check, sfssm_as_asm,
                       suggests_tight, termination_cdf, termination_probability, trim)
 from seqtight import tightness
-from seqtight.modelfile import BUILTINS
+from seqtight.modelfile import BUILTINS, as_asm, load_model
 from seqtight.tightness import _series_from_values
 from seqtight.verdicts import Certificate
 
 from conftest import CountingAsm, StableRandomAsm, random_sfssm
+
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
 def sure_stopper():
@@ -502,6 +505,18 @@ def test_monte_carlo_steps_each_state_key_once(fig1a):
     assert counts[0] == counts[1] == {"step": 4, "state_conditional": 3}
 
 
+def count_pooled_steps(monkeypatch) -> list[int]:
+    """A one-element list counting the calls to ``tightness._pooled_step``."""
+    steps = [0]
+    pooled_step = tightness._pooled_step
+
+    def counted(*args, **kwargs):
+        steps[0] += 1
+        return pooled_step(*args, **kwargs)
+    monkeypatch.setattr(tightness, "_pooled_step", counted)
+    return steps
+
+
 def two_symbol_trap():
     # S stops with probability 0.3 or falls into T, which loops on both a and b
     ta = np.array([[0.5, 0.0], [0.0, 0.5]])
@@ -515,13 +530,7 @@ def two_symbol_trap():
 def test_monte_carlo_stops_once_every_live_run_is_trapped(monkeypatch, make):
     # once the live runs sit in a closed set that cannot stop, the chunk ends:
     # the steps taken and the estimate do not depend on max_len
-    steps = [0]
-    pooled_step = tightness._pooled_step
-
-    def counted(*args, **kwargs):
-        steps[0] += 1
-        return pooled_step(*args, **kwargs)
-    monkeypatch.setattr(tightness, "_pooled_step", counted)
+    steps = count_pooled_steps(monkeypatch)
     seen = []
     for max_len in (10**3, 10**6):
         steps[0] = 0
@@ -530,6 +539,32 @@ def test_monte_carlo_stops_once_every_live_run_is_trapped(monkeypatch, make):
         seen.append((steps[0], replace(estimate, max_len=None)))
     assert seen[0] == seen[1]
     assert seen[0][0] < 100
+
+
+def test_monte_carlo_stops_once_live_runs_alternate_inside_a_trap(monkeypatch):
+    # trap.model's runs that start with c alternate C1 -> C2 -> C1, so no
+    # frontier alone is closed; the union of two successive ones is
+    steps = count_pooled_steps(monkeypatch)
+    asm = as_asm(load_model(str(MODELS_DIR / "trap.model")))
+    seen = []
+    for max_len in (10**3, 10**5):
+        steps[0] = 0
+        estimate = monte_carlo_termination(asm, 3000, max_len=max_len, seed=2)
+        assert estimate.truncated > 0
+        seen.append((steps[0], replace(estimate, max_len=None)))
+    assert seen[0] == seen[1]
+    assert seen[0][0] < 100
+
+
+def test_monte_carlo_samples_on_while_an_alternating_run_can_leave():
+    # A and B alternate and cannot stop, but B leaves for the stopping state
+    # C: the union of two frontiers {A, B} is not closed
+    ta = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    tb = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+    model = build_sfssm(Alphabet(("a", "b")), {"a": ta, "b": tb}, [1, 0, 0], [0, 0, 1],
+                        names=("A", "B", "C"))
+    estimate = monte_carlo_termination(sfssm_as_asm(model), 1000, max_len=1000, seed=0)
+    assert estimate.terminated == 1000
 
 
 def test_monte_carlo_samples_on_while_a_live_run_can_leave():
