@@ -51,36 +51,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_bound(text: str) -> EosBoundFamily:
-    kind, _, rest = text.partition(":")
-    try:
-        params = [float(x) for x in rest.split(",") if x.strip()]
-    except ValueError:
-        raise _UsageError(f"bad bound parameters in {text!r}") from None
-    try:
-        if kind == "constant":
-            if len(params) != 1:
-                raise _UsageError("constant bound takes one parameter: constant:<eps>")
-            return EosBoundFamily.constant(params[0])
-        if kind in ("harmonic", "log-harmonic"):
-            if len(params) > 2:
-                raise _UsageError(f"{kind} bound takes at most two parameters: {kind}:<c>,<d>")
-            make = EosBoundFamily.harmonic if kind == "harmonic" else EosBoundFamily.log_harmonic
-            return make(*params)
-        if kind == "geometric":
-            if len(params) != 2:
-                raise _UsageError("geometric bound takes two parameters: geometric:<c>,<r>")
-            return EosBoundFamily.geometric(params[0], params[1])
-        if kind == "table":
-            if not params:
-                raise _UsageError("table bound needs at least one value: table:<p1>,<p2>,...")
-            return EosBoundFamily.table(params)
-    except OutOfRange as exc:
-        raise _UsageError(f"invalid bound {text!r}: {exc}") from None
-    raise _UsageError(f"unknown bound family {kind!r} "
-                      f"(choose constant, harmonic, log-harmonic, geometric, table)")
-
-
 def _model_kind(model: Model) -> str:
     kinds = {Sfssm: "sfssm", RnnAsm: "rnn", ParityAsm: "parity"}
     return kinds.get(type(model), type(model).__name__)
@@ -112,9 +82,9 @@ def _emit(payload: dict, text_lines: list[str], fmt: str, out: str | None) -> No
         sys.stdout.write(body)
 
 
-def _preview(values, count: int = 10) -> str:
-    shown = " ".join(f"{v:.9g}" for v in values[:count])
-    return shown + (" ..." if len(values) > count else "")
+def _preview(values) -> str:
+    shown = " ".join(f"{v:.9g}" for v in values[:10])
+    return shown + (" ..." if len(values) > 10 else "")
 
 
 # -- analyze ----------------------------------------------------------------
@@ -156,7 +126,7 @@ def _verdict_for_series(series: EosHazardSeries, lower: EosBoundFamily | None,
             verdict = certify_tight_lower_bound(lower, asm, horizon, budget, series=series)
             if verdict.is_tight:
                 return verdict
-            notes.append(f"lower bound {lower.describe()}: {verdict.evidence}")
+            notes.append(verdict.evidence)
         except BoundViolated as exc:
             notes.append(f"supplied lower bound does not hold: {exc}")
     if upper is not None:
@@ -164,7 +134,7 @@ def _verdict_for_series(series: EosHazardSeries, lower: EosBoundFamily | None,
             verdict = certify_nontight_upper_bound(series, upper)
             if verdict.is_non_tight:
                 return verdict
-            notes.append(f"upper bound {upper.describe()}: {verdict.evidence}")
+            notes.append(verdict.evidence)
         except BoundViolated as exc:
             notes.append(f"supplied upper bound does not hold: {exc}")
     if suggests_tight(series):
@@ -173,9 +143,8 @@ def _verdict_for_series(series: EosHazardSeries, lower: EosBoundFamily | None,
                      "--bound to certify tightness")
     fit = fit_geometric_tail(series)
     if fit is not None:
-        tail = fit.geometric_tail(series.horizon)
-        would_leak = series.survival[-1] * (1.0 - tail)
-        if would_leak > 0:
+        would_leak = certify_nontight_upper_bound(series, fit).leaked_mass
+        if would_leak is not None:
             # full float precision so the suggested flag parses back to the
             # exact validated family (rounded values can fall out of range)
             notes.append(
@@ -191,8 +160,8 @@ def _verdict_for_series(series: EosHazardSeries, lower: EosBoundFamily | None,
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
     digest = model_digest(model)
-    lower = _parse_bound(args.bound) if args.bound else None
-    upper = _parse_bound(args.upper_bound) if args.upper_bound else None
+    lower = EosBoundFamily.parse(args.bound) if args.bound else None
+    upper = EosBoundFamily.parse(args.upper_bound) if args.upper_bound else None
     notes: list[str] = []
     payload: dict = {
         "command": "analyze",
@@ -355,11 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "terminate with probability one.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed_default=0):
+    def common(p):
         p.add_argument("--format", choices=("text", "machine"), default="text",
                        help="report style: human text or deterministic JSON")
         p.add_argument("--out", help="write the report to this file instead of stdout")
-        p.add_argument("--seed", type=int, default=seed_default,
+
+    def seed(p):
+        p.add_argument("--seed", type=_int_at_least(0), default=0,
                        help="random seed for sampling (default %(default)s)")
 
     analyze = sub.add_parser("analyze", help="decide or bracket tightness",
@@ -383,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--upper-bound", default=None, metavar="FAMILY:PARAMS",
                          help="asserted upper bound on the hazard series; a geometric "
                               "family (geometric:c,r) can certify non-tightness")
+    seed(analyze)
     common(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -400,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of runs (default %(default)s)")
     sample.add_argument("--max-len", type=_int_at_least(1), default=10_000,
                         help="truncation length (default %(default)s)")
+    seed(sample)
     common(sample)
     sample.set_defaults(func=cmd_sample)
 

@@ -164,18 +164,18 @@ class FunctionAsm(Asm):
         return np.asarray(self._fn(tuple(prefix)), dtype=float)
 
 
-def validate_conditional(asm: Asm, prefix: Str, tol: float = DEFAULT_TOL) -> None:
+def validate_conditional(asm: Asm, prefix: Str) -> None:
     """Check that the conditional vector at ``prefix`` is a distribution.
 
     Raises :class:`NotADistribution` if any entry is more negative than
-    ``tol`` or the total differs from 1 by more than ``tol``.
+    ``DEFAULT_TOL`` or the total differs from 1 by more than ``DEFAULT_TOL``.
     """
     vec = np.asarray(asm.conditional(prefix), dtype=float)
     if vec.shape != (asm.alphabet.full_size,):
         raise NotADistribution(prefix, float(vec.sum()), [])
-    offending = [(int(i), float(v)) for i, v in enumerate(vec) if v < -tol]
+    offending = [(int(i), float(v)) for i, v in enumerate(vec) if v < -DEFAULT_TOL]
     total = float(vec.sum())
-    if offending or abs(total - 1.0) > tol:
+    if offending or abs(total - 1.0) > DEFAULT_TOL:
         raise NotADistribution(prefix, total, offending)
 
 

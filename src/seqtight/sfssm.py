@@ -173,7 +173,7 @@ class Sfssm:
 
 def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
                 init: Sequence[float], term: Sequence[float],
-                names: Sequence[str] | None = None, tol: float = ROW_TOL) -> Sfssm:
+                names: Sequence[str] | None = None) -> Sfssm:
     """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of
     distinct edges in any order; zero entries are dropped."""
     init = np.asarray(init, dtype=float)
@@ -195,10 +195,10 @@ def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
                   offsets=offsets, init=init, term=term, names=state_names)
 
     total_init = float(init.sum())
-    if not abs(total_init - 1.0) <= tol:
+    if not abs(total_init - 1.0) <= ROW_TOL:
         raise BadInit(total_init)
     row_sums = model.row_mass.sum(axis=1)
-    for idx in np.flatnonzero(~(np.abs(row_sums - 1.0) <= tol))[:1]:
+    for idx in np.flatnonzero(~(np.abs(row_sums - 1.0) <= ROW_TOL))[:1]:
         raise BadRow(int(idx), state_names[idx], float(row_sums[idx]))
     return model
 
@@ -207,15 +207,14 @@ def build_sfssm(alphabet: Alphabet,
                 trans: Mapping[Token, np.ndarray],
                 init: Sequence[float],
                 term: Sequence[float],
-                names: Sequence[str] | None = None,
-                tol: float = ROW_TOL) -> Sfssm:
+                names: Sequence[str] | None = None) -> Sfssm:
     """Validate and construct an SFSSM from dense ``{symbol: Q x Q}`` matrices.
 
     Symbols missing from ``trans`` have no edges; only nonzero entries are
     kept.  Raises :class:`NegativeEntry` for negative parameters,
     :class:`BadInit` when the initial vector does not sum to 1 within
-    ``tol``, and :class:`BadRow` when a state's outgoing mass plus its
-    termination probability is not 1 within ``tol`` (a NaN sum never is).
+    ``ROW_TOL``, and :class:`BadRow` when a state's outgoing mass plus its
+    termination probability is not 1 within ``ROW_TOL`` (a NaN sum never is).
     """
     unknown = set(trans) - set(alphabet.symbols)
     if unknown:
@@ -230,7 +229,7 @@ def build_sfssm(alphabet: Alphabet,
             raise ValueError(f"transition matrix for {a!r} has shape {mat.shape}, expected {(q, q)}")
         i, j = np.nonzero(mat)
         edges.append(np.column_stack([np.full(len(i), k), i, j, mat[i, j]]))
-    return _from_edges(alphabet, np.concatenate(edges).T, init, term, names, tol)
+    return _from_edges(alphabet, np.concatenate(edges).T, init, term, names)
 
 
 def _forward_string(m: Sfssm, x: Iterable[Token]) -> np.ndarray:
@@ -398,8 +397,7 @@ def _shift(history: tuple, token: Token, width: int) -> tuple:
     return (history + (token,))[-width:] if width else ()
 
 
-def mle_ngram(corpus: Sequence[Sequence[Token]], order: int,
-              eos: Token = "EOS") -> Sfssm:
+def mle_ngram(corpus: Sequence[Sequence[Token]], order: int) -> Sfssm:
     """Maximum-likelihood n-gram model of the given ``order`` (n >= 1).
 
     States are the length ``order - 1`` histories actually observed in the
@@ -415,11 +413,11 @@ def mle_ngram(corpus: Sequence[Sequence[Token]], order: int,
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     symbols = sorted({tok for x in corpus for tok in x})
-    if eos in symbols:
-        raise ValueError(f"corpus uses the reserved end-of-sequence token {eos!r}")
+    if "EOS" in symbols:
+        raise ValueError("corpus uses the reserved end-of-sequence token 'EOS'")
     if _BOS in symbols:
         raise ValueError("corpus uses the reserved start placeholder token")
-    alphabet = Alphabet(tuple(symbols), eos=eos)
+    alphabet = Alphabet(tuple(symbols))
 
     width = order - 1
     start = (_BOS,) * width

@@ -20,6 +20,7 @@ attached as evidence.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -203,6 +204,24 @@ def _prefix(node) -> Str:
     return tuple(reversed(symbols))
 
 
+def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
+    """Yield the frontier (state key -> entry) of each step ``t = 1..steps``
+    while any state is live.  The caller computes each yielded entry's
+    conditional with ``entry.conditional(asm)``; the walk then sends
+    ``weight * cond`` on through :func:`_pooled_step`, whose ``witness``
+    keeps parent pointers.  The previous frontier is released before the
+    caller sees the next one."""
+    groups = _root(asm, 1.0)
+    for t in range(1, steps + 1):
+        yield groups
+        if t == steps:
+            return
+        groups = _pooled_step(asm, groups, [(entry.weight * entry.cond).tolist()
+                                            for entry in groups.values()], t + 1, budget, witness)
+        if not groups:
+            return
+
+
 def eos_hazard_enumerate(asm: Asm, horizon: int,
                          budget: int = DEFAULT_ENUM_BUDGET) -> EosHazardSeries:
     """Hazard series by exhaustive enumeration of reachable states.
@@ -218,24 +237,15 @@ def eos_hazard_enumerate(asm: Asm, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     eos_idx = asm.alphabet.eos_index
-    groups = _root(asm, 1.0)
     values: list[float] = []
     min_eos: list[float] = []
-    exhausted = None
-    for t in range(1, horizon + 1):
-        if not groups:
-            exhausted = t
-            break
-        conds = [entry.conditional(asm) for entry in groups.values()]
-        eos = [float(cond[eos_idx]) for cond in conds]
+    for groups in _frontiers(asm, horizon, budget):
+        eos = [float(entry.conditional(asm)[eos_idx]) for entry in groups.values()]
         den = math.fsum(entry.weight for entry in groups.values())
         num = math.fsum(entry.weight * e for entry, e in zip(groups.values(), eos))
         values.append(min(max(num / den, 0.0), 1.0))
         min_eos.append(min(eos))
-        if t == horizon:
-            break
-        splits = [(entry.weight * cond).tolist() for entry, cond in zip(groups.values(), conds)]
-        groups = _pooled_step(asm, groups, splits, t + 1, budget)
+    exhausted = len(values) + 1 if len(values) < horizon else None
     return replace(_series_from_values(values, exhausted), min_eos=tuple(min_eos))
 
 
@@ -350,6 +360,28 @@ class EosBoundFamily:
     def table(cls, values: Sequence[float]) -> "EosBoundFamily":
         return cls(kind=TABLE, entries=tuple(float(v) for v in values))
 
+    @classmethod
+    def parse(cls, text: str) -> "EosBoundFamily":
+        """The family spelled ``kind:p1,p2,...``, built by that kind's
+        constructor, whose signature decides how many parameters it takes:
+        ``harmonic`` alone is ``1/(t+1)``, and a table needs at least one
+        value.  An unknown kind, or an empty, extra, missing or non-numeric
+        field, raises :class:`OutOfRange`, as does a value the constructor
+        rejects."""
+        kind, colon, rest = text.partition(":")
+        make = {CONSTANT: cls.constant, HARMONIC: cls.harmonic, LOG_HARMONIC: cls.log_harmonic,
+                GEOMETRIC: cls.geometric,
+                TABLE: lambda value, *values: cls.table((value, *values))}.get(kind)
+        if make is None:
+            raise OutOfRange(f"unknown bound family {kind!r} (choose {CONSTANT}, {HARMONIC}, "
+                             f"{LOG_HARMONIC}, {GEOMETRIC}, {TABLE})")
+        try:
+            params = [float(field) for field in rest.split(",")] if colon else []
+            inspect.signature(make).bind(*params)
+            return make(*params)
+        except (TypeError, ValueError) as exc:  # OutOfRange is a ValueError
+            raise OutOfRange(f"invalid bound {text!r}: {exc}") from None
+
     # behaviour --------------------------------------------------------
 
     def value(self, t: int) -> float:
@@ -398,26 +430,16 @@ class EosBoundFamily:
         return f"table of {len(self.entries)} steps"
 
 
-def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int,
-                witness: bool) -> bool:
-    """Whether every reachable state's EOS probability is at least ``f(t) * (1 - _TOL)`` for
-    ``steps`` steps; with ``witness`` a failure raises :class:`BoundViolated` naming the prefix."""
+def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int) -> None:
+    """Raise :class:`BoundViolated` naming the first prefix, in frontier order,
+    whose EOS probability is below ``f(t) * (1 - _TOL)`` within ``steps`` steps."""
     eos_idx = asm.alphabet.eos_index
-    groups = _root(asm, 1.0)
-    for t in range(1, steps + 1):
+    for t, groups in enumerate(_frontiers(asm, steps, budget, witness=True), 1):
         want = bound.value(t)
-        splits = []
         for entry in groups.values():
-            cond = entry.conditional(asm)
-            observed = float(cond[eos_idx])
+            observed = float(entry.conditional(asm)[eos_idx])
             if not observed >= want * (1.0 - _TOL):  # NaN fails too
-                if witness:
-                    raise BoundViolated(t, _prefix(entry.node), observed, want)
-                return False
-            splits.append((entry.weight * cond).tolist())
-        if t < steps:
-            groups = _pooled_step(asm, groups, splits, t + 1, budget, witness)
-    return True
+                raise BoundViolated(t, _prefix(entry.node), observed, want)
 
 
 def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
@@ -439,11 +461,14 @@ def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
         steps = horizon if bound.claimed_steps is None else min(horizon, bound.claimed_steps)
         lows = None if series is None else series.min_eos
         if lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None):
-            holds = all(low >= bound.value(t) * (1.0 - _TOL) for t, low in enumerate(lows[:steps], 1))
-        else:
-            holds = _bound_walk(asm, bound, steps, budget, witness=False)
-        if not holds:  # walk again with parent pointers to name the prefix
-            _bound_walk(asm, bound, steps, budget, witness=True)
+            lows = lows[:steps]
+        else:  # per-step minima (NaN propagates) of a walk that stops at the first failing step
+            eos_idx = asm.alphabet.eos_index
+            lows = (np.minimum.reduce([entry.conditional(asm)[eos_idx]
+                                       for entry in groups.values()])
+                    for groups in _frontiers(asm, steps, budget))
+        if not all(low >= bound.value(t) * (1.0 - _TOL) for t, low in enumerate(lows, 1)):
+            _bound_walk(asm, bound, steps, budget)  # again, with parent pointers to name the prefix
     if bound.diverges:
         if bound.kind == CONSTANT:
             return TightnessVerdict.tight(
@@ -488,8 +513,8 @@ def certify_nontight_upper_bound(series: EosHazardSeries, bound: EosBoundFamily)
             detail=(f"hazard <= {bound.describe()}; survival({horizon}) = {survival:.9g} "
                     f"and the tail sum {tail:.3g} cannot recover it"))
     return TightnessVerdict.inconclusive(
-        f"geometric tail after step {horizon} is too large to keep the survival "
-        f"product away from zero")
+        f"upper bound {bound.describe()} leaves a geometric tail after step {horizon} "
+        f"too large to keep the survival product away from zero")
 
 
 # -- Monte Carlo ---------------------------------------------------------

@@ -102,7 +102,7 @@ def test_rnn_conditionals_strictly_positive_and_normalized():
         vec = m.conditional(("a",) * t)
         assert (vec > 0).all()
         assert float(vec.sum()) == pytest.approx(1.0, abs=1e-12)
-        validate_conditional(m, ("a",) * t, tol=1e-9)
+        validate_conditional(m, ("a",) * t)
 
 
 def test_rnn_rejects_unknown_activation():

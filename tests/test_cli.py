@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqtight import (Alphabet, RnnAsm, decide_tight, make_tight_softplus_rnn,
+from seqtight import (Alphabet, EosBoundFamily, RnnAsm, certify_nontight_upper_bound,
+                      decide_tight, eos_hazard_enumerate, fit_geometric_tail,
+                      make_nontight_relu_rnn, make_tight_softplus_rnn,
                       termination_probability, trim, parse_model, mle_ngram, model_digest,
                       write_model)
 from seqtight import cli, sfssm
@@ -426,6 +428,53 @@ def test_degenerate_bound_is_usage_error(capsys, bound):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("flag", ["--bound", "--upper-bound"])
+@pytest.mark.parametrize("bound", ["table:0.1,,0.05", "harmonic:,5", "constant:0.1,"])
+def test_empty_bound_field_is_usage_error(capsys, flag, bound):
+    # the fields after an empty one are not shifted into its place
+    code, out, err = run(capsys, "analyze", "builtin:softplus-rnn", "--horizon", "5",
+                         "--samples", "0", flag, bound)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: invalid bound {bound!r}: could not convert string to float: ''\n"
+
+
+def test_prob_takes_no_seed(capsys):
+    code, _, err = run(capsys, "prob", "builtin:fig1a", "a", "--seed", "1")
+    assert code == 1
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("flag, bound, note", [
+    ("--bound", "table:0.1,0.05",
+     "lower bound table of 2 steps has a convergent or unclassified series; "
+     "it cannot certify tightness"),
+    ("--upper-bound", "harmonic:1,1",
+     "upper bound 1/(t+1) does not have a summable tail; "
+     "only geometric upper bounds certify non-tightness"),
+    ("--upper-bound", "geometric:1,0.9",
+     "upper bound 1*0.9^t leaves a geometric tail after step 5 too large to keep "
+     "the survival product away from zero"),
+])
+def test_inconclusive_bound_is_named_once_in_its_note(capsys, flag, bound, note):
+    code, out, _ = run(capsys, "analyze", "builtin:softplus-rnn", "--horizon", "5",
+                       "--samples", "0", flag, bound, "--format", "machine")
+    assert code == 0
+    assert note in json.loads(out)["notes"]
+
+
+def test_suggested_upper_bound_parses_back_to_the_fit(capsys):
+    code, out, _ = run(capsys, "analyze", "builtin:relu-rnn", "--horizon", "50",
+                       "--samples", "0", "--format", "machine")
+    assert code == 0
+    [hint] = [note for note in json.loads(out)["notes"] if "--upper-bound" in note]
+    spelled = hint.split("--upper-bound ")[1].split()[0]
+    series = eos_hazard_enumerate(make_nontight_relu_rnn(), 50)
+    assert EosBoundFamily.parse(spelled) == fit_geometric_tail(series)
+    leaked = certify_nontight_upper_bound(series, fit_geometric_tail(series)).leaked_mass
+    assert hint.endswith(f"leaked mass >= {leaked:.6g}")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -443,6 +492,8 @@ def test_bad_flag_value_is_usage_error(capsys):
     ("analyze", "builtin:relu-rnn", "--samples", "-3"),
     ("sample", "builtin:fig1a", "--samples", "0"),
     ("sample", "builtin:fig1a", "--max-len", "-1"),
+    ("sample", "builtin:fig1a", "--seed", "-1", "--samples", "10"),
+    ("analyze", "builtin:relu-rnn", "--seed", "-1", "--samples", "10", "--horizon", "5"),
 ], ids=lambda argv: " ".join(argv[2:]) + f" ({argv[0]})")
 def test_out_of_range_integer_flag_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -40,7 +40,7 @@ def test_empty_alphabet_is_allowed_for_degenerate_models():
 def test_validate_conditional_uniform_ok():
     alphabet = Alphabet(("a", "b"))
     asm = FunctionAsm(alphabet, lambda prefix: np.full(3, 1.0 / 3.0))
-    validate_conditional(asm, (), tol=1e-9)
+    validate_conditional(asm, ())
 
 
 def test_validate_conditional_rejects_deficient_mass():
@@ -60,7 +60,7 @@ def test_validate_conditional_reports_negative_entries():
 
 
 def test_validate_conditional_on_bigram_table(fig1a):
-    validate_conditional(sfssm_as_asm(fig1a), ("a",), tol=1e-9)
+    validate_conditional(sfssm_as_asm(fig1a), ("a",))
 
 
 def test_string_probability_on_bigram_table(fig1a):

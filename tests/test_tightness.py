@@ -99,6 +99,16 @@ def test_nan_eos_fails_the_lower_bound_walk():
     assert math.isnan(info.value.observed)
 
 
+def test_nan_eos_behind_a_passing_state_fails_the_lower_bound_walk():
+    # Python's min([0.3, nan]) is 0.3, so a per-step minimum must come from np.min
+    conditionals = {(): [0.4, 0.4, 0.2], ("a",): [0.4, 0.3, 0.3], ("b",): [0.5, 0.5, math.nan]}
+    asm = FunctionAsm(Alphabet(("a", "b")), lambda prefix: conditionals[prefix])
+    with pytest.raises(BoundViolated) as info:
+        certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=asm, horizon=2)
+    assert (info.value.step, info.value.prefix) == (2, ("b",))
+    assert math.isnan(info.value.observed)
+
+
 def test_nan_hazard_is_an_error_not_sure_stopping():
     # max(0, 1 - nan) is 0, so an unchecked NaN hazard reads as survival 0 and CDF 1
     with pytest.raises(InvalidWeight, match="step 1"):
@@ -435,6 +445,70 @@ def test_bound_family_values_and_divergence():
     assert EosBoundFamily.log_harmonic(0.5, 1.0).diverges is True
     assert EosBoundFamily.geometric(0.5, 0.5).diverges is False
     assert EosBoundFamily.table([0.5]).diverges is None
+
+
+@pytest.mark.parametrize("text, family", [
+    ("constant:0.1", EosBoundFamily.constant(0.1)),
+    ("harmonic:2,3", EosBoundFamily.harmonic(2, 3)),
+    ("harmonic:0.5", EosBoundFamily.harmonic(0.5, 1)),
+    ("harmonic", EosBoundFamily.harmonic(1, 1)),
+    ("log-harmonic:0.5,2", EosBoundFamily.log_harmonic(0.5, 2)),
+    ("log-harmonic", EosBoundFamily.log_harmonic(1, 1)),
+    ("geometric:1.95,0.5", EosBoundFamily.geometric(1.95, 0.5)),
+    ("table:0.1", EosBoundFamily.table([0.1])),
+    ("table: 0.1, 0,1", EosBoundFamily.table([0.1, 0.0, 1.0])),
+])
+def test_bound_spelling_parses_to_the_constructed_family(text, family):
+    assert EosBoundFamily.parse(text) == family
+
+
+@pytest.mark.parametrize("text", [
+    "table:0.1,,0.05",     # an empty field does not shift the others
+    "harmonic:,5",
+    "constant:0.1,",
+    "table:",
+    "harmonic:",
+    "geometric:1",         # missing field
+    "constant",
+    "table",
+    "constant:0.1,0.2",    # extra field
+    "harmonic:1,1,7",
+    "constant:x",          # not a number
+    "geometric:0.5,0x1",
+    "constant:inf",
+    "harmonic:1,inf",
+    "constant:nan",
+    "table:0.1,nan",
+    "quadratic:1",         # unknown family
+    "",
+    "Constant:0.1",
+])
+def test_bad_bound_spelling_is_out_of_range(text):
+    with pytest.raises(OutOfRange, match="bound"):
+        EosBoundFamily.parse(text)
+
+
+_UNIT = hst.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.one_of(
+    hst.tuples(hst.just("constant"), hst.tuples(_UNIT)),
+    hst.tuples(hst.just("harmonic"), hst.tuples(_UNIT, hst.floats(1.0, 1e6))),
+    hst.tuples(hst.just("log-harmonic"), hst.tuples(_UNIT, hst.floats(1.0, 1e6))),
+    hst.tuples(hst.just("geometric"), hst.tuples(_UNIT, hst.floats(1e-6, 0.999))),
+    hst.tuples(hst.just("table"), hst.lists(_UNIT, min_size=1, max_size=6).map(tuple)),
+))
+def test_bound_spelling_round_trips(spec):
+    kind, params = spec
+    make = {"constant": EosBoundFamily.constant, "harmonic": EosBoundFamily.harmonic,
+            "log-harmonic": EosBoundFamily.log_harmonic, "geometric": EosBoundFamily.geometric,
+            "table": lambda *values: EosBoundFamily.table(values)}[kind]
+    try:
+        family = make(*params)
+    except OutOfRange:   # e.g. a log-harmonic peak above 1
+        return
+    assert EosBoundFamily.parse(f"{kind}:{','.join(repr(p) for p in params)}") == family
 
 
 # -- Monte Carlo --------------------------------------------------------------------------------
