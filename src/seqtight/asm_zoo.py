@@ -33,11 +33,11 @@ class DeadPrefix(ValueError):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax with max-subtraction so large hidden states cannot overflow."""
+    """Softmax over the last axis; max-subtraction keeps it from overflowing."""
     z = np.asarray(logits, dtype=float)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 _ACTIVATIONS = {
@@ -92,6 +92,8 @@ class RnnAsm(Asm):
             bad = getattr(self, name)[~np.isfinite(getattr(self, name))]
             if bad.size:
                 raise ValueError(f"{name} has a non-finite entry: {float(bad[0])!r}")
+        # input drive W_in @ v[x] of each symbol, computed once
+        object.__setattr__(self, "_drive", np.matvec(self.input_weights, self.input_embedding))
 
     @property
     def hidden_dim(self) -> int:
@@ -100,20 +102,32 @@ class RnnAsm(Asm):
     def initial_state(self):
         return self.initial_hidden
 
+    def _advance(self, recurrent: np.ndarray, symbols) -> np.ndarray:
+        return _ACTIVATIONS[self.activation](self._drive.take(symbols, 0) + recurrent + self.bias)
+
+    # np.matvec makes one gemv call per row, so a row does not depend on the
+    # batch (a gemm's rows do) and the scalar hooks match the batch hooks
     def step(self, state, symbol: Token):
         """One recurrence update of the hidden state, consuming ``symbol``."""
         alphabet = self.alphabet
         idx = alphabet.eos_index if symbol == alphabet.eos else alphabet.index(symbol)
-        pre = (self.input_weights @ self.input_embedding[idx]
-               + self.recurrent_weights @ np.asarray(state, dtype=float) + self.bias)
-        return _ACTIVATIONS[self.activation](pre)
+        return self._advance(np.matvec(self.recurrent_weights, np.asarray(state, dtype=float)), idx)
 
     def state_conditional(self, state) -> np.ndarray:
         """Softmax over output-embedding logits; strictly positive, sums to 1."""
-        return softmax(self.output_embedding @ np.asarray(state, dtype=float))
+        return softmax(np.matvec(self.output_embedding, np.asarray(state, dtype=float)))
 
     def state_key(self, state):
-        return tuple(np.asarray(state).ravel().tolist())
+        # + 0.0 turns -0.0 into 0.0, so the two pool
+        return (np.asarray(state, dtype=float) + 0.0).tobytes()
+
+    def state_conditionals(self, states) -> np.ndarray:
+        return softmax(np.matvec(self.output_embedding, np.asarray(states, dtype=float)))
+
+    def successors(self, states, rows, symbols):
+        recurrent = np.matvec(self.recurrent_weights, np.asarray(states, dtype=float))
+        h = self._advance(recurrent.take(rows, 0), symbols)
+        return h, [row.tobytes() for row in h + 0.0]
 
 
 def _one_symbol_rnn(input_weight: float, activation: str) -> RnnAsm:

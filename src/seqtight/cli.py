@@ -13,7 +13,9 @@ problems, 2 for internal invariant violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import sys
 import traceback
@@ -72,14 +74,15 @@ def _tokens_for(model: Model, text: str) -> tuple[str, ...]:
 
 def _emit(payload: dict, text_lines: list[str], fmt: str, out: str | None) -> None:
     if fmt == "machine":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # written 4096 chunks at a time, so a long series is never held as
+        # all its chunks and then as one string
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
     else:
-        body = "\n".join(text_lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(body)
-    else:
-        sys.stdout.write(body)
+        chunks = iter(["\n".join(text_lines)])
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as handle:
+        while block := "".join(itertools.islice(chunks, 4096)):
+            handle.write(block)
+        handle.write("\n")
 
 
 def _preview(values) -> str:

@@ -152,6 +152,22 @@ class Asm:
         recurring key's conditional and successors are reused, not recomputed."""
         return state
 
+    # -- batch interface, for engines that step a whole frontier ----------
+    # optional: an override must match the scalar hooks bit for bit
+
+    def state_conditionals(self, states) -> np.ndarray:
+        """The conditionals of a batch of carried states, one row each."""
+        return np.array([np.asarray(self.state_conditional(s), dtype=float) for s in states])
+
+    def successors(self, states, rows, symbols) -> tuple[np.ndarray, list]:
+        """The successors of ``states[rows[i]]`` along symbol index
+        ``symbols[i]`` (lists of ints), as a batch that a list of indices
+        selects from, and their :meth:`state_key`."""
+        batch = np.empty(len(rows), dtype=object)
+        for i, (r, j) in enumerate(zip(rows, symbols)):
+            batch[i] = self.step(states[r], self.alphabet.symbols[j])
+        return batch, [self.state_key(s) for s in batch]
+
 
 class FunctionAsm(Asm):
     """ASM defined directly by a prefix -> probability-vector function."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -115,47 +116,33 @@ def _series_from_values(values: list[float], support_exhausted_at: int | None) -
 
 
 class _Entry:
-    """A state key's entry in a walk: its state, conditional (computed once),
-    successor state key by symbol, and its weight and parent pointer."""
+    """A state key's entry in a Monte Carlo walk: its state, sampling
+    distribution (computed once), successor state key by symbol, and the
+    number of runs in it."""
 
-    __slots__ = ("key", "state", "cond", "succ", "weight", "node")
+    __slots__ = ("key", "state", "cond", "succ", "weight")
 
     def __init__(self, asm: Asm, state):
         self.key, self.state, self.cond, self.succ = asm.state_key(state), state, None, None
 
-    def conditional(self, asm: Asm, sampling: bool = False) -> np.ndarray:
-        """The conditional as floats, computed once; for ``sampling``, clipped and normalized."""
+    def conditional(self, asm: Asm) -> np.ndarray:
+        """The conditional clipped at 0 and normalized, computed once."""
         if self.cond is None:
-            cond = np.asarray(asm.state_conditional(self.state), dtype=float)
-            if sampling:
-                cond = np.clip(cond, 0.0, None)
-                cond = cond / cond.sum()
-            self.cond = cond
+            cond = np.clip(np.asarray(asm.state_conditional(self.state), dtype=float), 0.0, None)
+            self.cond = cond / cond.sum()
         return self.cond
 
 
-def _root(asm: Asm, weight) -> dict:
-    """A walk's first frontier; see :func:`_pooled_step`."""
-    entry = _Entry(asm, asm.initial_state())
-    entry.weight, entry.node = weight, None
-    return {entry.key: entry}
-
-
-def _pooled_step(asm: Asm, groups: dict, splits: list, t: int, budget: int,
-                 witness: bool = False) -> dict:
-    """Advance the frontier ``groups`` (state key -> entry) by one symbol;
-    ``splits[i][j]`` is the weight its ``i``-th entry sends along symbol
-    ``j`` (an EOS slot is ignored).  Successors with equal state keys share
-    all future conditionals, so they pool exactly.  Only the frontier holds
-    entries, one per key; an entry keeps the successor key of each symbol it
-    stepped along, so while those stay live it costs only lookups.  With
-    ``witness`` an entry keeps its first arrival's ``(node, symbol)`` parent
-    pointer; otherwise ``node`` is ``None``, so no ancestor chains are held.
-    Raises :class:`InvalidWeight` on a NaN or negative split entry, and
-    :class:`BudgetExceeded` past ``budget`` live entries at step ``t``."""
+def _pooled_step(asm: Asm, groups: dict, splits: list) -> dict:
+    """Advance the Monte Carlo frontier ``groups`` (state key -> entry) by one
+    symbol; ``splits[i][j]`` is the number of runs its ``i``-th entry sends
+    along symbol ``j`` (an EOS slot is ignored).  Successors with equal state
+    keys share all future conditionals, so they pool exactly.  Only the
+    frontier holds entries, one per key; an entry keeps the successor key of
+    each symbol it stepped along, so while those stay live it costs only
+    lookups."""
     grown: dict = {}
-    nodes = [entry.node for entry in groups.values()]  # before a revisited entry is re-pointed
-    for entry, node, split in zip(groups.values(), nodes, splits):
+    for entry, split in zip(groups.values(), splits):
         succ = entry.succ = entry.succ or {}
         for a, w in zip(asm.alphabet.symbols, split):
             if w > 0:
@@ -168,14 +155,9 @@ def _pooled_step(asm: Asm, groups: dict, splits: list, t: int, budget: int,
                 live = grown.get(nxt.key)
                 if live is None:
                     grown[nxt.key] = nxt
-                    nxt.weight, nxt.node = w, (node, a) if witness else None
+                    nxt.weight = w
                 else:
                     live.weight += w
-            elif w != 0:
-                raise InvalidWeight(f"symbol {a!r} got weight {w!r} at step {t - 1}; "
-                                    f"the model's conditional is not a distribution")
-    if len(grown) > budget:
-        raise BudgetExceeded(t, len(grown), budget)
     return grown
 
 
@@ -195,31 +177,66 @@ def _trapped(symbols, eos_idx: int, *frontiers: dict) -> bool:
     return True
 
 
-def _prefix(node) -> Str:
-    """The prefix spelled by following ``(parent, symbol)`` pointers to the root."""
+def _prefix(asm: Asm, parents: list, row: int) -> Str:
+    """The prefix that first reached frontier row ``row``, read back through
+    the per-step ``(parent rows, symbol indices)`` lists ``parents``."""
     symbols = []
-    while node is not None:
-        node, a = node
-        symbols.append(a)
+    for rows, cols in reversed(parents):
+        symbols.append(asm.alphabet.symbols[cols[row]])
+        row = rows[row]
     return tuple(reversed(symbols))
 
 
 def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
-    """Yield the frontier (state key -> entry) of each step ``t = 1..steps``
-    while any state is live.  The caller computes each yielded entry's
-    conditional with ``entry.conditional(asm)``; the walk then sends
-    ``weight * cond`` on through :func:`_pooled_step`, whose ``witness``
-    keeps parent pointers.  The previous frontier is released before the
-    caller sees the next one."""
-    groups = _root(asm, 1.0)
+    """Yield ``(weights, conds, parents)`` for each step ``t = 1..steps``
+    while any state is live: the frontier's states are the rows of a batch,
+    ``weights`` lists their pooled prefix probabilities and ``conds`` their
+    conditionals (one :meth:`Asm.state_conditionals` call).  The (row,
+    symbol) pairs with positive ``weight * cond`` are then stepped in one
+    :meth:`Asm.successors` call, row-major, and pooled by state key in
+    first-arrival order, adding weights in that order.  With ``witness``,
+    ``parents`` gains each step's ``(parent rows, symbol indices)`` of first
+    arrivals, which :func:`_prefix` reads back.  Raises :class:`InvalidWeight`
+    on a NaN or negative weight, :class:`BudgetExceeded` past ``budget`` rows.
+    The pairs are picked in Python: a one-row frontier walked for thousands
+    of steps would pay numpy's per-call cost on each."""
+    states, weights, parents = [asm.initial_state()], [1.0], []
+    symbols = asm.alphabet.symbols
     for t in range(1, steps + 1):
-        yield groups
+        conds = asm.state_conditionals(states)
+        yield weights, conds, parents
         if t == steps:
             return
-        groups = _pooled_step(asm, groups, [(entry.weight * entry.cond).tolist()
-                                            for entry in groups.values()], t + 1, budget, witness)
-        if not groups:
+        rows, cols, sent = [], [], []
+        for i, (weight, cond) in enumerate(zip(weights, conds[:, :len(symbols)].tolist())):
+            for j, p in enumerate(cond):
+                w = weight * p
+                if w > 0:
+                    rows.append(i)
+                    cols.append(j)
+                    sent.append(w)
+                elif w != 0:
+                    raise InvalidWeight(f"symbol {symbols[j]!r} got weight {w!r} at step {t}; "
+                                        f"the model's conditional is not a distribution")
+        if not rows:
             return
+        batch, keys = asm.successors(states, rows, cols)
+        index: dict = {}
+        pooled = [index.setdefault(key, len(index)) for key in keys]
+        if len(index) > budget:
+            raise BudgetExceeded(t + 1, len(index), budget)
+        states, weights = batch, sent
+        if len(index) < len(keys):  # some successors share a state key
+            first, weights = [], []
+            for pos, (k, w) in enumerate(zip(pooled, sent)):
+                if k < len(first):
+                    weights[k] += w
+                else:
+                    first.append(pos)
+                    weights.append(w)
+            states, rows, cols = batch[first], [rows[p] for p in first], [cols[p] for p in first]
+        if witness:
+            parents.append((rows, cols))
 
 
 def eos_hazard_enumerate(asm: Asm, horizon: int,
@@ -232,19 +249,19 @@ def eos_hazard_enumerate(asm: Asm, horizon: int,
     than ``budget`` pooled states are ever live, :class:`BudgetExceeded`
     is raised.  When all prefix mass disappears (the model surely stopped
     earlier) the series ends there and records the step in
-    ``support_exhausted_at``.
+    ``support_exhausted_at``.  Each step makes one batch call for the live
+    states' conditionals and one for their successors (see :func:`_frontiers`).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     eos_idx = asm.alphabet.eos_index
     values: list[float] = []
     min_eos: list[float] = []
-    for groups in _frontiers(asm, horizon, budget):
-        eos = [float(entry.conditional(asm)[eos_idx]) for entry in groups.values()]
-        den = math.fsum(entry.weight for entry in groups.values())
-        num = math.fsum(entry.weight * e for entry, e in zip(groups.values(), eos))
-        values.append(min(max(num / den, 0.0), 1.0))
-        min_eos.append(min(eos))
+    for weights, conds, _ in _frontiers(asm, horizon, budget):
+        eos = conds[:, eos_idx].tolist()
+        num = math.fsum(map(operator.mul, weights, eos))
+        values.append(min(max(num / math.fsum(weights), 0.0), 1.0))
+        min_eos.append(min(eos))  # a NaN here makes the hazard NaN, which raises
     exhausted = len(values) + 1 if len(values) < horizon else None
     return replace(_series_from_values(values, exhausted), min_eos=tuple(min_eos))
 
@@ -434,12 +451,12 @@ def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int) -> Non
     """Raise :class:`BoundViolated` naming the first prefix, in frontier order,
     whose EOS probability is below ``f(t) * (1 - _TOL)`` within ``steps`` steps."""
     eos_idx = asm.alphabet.eos_index
-    for t, groups in enumerate(_frontiers(asm, steps, budget, witness=True), 1):
+    for t, (_, conds, parents) in enumerate(_frontiers(asm, steps, budget, witness=True), 1):
         want = bound.value(t)
-        for entry in groups.values():
-            observed = float(entry.conditional(asm)[eos_idx])
-            if not observed >= want * (1.0 - _TOL):  # NaN fails too
-                raise BoundViolated(t, _prefix(entry.node), observed, want)
+        failed = np.flatnonzero(~(conds[:, eos_idx] >= want * (1.0 - _TOL)))  # NaN fails too
+        if failed.size:
+            row = int(failed[0])
+            raise BoundViolated(t, _prefix(asm, parents, row), float(conds[row, eos_idx]), want)
 
 
 def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
@@ -464,9 +481,8 @@ def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
             lows = lows[:steps]
         else:  # per-step minima (NaN propagates) of a walk that stops at the first failing step
             eos_idx = asm.alphabet.eos_index
-            lows = (np.minimum.reduce([entry.conditional(asm)[eos_idx]
-                                       for entry in groups.values()])
-                    for groups in _frontiers(asm, steps, budget))
+            lows = (np.minimum.reduce(conds[:, eos_idx])
+                    for _, conds, _ in _frontiers(asm, steps, budget))
         if not all(low >= bound.value(t) * (1.0 - _TOL) for t, low in enumerate(lows, 1)):
             _bound_walk(asm, bound, steps, budget)  # again, with parent pointers to name the prefix
     if bound.diverges:
@@ -603,19 +619,21 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     for chunk_index, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
         chunk = min(SAMPLE_CHUNK, samples - start)
         rng = np.random.default_rng([seed, chunk_index])
-        groups, previous = _root(asm, chunk), {}
+        root = _Entry(asm, asm.initial_state())
+        root.weight = chunk
+        groups, previous = {root.key: root}, {}
         for t in range(1, max_len + 1):
             if not groups:
                 break
             splits = []
             for entry in groups.values():
-                draws = rng.multinomial(entry.weight, entry.conditional(asm, sampling=True)).tolist()
+                draws = rng.multinomial(entry.weight, entry.conditional(asm)).tolist()
                 stopped = draws[eos_idx]
                 if stopped:
                     terminated += stopped
                     lengths[t - 1] = lengths.get(t - 1, 0) + stopped
                 splits.append(draws)
-            stepped, groups = groups, _pooled_step(asm, groups, splits, t + 1, chunk)
+            stepped, groups = groups, _pooled_step(asm, groups, splits)
             # every run now live was drawn from ``stepped``, so it is trapped too
             if _trapped(asm.alphabet.symbols, eos_idx, stepped, previous):
                 break

@@ -105,6 +105,13 @@ def test_rnn_conditionals_strictly_positive_and_normalized():
         validate_conditional(m, ("a",) * t)
 
 
+def test_rnn_state_key_ignores_the_sign_of_zero():
+    # hidden states 0.0 and -0.0 have the same future, so they must pool
+    rnn = make_tight_softplus_rnn()
+    assert rnn.state_key(np.array([-0.0])) == rnn.state_key(np.array([0.0]))
+    assert rnn.state_key(np.array([1.0])) != rnn.state_key(np.array([0.0]))
+
+
 def test_rnn_rejects_unknown_activation():
     with pytest.raises(ValueError):
         RnnAsm(alphabet=Alphabet(("a",)),

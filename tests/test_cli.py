@@ -17,8 +17,9 @@ from seqtight import (Alphabet, EosBoundFamily, RnnAsm, certify_nontight_upper_b
                       write_model)
 from seqtight import cli, sfssm
 from seqtight.cli import main
+from seqtight.modelfile import as_asm
 
-from conftest import dense_transitions
+from conftest import CountingAsm, dense_transitions
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -244,6 +245,13 @@ GOLDEN_MACHINE_OUTPUT = [
      "620c5493e1c8f377fe8f5d743e1f84d4f4a1d7188f329c0afddb29d7f776cebb"),
     (("sample", "models/trap.model", "--samples", "3000", "--max-len", "10000", "--seed", "2"),
      "8be61dd849ead2ed9c13f4874d599c3193ce22f0787624f4227ba523d00d596f"),
+    # one-row frontiers for 10,000 steps, as the asm-walk benchmark runs them
+    (("analyze", "builtin:softplus-rnn", "--horizon", "10000", "--bound", "harmonic:1,1",
+      "--seed", "7"),
+     "d37542e5ad124c39e06ff5ce576e15ebfe0af8c3a064fc97af0c5c8a7266d20e"),
+    (("analyze", "builtin:relu-rnn", "--horizon", "10000", "--upper-bound", "geometric:2.7,0.37",
+      "--seed", "7"),
+     "2e6f6b80635e7b6241b1c63ed056514096d9d18034167b986dc9edea9e49c295"),
 ]
 
 
@@ -262,6 +270,33 @@ def test_machine_output_matches_golden_hash(capsys, monkeypatch, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "machine")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def seeded_tanh_model(seed: int, hidden: int = 4) -> RnnAsm:
+    """Two-symbol tanh RNN whose continuous hidden states never pool."""
+    rng = np.random.default_rng(seed)
+    out = rng.normal(size=(3, hidden))
+    return RnnAsm(alphabet=Alphabet(("x", "y")), input_embedding=rng.normal(size=(3, hidden)),
+                  output_embedding=out / np.abs(out).sum(axis=1, keepdims=True),
+                  input_weights=rng.normal(size=(hidden, hidden)),
+                  recurrent_weights=rng.normal(0.0, 0.6, (hidden, hidden)),
+                  bias=rng.normal(0.0, 0.1, hidden), activation="tanh",
+                  initial_hidden=np.zeros(hidden))
+
+
+def test_machine_output_is_the_same_through_the_scalar_hooks(capsys, monkeypatch, tmp_path):
+    # a traced benchmark run wraps each model in a proxy that has only the
+    # scalar hooks, and its output must match the plain run's byte for byte
+    path = tmp_path / "tanh.model"
+    path.write_text(write_model(seeded_tanh_model(5)))
+    argv = ("analyze", str(path), "--horizon", "12", "--format", "machine")
+    code, batched, _ = run(capsys, *argv)
+    assert code == 0
+    proxies = []
+    monkeypatch.setattr(cli, "as_asm",
+                        lambda model: proxies.append(CountingAsm(as_asm(model))) or proxies[-1])
+    assert run(capsys, *argv)[1] == batched
+    assert proxies[0].calls["step"] > 2 ** 11
 
 
 def test_analyze_machine_format_leaky_model(capsys):

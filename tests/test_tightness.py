@@ -370,6 +370,49 @@ def test_lower_bound_walk_memory_stays_flat_as_horizon_grows():
     assert peaks[1] < 2 * peaks[0]
 
 
+# -- batched frontier steps -----------------------------------------------------------
+
+_WEIGHT = hst.floats(-3.0, 3.0)
+
+
+@hst.composite
+def small_rnns(draw) -> RnnAsm:
+    d, k = draw(hst.integers(1, 4)), draw(hst.integers(1, 3))
+
+    def matrix(*shape):
+        return np.array(draw(hst.lists(_WEIGHT, min_size=math.prod(shape),
+                                       max_size=math.prod(shape)))).reshape(shape)
+    return RnnAsm(alphabet=Alphabet(("a", "b", "c")[:k]),
+                  input_embedding=matrix(k + 1, d), output_embedding=matrix(k + 1, d),
+                  input_weights=matrix(d, d), recurrent_weights=matrix(d, d), bias=matrix(d),
+                  activation=draw(hst.sampled_from(["relu", "softplus", "tanh", "sigmoid"])),
+                  initial_hidden=matrix(d))
+
+
+def walk_outcome(asm, horizon, budget, floor):
+    """The enumerated series and the lower-bound check, or how either failed."""
+    try:
+        series = eos_hazard_enumerate(asm, horizon, budget=budget)
+    except BudgetExceeded as exc:
+        return "budget", exc.step, exc.frontier
+    try:
+        certify_tight_lower_bound(EosBoundFamily.constant(floor), asm=asm, horizon=horizon,
+                                  budget=budget)
+    except BoundViolated as exc:
+        return series.values, series.min_eos, series.support_exhausted_at, \
+            (exc.step, exc.prefix, exc.observed)
+    return series.values, series.min_eos, series.support_exhausted_at, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_rnns(), hst.integers(1, 6), hst.integers(1, 60), hst.floats(0.0, 0.6))
+def test_batched_rnn_walk_matches_the_scalar_hooks(asm, horizon, budget, floor):
+    # RnnAsm steps a whole frontier in one kernel call; CountingAsm has only
+    # the scalar hooks, so its walk runs the base class's per-state loop
+    assert walk_outcome(asm, horizon, budget, floor) \
+        == walk_outcome(CountingAsm(asm), horizon, budget, floor)
+
+
 # -- upper-bound certificates -------------------------------------------------------------
 
 def test_geometric_upper_bound_certifies_leak():
