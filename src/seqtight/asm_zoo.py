@@ -129,6 +129,13 @@ class RnnAsm(Asm):
         h = self._advance(recurrent.take(rows, 0), symbols)
         return h, [row.tobytes() for row in h + 0.0]
 
+    def unroll(self, state, symbol, n):
+        chain, h = np.empty((n, self.hidden_dim)), np.asarray(state, dtype=float)
+        drive, act = self._drive[symbol], _ACTIVATIONS[self.activation]
+        for i in range(n):  # the recurrence only; one state_conditionals call covers the chain
+            h = chain[i] = act(drive + np.matvec(self.recurrent_weights, h) + self.bias)
+        return chain
+
 
 def _one_symbol_rnn(input_weight: float, activation: str) -> RnnAsm:
     """Scalar RNN over ``a``: embeddings 1 (``a``) and 0 (EOS), recurrent

@@ -168,6 +168,15 @@ class Asm:
             batch[i] = self.step(states[r], self.alphabet.symbols[j])
         return batch, [self.state_key(s) for s in batch]
 
+    def unroll(self, state, symbol: int, n: int):
+        """The states after ``1..k`` steps from ``state`` along symbol index
+        ``symbol``, as a batch of ``k`` rows with ``1 <= k <= n``; row ``i``
+        must be bit-identical to ``state`` stepped ``i + 1`` times.  A walk
+        may be handed states past its end (its horizon, or the step where its
+        weight died), so override this only where :meth:`step` accepts every
+        symbol from every state.  By default one step, through :meth:`successors`."""
+        return self.successors([state], [0], [symbol])[0]
+
 
 class FunctionAsm(Asm):
     """ASM defined directly by a prefix -> probability-vector function."""

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Asm, OutOfRange, Str, as_prob
+from .core import PROB_SLACK, Asm, OutOfRange, Str, as_prob
 from .sfssm import Sfssm
 from .verdicts import Certificate, TightnessVerdict
 
@@ -40,6 +40,7 @@ _SUM_THRESHOLD = 20.0       # suggests_tight: hazard sum above this
 _SURVIVAL_THRESHOLD = 1e-6  # and survival below this
 _MAX_RATIO = 0.999          # fit_geometric_tail: trailing step-to-step ratios below this
 _MAX_WOBBLE = 1.01          # and largest over smallest ratio at most this
+_CHAIN_CAP = 1024           # _frontiers: most rows asked of one Asm.unroll call
 _UNSTEPPED = object()  # successor key of a symbol an entry has not stepped along
 
 
@@ -194,16 +195,20 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
     conditionals (one :meth:`Asm.state_conditionals` call).  The (row,
     symbol) pairs with positive ``weight * cond`` are then stepped in one
     :meth:`Asm.successors` call, row-major, and pooled by state key in
-    first-arrival order, adding weights in that order.  With ``witness``,
-    ``parents`` gains each step's ``(parent rows, symbol indices)`` of first
-    arrivals, which :func:`_prefix` reads back.  Raises :class:`InvalidWeight`
-    on a NaN or negative weight, :class:`BudgetExceeded` past ``budget`` rows.
-    The pairs are picked in Python: a one-row frontier walked for thousands
-    of steps would pay numpy's per-call cost on each."""
+    first-arrival order, adding weights in that order.  A step with a single
+    pair instead reads the next row of a chain that :meth:`Asm.unroll` built
+    along that symbol, whose conditionals came from one call; each chain
+    along the same symbol is twice as long, up to ``_CHAIN_CAP`` rows.  With
+    ``witness``, ``parents`` gains each step's ``(parent rows, symbol
+    indices)`` of first arrivals, which :func:`_prefix` reads back.  Raises
+    :class:`InvalidWeight` on a NaN or negative weight, :class:`BudgetExceeded`
+    past ``budget`` rows.  The pairs are picked in Python: a one-row frontier
+    walked for thousands of steps would pay numpy's per-call cost on each."""
     states, weights, parents = [asm.initial_state()], [1.0], []
+    conds = asm.state_conditionals(states)
     symbols = asm.alphabet.symbols
+    chain, chain_symbol, used = (), None, 0
     for t in range(1, steps + 1):
-        conds = asm.state_conditionals(states)
         yield weights, conds, parents
         if t == steps:
             return
@@ -220,21 +225,31 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
                                         f"the model's conditional is not a distribution")
         if not rows:
             return
-        batch, keys = asm.successors(states, rows, cols)
-        index: dict = {}
-        pooled = [index.setdefault(key, len(index)) for key in keys]
-        if len(index) > budget:
-            raise BudgetExceeded(t + 1, len(index), budget)
-        states, weights = batch, sent
-        if len(index) < len(keys):  # some successors share a state key
-            first, weights = [], []
-            for pos, (k, w) in enumerate(zip(pooled, sent)):
-                if k < len(first):
-                    weights[k] += w
-                else:
-                    first.append(pos)
-                    weights.append(w)
-            states, rows, cols = batch[first], [rows[p] for p in first], [cols[p] for p in first]
+        if len(rows) == 1 and budget >= 1:
+            if cols[0] != chain_symbol or used == len(chain):
+                n = min(2 * len(chain), _CHAIN_CAP) if cols[0] == chain_symbol else 1
+                chain, chain_symbol, used = asm.unroll(states[rows[0]], cols[0], n), cols[0], 0
+                chain_conds = asm.state_conditionals(chain)
+            states, conds, weights = chain[used:used + 1], chain_conds[used:used + 1], sent
+            used += 1
+        else:
+            chain_symbol = None
+            batch, keys = asm.successors(states, rows, cols)
+            index: dict = {}
+            pooled = [index.setdefault(key, len(index)) for key in keys]
+            if len(index) > budget:
+                raise BudgetExceeded(t + 1, len(index), budget)
+            states, weights = batch, sent
+            if len(index) < len(keys):  # some successors share a state key
+                first, weights = [], []
+                for pos, (k, w) in enumerate(zip(pooled, sent)):
+                    if k < len(first):
+                        weights[k] += w
+                    else:
+                        first.append(pos)
+                        weights.append(w)
+                states, rows, cols = batch[first], [rows[p] for p in first], [cols[p] for p in first]
+            conds = asm.state_conditionals(states)
         if witness:
             parents.append((rows, cols))
 
@@ -250,7 +265,8 @@ def eos_hazard_enumerate(asm: Asm, horizon: int,
     is raised.  When all prefix mass disappears (the model surely stopped
     earlier) the series ends there and records the step in
     ``support_exhausted_at``.  Each step makes one batch call for the live
-    states' conditionals and one for their successors (see :func:`_frontiers`).
+    states' conditionals and one for their successors, or reads both from a
+    chain unrolled along the one symbol it steps (see :func:`_frontiers`).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -298,7 +314,11 @@ def termination_cdf(series: EosHazardSeries) -> tuple[float, ...]:
     Nondecreasing and bounded by 1; converges to the model's termination
     probability as the horizon grows.
     """
-    return tuple(as_prob(1.0 - s) for s in series.survival)
+    cdf = 1.0 - np.asarray(series.survival, dtype=float)
+    outside = ~((cdf >= -PROB_SLACK) & (cdf <= 1.0 + PROB_SLACK))  # NaN is outside
+    if outside.any():
+        as_prob(float(cdf[outside.argmax()]))  # raises OutOfRange, naming the first
+    return tuple(np.clip(cdf, 0.0, 1.0).tolist())
 
 
 # -- bound families ------------------------------------------------------

@@ -1,12 +1,14 @@
 """Shared fixtures: seeded random models and small enumeration helpers."""
 
+import dataclasses
 import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from seqtight import Alphabet, Asm, Sfssm, build_sfssm, useful_states
+from seqtight import Alphabet, Asm, RnnAsm, Sfssm, build_sfssm, useful_states
 from seqtight.modelfile import BUILTINS
 
 SYMBOL_POOL = ("a", "b", "c")
@@ -116,6 +118,42 @@ class CountingAsm(Asm):
 
     def state_key(self, state):
         return self.inner.state_key(state)
+
+
+class CountingRnn(RnnAsm):
+    """An :class:`RnnAsm` that counts its batch hook calls."""
+
+    @classmethod
+    def of(cls, model: RnnAsm) -> "CountingRnn":
+        return cls(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", Counter())
+
+    def state_conditionals(self, states):
+        self.calls["state_conditionals"] += 1
+        return super().state_conditionals(states)
+
+    def successors(self, states, rows, symbols):
+        self.calls["successors"] += 1
+        return super().successors(states, rows, symbols)
+
+    def unroll(self, state, symbol, n):
+        self.calls["unroll"] += 1
+        return super().unroll(state, symbol, n)
+
+
+def seeded_tanh_model(seed: int, hidden: int = 4) -> RnnAsm:
+    """Two-symbol tanh RNN whose continuous hidden states never pool."""
+    rng = np.random.default_rng(seed)
+    out = rng.normal(size=(3, hidden))
+    return RnnAsm(alphabet=Alphabet(("x", "y")), input_embedding=rng.normal(size=(3, hidden)),
+                  output_embedding=out / np.abs(out).sum(axis=1, keepdims=True),
+                  input_weights=rng.normal(size=(hidden, hidden)),
+                  recurrent_weights=rng.normal(0.0, 0.6, (hidden, hidden)),
+                  bias=rng.normal(0.0, 0.1, hidden), activation="tanh",
+                  initial_hidden=np.zeros(hidden))
 
 
 @pytest.fixture(scope="session")

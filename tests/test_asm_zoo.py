@@ -112,6 +112,27 @@ def test_rnn_state_key_ignores_the_sign_of_zero():
     assert rnn.state_key(np.array([1.0])) != rnn.state_key(np.array([0.0]))
 
 
+@pytest.mark.parametrize("activation", ["relu", "softplus", "tanh", "sigmoid"])
+def test_rnn_unroll_rows_are_repeated_steps(activation):
+    rng = np.random.default_rng(3)
+    rnn = RnnAsm(alphabet=Alphabet(("a", "b")), input_embedding=rng.normal(size=(3, 3)),
+                 output_embedding=rng.normal(size=(3, 3)), input_weights=rng.normal(size=(3, 3)),
+                 recurrent_weights=rng.normal(size=(3, 3)), bias=rng.normal(size=3),
+                 activation=activation, initial_hidden=rng.normal(size=3))
+    chain = rnn.unroll(rnn.initial_state(), 1, 40)
+    h = rnn.initial_state()
+    for row in chain:
+        h = rnn.step(h, "b")
+        assert row.tobytes() == h.tobytes()
+    assert np.array_equal(rnn.state_conditionals(chain),
+                          [rnn.state_conditional(row) for row in chain])
+
+
+def test_default_unroll_steps_once():
+    chain = ParityAsm().unroll(3, 0, 50)
+    assert list(chain) == [4]
+
+
 def test_rnn_rejects_unknown_activation():
     with pytest.raises(ValueError):
         RnnAsm(alphabet=Alphabet(("a",)),

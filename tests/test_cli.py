@@ -19,7 +19,7 @@ from seqtight import cli, sfssm
 from seqtight.cli import main
 from seqtight.modelfile import as_asm
 
-from conftest import CountingAsm, dense_transitions
+from conftest import CountingAsm, dense_transitions, seeded_tanh_model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -270,18 +270,6 @@ def test_machine_output_matches_golden_hash(capsys, monkeypatch, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "machine")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-def seeded_tanh_model(seed: int, hidden: int = 4) -> RnnAsm:
-    """Two-symbol tanh RNN whose continuous hidden states never pool."""
-    rng = np.random.default_rng(seed)
-    out = rng.normal(size=(3, hidden))
-    return RnnAsm(alphabet=Alphabet(("x", "y")), input_embedding=rng.normal(size=(3, hidden)),
-                  output_embedding=out / np.abs(out).sum(axis=1, keepdims=True),
-                  input_weights=rng.normal(size=(hidden, hidden)),
-                  recurrent_weights=rng.normal(0.0, 0.6, (hidden, hidden)),
-                  bias=rng.normal(0.0, 0.1, hidden), activation="tanh",
-                  initial_hidden=np.zeros(hidden))
 
 
 def test_machine_output_is_the_same_through_the_scalar_hooks(capsys, monkeypatch, tmp_path):

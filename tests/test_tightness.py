@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from seqtight import (Alphabet, BoundViolated, BudgetExceeded,
+from seqtight import (Alphabet, Asm, BoundViolated, BudgetExceeded,
                       EosBoundFamily, FunctionAsm, InvalidWeight, OutOfRange,
                       ParityAsm, build_sfssm,
                       certify_nontight_upper_bound, certify_tight_lower_bound,
@@ -22,10 +22,11 @@ from seqtight import (Alphabet, BoundViolated, BudgetExceeded,
                       suggests_tight, termination_cdf, termination_probability, trim)
 from seqtight import tightness
 from seqtight.modelfile import BUILTINS, as_asm, load_model
+from seqtight.core import as_prob
 from seqtight.tightness import _series_from_values
 from seqtight.verdicts import Certificate
 
-from conftest import CountingAsm, StableRandomAsm, random_sfssm
+from conftest import CountingAsm, CountingRnn, StableRandomAsm, random_sfssm, seeded_tanh_model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -74,6 +75,9 @@ def test_enumerate_budget_guard():
     asm = StableRandomAsm(Alphabet(("a", "b", "c")), seed=5)
     with pytest.raises(BudgetExceeded):
         eos_hazard_enumerate(asm, horizon=12, budget=50)
+    with pytest.raises(BudgetExceeded) as info:  # a one-symbol chain's single state counts too
+        eos_hazard_enumerate(make_tight_softplus_rnn(), horizon=5, budget=0)
+    assert (info.value.step, info.value.frontier) == (2, 1)
 
 
 @pytest.mark.parametrize("conditional", [[math.nan, 0.6, 0.4], [-0.1, 0.7, 0.4]])
@@ -200,6 +204,20 @@ def test_cdf_of_bigram_adapter_reaches_leak_limit(fig1a):
     series = eos_hazard_enumerate(sfssm_as_asm(fig1a), 60)
     cdf = termination_cdf(series)
     assert cdf[-1] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+def test_cdf_clamps_and_rejects_like_as_prob():
+    survival = (1.0, 0.75, 1.0 + 5e-13, -5e-13, 0.1 + 0.2)
+    series = tightness.EosHazardSeries(values=(), partial_sums=(), survival=survival)
+    assert termination_cdf(series) == tuple(as_prob(1.0 - s) for s in survival)
+    bad = replace(series, survival=(0.5, 1.5, math.nan, -1.0))
+    with pytest.raises(OutOfRange) as info:
+        termination_cdf(bad)
+    with pytest.raises(OutOfRange) as expected:
+        as_prob(1.0 - 1.5)
+    assert str(info.value) == str(expected.value)
+    with pytest.raises(OutOfRange, match="nan"):
+        termination_cdf(replace(series, survival=(0.5, math.nan)))
 
 
 def test_cdf_monotone_surviving_horizons(fig1b):
@@ -395,6 +413,8 @@ def walk_outcome(asm, horizon, budget, floor):
         series = eos_hazard_enumerate(asm, horizon, budget=budget)
     except BudgetExceeded as exc:
         return "budget", exc.step, exc.frontier
+    except InvalidWeight as exc:
+        return "invalid", str(exc)
     try:
         certify_tight_lower_bound(EosBoundFamily.constant(floor), asm=asm, horizon=horizon,
                                   budget=budget)
@@ -404,13 +424,114 @@ def walk_outcome(asm, horizon, budget, floor):
     return series.values, series.min_eos, series.support_exhausted_at, None
 
 
+# P(a) = 1/(e^10 + 1) at every step: the weight underflows to 0 at step 75,
+# inside the unrolled chain of steps 65..128, so support runs out at 76
+_UNDERFLOWING_RNN = RnnAsm(alphabet=Alphabet(("a",)), input_embedding=np.zeros((2, 1)),
+                           output_embedding=np.array([[-10.0], [0.0]]),
+                           input_weights=np.zeros((1, 1)), recurrent_weights=np.zeros((1, 1)),
+                           bias=np.ones(1), activation="relu", initial_hidden=np.ones(1))
+# h' = relu(10 h + 1) overflows to inf, whose softmax is NaN at step 311
+_OVERFLOWING_RNN = replace(make_nontight_relu_rnn(), recurrent_weights=np.array([[10.0]]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_rnns(), hst.integers(1, 6), hst.integers(1, 60), hst.floats(0.0, 0.6))
+@example(_UNDERFLOWING_RNN, 200, 1, 0.0)
+@example(_OVERFLOWING_RNN, 400, 1, 0.0)
+@example(make_tight_softplus_rnn(), 5, 0, 0.0)
+@example(make_tight_softplus_rnn(), 4000, 1, 0.0003)  # fails at step 3333
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_batched_rnn_walk_matches_the_scalar_hooks(asm, horizon, budget, floor):
-    # RnnAsm steps a whole frontier in one kernel call; CountingAsm has only
-    # the scalar hooks, so its walk runs the base class's per-state loop
+    # RnnAsm steps a whole frontier in one kernel call, and unrolls a run of
+    # one-symbol steps in batches; CountingAsm has only the scalar hooks, so
+    # its walk runs the base class's per-state loop, one step per unroll
     assert walk_outcome(asm, horizon, budget, floor) \
         == walk_outcome(CountingAsm(asm), horizon, budget, floor)
+
+
+class TableAsm(Asm):
+    """A deterministic automaton over ints: ``step`` follows ``table`` and
+    each state has a fixed conditional, zeros allowed.  With ``chain``, it
+    unrolls up to ``chain`` steps per call through its own override."""
+
+    def __init__(self, table, conds, chain=0):
+        self.alphabet = Alphabet(("a", "b")[:len(table[0])])
+        self.table, self.conds, self.chain = table, conds, chain
+
+    def initial_state(self):
+        return 0
+
+    def step(self, state, symbol):
+        return self.table[state][self.alphabet.index(symbol)]
+
+    def state_conditional(self, state):
+        return self.conds[state]
+
+    def unroll(self, state, symbol, n):
+        if not self.chain:
+            return super().unroll(state, symbol, n)
+        chain = np.empty(min(n, self.chain), dtype=object)
+        for i in range(len(chain)):
+            chain[i] = state = self.table[state][symbol]
+        return chain
+
+
+@hst.composite
+def table_asms(draw) -> tuple:
+    q, k = draw(hst.integers(1, 5)), draw(hst.integers(1, 2))
+    table = [[draw(hst.integers(0, q - 1)) for _ in range(k)] for _ in range(q)]
+    masses = hst.lists(hst.sampled_from([0.0, 0.0, 1.0, 3.0]), min_size=k + 1, max_size=k + 1)
+    conds = [np.array(w) / sum(w) for w in (draw(masses.filter(any)) for _ in range(q))]
+    return table, conds
+
+
+_SPLIT, _A, _A_OR_STOP, _STOP = [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_asms(), hst.integers(1, 4), hst.integers(1, 30), hst.integers(0, 4),
+       hst.floats(0.0, 0.6))
+# the one pair of step 2 leaves row 1 (state 2), not row 0
+@example(([[1, 2], [4, 4], [3, 3], [3, 3], [4, 4]], [_SPLIT, _STOP, _A, _A_OR_STOP, _STOP]),
+         4, 6, 4, 0.0)
+# a chain along a is cut by a branch at state 2; the single a that follows
+# must step from state 3, not read the cut chain's next row
+@example(([[1, 1], [2, 2], [3, 3], [4, 4], [4, 4]], [_A, _A, _SPLIT, _A_OR_STOP, _STOP]),
+         4, 6, 4, 0.0)
+def test_unrolled_chains_match_single_steps(spec, chain, horizon, budget, floor):
+    # single-symbol runs that switch symbol, branch and come back, through an
+    # unroll that may return fewer rows than asked, against one step per call
+    # and against the finite-state engine, which walks no frontier
+    unrolled = walk_outcome(TableAsm(*spec, chain=chain), horizon, budget, floor)
+    assert unrolled == walk_outcome(TableAsm(*spec), horizon, budget, floor)
+    table, conds = spec
+    symbols = ("a", "b")[:len(table[0])]
+    trans = {a: np.zeros((len(table), len(table))) for a in symbols}
+    for state, row in enumerate(table):
+        for j, nxt in enumerate(row):
+            trans[symbols[j]][state, nxt] += conds[state][j]
+    init = np.eye(len(table))[0]
+    fsa = eos_hazard_fsa(build_sfssm(Alphabet(symbols), trans, init, [c[-1] for c in conds]),
+                         horizon)
+    if unrolled[0] != "budget":
+        assert unrolled[0] == pytest.approx(fsa.values, abs=1e-12)
+        assert unrolled[2] == fsa.support_exhausted_at
+
+
+def test_one_symbol_walk_unrolls_in_doubling_batches():
+    asm = CountingRnn.of(make_tight_softplus_rnn())
+    eos_hazard_enumerate(asm, 10_000)  # stepped one state at a time: 10,000 and 9,999 calls
+    assert asm.calls["state_conditionals"] <= 25
+    assert asm.calls["successors"] == 0
+
+
+def test_branching_walks_keep_their_model_calls():
+    tanh = CountingRnn.of(seeded_tanh_model(5))
+    eos_hazard_enumerate(tanh, 14)
+    assert tanh.calls == {"state_conditionals": 14, "successors": 13}
+    parity = CountingAsm(ParityAsm())
+    eos_hazard_enumerate(parity, 16)
+    assert parity.calls == {"state_conditional": 16, "step": 30}
 
 
 # -- upper-bound certificates -------------------------------------------------------------
