@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import itertools
 import json
 import sys
 import traceback
@@ -72,16 +71,39 @@ def _tokens_for(model: Model, text: str) -> tuple[str, ...]:
     return alphabet.check_string(tokens)  # raises UnknownSymbol
 
 
-def _emit(payload: dict, text_lines: list[str], fmt: str, out: str | None) -> None:
-    if fmt == "machine":
-        # written 4096 chunks at a time, so a long series is never held as
-        # all its chunks and then as one string
-        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+def _write_json(write, value, indent: str = "") -> None:
+    """Write ``value`` as ``json.JSONEncoder(sort_keys=True, indent=2)`` would,
+    or raise TypeError at a key that is not a str.  A list holding no list or
+    dict goes through the C encoder 4096 items at a time; the rest recurses."""
+    inner = indent + "  "
+    if not value or not isinstance(value, (dict, list, tuple)):
+        write(json.dumps(value))
+    elif isinstance(value, dict):
+        for n, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(f"{',' if n else '{'}\n{inner}{json.dumps(key)}: ")
+            _write_json(write, value[key], inner)
+        write(f"\n{indent}}}")
+    elif any(isinstance(item, (dict, list, tuple)) for item in value):
+        for n, item in enumerate(value):
+            write(f"{',' if n else '['}\n{inner}")
+            _write_json(write, item, inner)
+        write(f"\n{indent}]")
     else:
-        chunks = iter(["\n".join(text_lines)])
+        sep = ",\n" + inner
+        for start in range(0, len(value), 4096):
+            write(sep if start else "[\n" + inner)
+            write(json.dumps(value[start:start + 4096], separators=(sep, ": "))[1:-1])
+        write(f"\n{indent}]")
+
+
+def _emit(payload: dict, text_lines: list[str], fmt: str, out: str | None) -> None:
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as handle:
-        while block := "".join(itertools.islice(chunks, 4096)):
-            handle.write(block)
+        if fmt == "machine":
+            _write_json(handle.write, payload)
+        else:
+            handle.write("\n".join(text_lines))
         handle.write("\n")
 
 

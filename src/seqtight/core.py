@@ -172,9 +172,9 @@ class Asm:
         """The states after ``1..k`` steps from ``state`` along symbol index
         ``symbol``, as a batch of ``k`` rows with ``1 <= k <= n``; row ``i``
         must be bit-identical to ``state`` stepped ``i + 1`` times.  A walk
-        may be handed states past its end (its horizon, or the step where its
-        weight died), so override this only where :meth:`step` accepts every
-        symbol from every state.  By default one step, through :meth:`successors`."""
+        may be handed states past its end (its horizon, or where its weight
+        died or its runs stopped), so override this only where :meth:`step`
+        accepts every symbol from every state.  By default one step, through :meth:`successors`."""
         return self.successors([state], [0], [symbol])[0]
 
 

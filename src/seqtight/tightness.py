@@ -40,7 +40,7 @@ _SUM_THRESHOLD = 20.0       # suggests_tight: hazard sum above this
 _SURVIVAL_THRESHOLD = 1e-6  # and survival below this
 _MAX_RATIO = 0.999          # fit_geometric_tail: trailing step-to-step ratios below this
 _MAX_WOBBLE = 1.01          # and largest over smallest ratio at most this
-_CHAIN_CAP = 1024           # _frontiers: most rows asked of one Asm.unroll call
+_CHAIN_CAP = 1024           # _Chains: most rows asked of one Asm.unroll call
 _UNSTEPPED = object()  # successor key of a symbol an entry has not stepped along
 
 
@@ -123,8 +123,8 @@ class _Entry:
 
     __slots__ = ("key", "state", "cond", "succ", "weight")
 
-    def __init__(self, asm: Asm, state):
-        self.key, self.state, self.cond, self.succ = asm.state_key(state), state, None, None
+    def __init__(self, asm: Asm, state, cond=None):
+        self.key, self.state, self.cond, self.succ = asm.state_key(state), state, cond, None
 
     def conditional(self, asm: Asm) -> np.ndarray:
         """The conditional clipped at 0 and normalized, computed once."""
@@ -134,31 +134,59 @@ class _Entry:
         return self.cond
 
 
-def _pooled_step(asm: Asm, groups: dict, splits: list) -> dict:
+class _Chains:
+    """Chains of states that :meth:`Asm.unroll` built along one symbol, with
+    their conditionals (clipped at 0 and normalized, for ``sampling``)."""
+
+    def __init__(self, asm: Asm, sampling: bool = False):
+        self.asm, self.sampling, self.last, self.states = asm, sampling, _UNSTEPPED, []
+
+    def take(self, state, symbol: int, n: int) -> tuple[list, np.ndarray]:
+        """The next ``1..n`` states along symbol index ``symbol`` from ``state``
+        and their conditionals, going on from the last state handed out.  A new
+        chain has one row, or twice the last if that ran out along ``symbol``."""
+        grow = state is self.last and symbol == self.symbol
+        if not grow or self.used == len(self.states):
+            batch = self.asm.unroll(state, symbol, min(2 * len(self.states), _CHAIN_CAP) if grow else 1)
+            conds = self.asm.state_conditionals(batch)
+            if self.sampling:
+                conds = np.clip(np.asarray(conds, dtype=float), 0.0, None)
+                conds /= conds.sum(axis=1, keepdims=True)
+            self.states, self.conds, self.symbol, self.used = list(batch), conds, symbol, 0
+        start, self.used = self.used, min(self.used + n, len(self.states))
+        self.last = self.states[self.used - 1]
+        return self.states[start:self.used], self.conds[start:self.used]
+
+
+def _pooled_step(asm: Asm, groups: dict, splits: list, chains: _Chains | None) -> dict:
     """Advance the Monte Carlo frontier ``groups`` (state key -> entry) by one
     symbol; ``splits[i][j]`` is the number of runs its ``i``-th entry sends
-    along symbol ``j`` (an EOS slot is ignored).  Successors with equal state
-    keys share all future conditionals, so they pool exactly.  Only the
-    frontier holds entries, one per key; an entry keeps the successor key of
-    each symbol it stepped along, so while those stay live it costs only
-    lookups."""
+    along symbol ``j``, EOS last.  Successors with equal state keys share all
+    future conditionals, so they pool exactly.  Only the frontier holds
+    entries, one per key, each caching its successor key by symbol.  With
+    ``chains``, a lone entry whose runs all go on along one new symbol reads them."""
     grown: dict = {}
     for entry, split in zip(groups.values(), splits):
         succ = entry.succ = entry.succ or {}
         for a, w in zip(asm.alphabet.symbols, split):
-            if w > 0:
-                key = succ.get(a, _UNSTEPPED)
-                nxt = grown.get(key) or groups.get(key)
-                if nxt is None:
-                    nxt = _Entry(asm, asm.step(entry.state, a))
-                    nxt = grown.get(nxt.key) or groups.get(nxt.key) or nxt
-                    succ[a] = nxt.key
-                live = grown.get(nxt.key)
-                if live is None:
-                    grown[nxt.key] = nxt
-                    nxt.weight = w
+            if w <= 0:  # first and short: most symbols of a large alphabet get no runs
+                continue
+            key = succ.get(a, _UNSTEPPED)
+            nxt = grown.get(key) or groups.get(key)
+            if nxt is None:
+                if chains and len(groups) == 1 and w == entry.weight - split[-1]:  # all along a
+                    states, conds = chains.take(entry.state, asm.alphabet.index(a), 1)
+                    nxt = _Entry(asm, states[0], conds[0])
                 else:
-                    live.weight += w
+                    nxt = _Entry(asm, asm.step(entry.state, a))
+                nxt = grown.get(nxt.key) or groups.get(nxt.key) or nxt
+                succ[a] = nxt.key
+            live = grown.get(nxt.key)
+            if live is None:
+                grown[nxt.key] = nxt
+                nxt.weight = w
+            else:
+                live.weight += w
     return grown
 
 
@@ -189,29 +217,31 @@ def _prefix(asm: Asm, parents: list, row: int) -> Str:
 
 
 def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
-    """Yield ``(weights, conds, parents)`` for each step ``t = 1..steps``
-    while any state is live: the frontier's states are the rows of a batch,
-    ``weights`` lists their pooled prefix probabilities and ``conds`` their
-    conditionals (one :meth:`Asm.state_conditionals` call).  The (row,
-    symbol) pairs with positive ``weight * cond`` are then stepped in one
+    """Yield ``(span, weights, conds, parents)`` blocks for steps ``1..steps``
+    while any state is live.  A one-step block (``span`` is ``range(t, t +
+    1)``) holds the frontier: its states' pooled prefix probabilities and
+    their conditionals (one :meth:`Asm.state_conditionals` call).  Its (row,
+    symbol) pairs with positive ``weight * cond`` are stepped in one
     :meth:`Asm.successors` call, row-major, and pooled by state key in
-    first-arrival order, adding weights in that order.  A step with a single
-    pair instead reads the next row of a chain that :meth:`Asm.unroll` built
-    along that symbol, whose conditionals came from one call; each chain
-    along the same symbol is twice as long, up to ``_CHAIN_CAP`` rows.  With
+    first-arrival order, adding weights in that order.  A single pair starts
+    a stretch read from :class:`_Chains` instead: one row per step of
+    ``span``, ``weights`` an array, up to the first row that branches,
+    switches symbol or sends a zero, NaN or negative weight.  With
     ``witness``, ``parents`` gains each step's ``(parent rows, symbol
-    indices)`` of first arrivals, which :func:`_prefix` reads back.  Raises
+    indices)`` of first arrivals, for :func:`_prefix`.  Raises
     :class:`InvalidWeight` on a NaN or negative weight, :class:`BudgetExceeded`
-    past ``budget`` rows.  The pairs are picked in Python: a one-row frontier
-    walked for thousands of steps would pay numpy's per-call cost on each."""
+    past ``budget`` rows."""
     states, weights, parents = [asm.initial_state()], [1.0], []
     conds = asm.state_conditionals(states)
     symbols = asm.alphabet.symbols
-    chain, chain_symbol, used = (), None, 0
-    for t in range(1, steps + 1):
-        yield weights, conds, parents
+    chains, span = _Chains(asm), range(1, 2)
+    while True:
+        yield span, weights, conds, parents
+        t = span[-1]
         if t == steps:
             return
+        if isinstance(weights, np.ndarray):  # a stretch, whose last row is the frontier
+            states, weights, conds = states[-1:], weights[-1:].tolist(), conds[-1:]
         rows, cols, sent = [], [], []
         for i, (weight, cond) in enumerate(zip(weights, conds[:, :len(symbols)].tolist())):
             for j, p in enumerate(cond):
@@ -226,20 +256,19 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
         if not rows:
             return
         if len(rows) == 1 and budget >= 1:
-            if cols[0] != chain_symbol or used == len(chain):
-                n = min(2 * len(chain), _CHAIN_CAP) if cols[0] == chain_symbol else 1
-                chain, chain_symbol, used = asm.unroll(states[rows[0]], cols[0], n), cols[0], 0
-                chain_conds = asm.state_conditionals(chain)
-            states, conds, weights = chain[used:used + 1], chain_conds[used:used + 1], sent
-            used += 1
+            states, conds = chains.take(states[rows[0]], j := cols[0], steps - t)
+            weights = np.multiply.accumulate(np.append(sent, conds[:-1, j]))
+            moved = weights[:-1, None] * conds[:-1, :len(symbols)]
+            go_on = (moved[:, j] > 0) & ((moved == 0).sum(axis=1) == len(symbols) - 1)
+            k = int(np.argmin(np.append(go_on, False))) + 1  # up to the first row that stops
+            states, weights, conds, span = states[:k], weights[:k], conds[:k], range(t + 1, t + 1 + k)
         else:
-            chain_symbol = None
             batch, keys = asm.successors(states, rows, cols)
             index: dict = {}
             pooled = [index.setdefault(key, len(index)) for key in keys]
             if len(index) > budget:
                 raise BudgetExceeded(t + 1, len(index), budget)
-            states, weights = batch, sent
+            states, weights, span = batch, sent, range(t + 1, t + 2)
             if len(index) < len(keys):  # some successors share a state key
                 first, weights = [], []
                 for pos, (k, w) in enumerate(zip(pooled, sent)):
@@ -250,8 +279,8 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
                         weights.append(w)
                 states, rows, cols = batch[first], [rows[p] for p in first], [cols[p] for p in first]
             conds = asm.state_conditionals(states)
-        if witness:
-            parents.append((rows, cols))
+        if witness:  # a stretch's later steps each come from row 0
+            parents += [(rows, cols)] + [([0], cols)] * (len(span) - 1)
 
 
 def eos_hazard_enumerate(asm: Asm, horizon: int,
@@ -265,19 +294,22 @@ def eos_hazard_enumerate(asm: Asm, horizon: int,
     is raised.  When all prefix mass disappears (the model surely stopped
     earlier) the series ends there and records the step in
     ``support_exhausted_at``.  Each step makes one batch call for the live
-    states' conditionals and one for their successors, or reads both from a
-    chain unrolled along the one symbol it steps (see :func:`_frontiers`).
+    states' conditionals and one for their successors; a stretch of one-row
+    steps is read from chains and weighed as one array (see :func:`_frontiers`).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     eos_idx = asm.alphabet.eos_index
     values: list[float] = []
     min_eos: list[float] = []
-    for weights, conds, _ in _frontiers(asm, horizon, budget):
-        eos = conds[:, eos_idx].tolist()
-        num = math.fsum(map(operator.mul, weights, eos))
-        values.append(min(max(num / math.fsum(weights), 0.0), 1.0))
-        min_eos.append(min(eos))  # a NaN here makes the hazard NaN, which raises
+    for span, weights, conds, _ in _frontiers(asm, horizon, budget):
+        eos = conds[:, eos_idx]
+        if len(span) == 1:
+            num = math.fsum(map(operator.mul, weights, eos.tolist()))
+            values.append(min(max(num / math.fsum(weights), 0.0), 1.0))
+        else:  # one row per step, whose one-term sums are exact
+            values += np.minimum(np.maximum(weights * eos / weights, 0.0), 1.0).tolist()
+        min_eos += eos.reshape(len(span), -1).min(axis=1).tolist()  # with NaN, the hazard raises
     exhausted = len(values) + 1 if len(values) < horizon else None
     return replace(_series_from_values(values, exhausted), min_eos=tuple(min_eos))
 
@@ -469,14 +501,14 @@ class EosBoundFamily:
 
 def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int) -> None:
     """Raise :class:`BoundViolated` naming the first prefix, in frontier order,
-    whose EOS probability is below ``f(t) * (1 - _TOL)`` within ``steps`` steps."""
+    whose EOS probability is NaN or below ``f(t) * (1 - _TOL)`` within ``steps`` steps."""
     eos_idx = asm.alphabet.eos_index
-    for t, (_, conds, parents) in enumerate(_frontiers(asm, steps, budget, witness=True), 1):
-        want = bound.value(t)
-        failed = np.flatnonzero(~(conds[:, eos_idx] >= want * (1.0 - _TOL)))  # NaN fails too
+    for span, _, conds, parents in _frontiers(asm, steps, budget, witness=True):
+        failed = np.flatnonzero(~(conds[:, eos_idx] >= [bound.value(t) * (1.0 - _TOL) for t in span]))
         if failed.size:
-            row = int(failed[0])
-            raise BoundViolated(t, _prefix(asm, parents, row), float(conds[row, eos_idx]), want)
+            i, row = divmod(int(failed[0]), len(conds) // len(span))
+            raise BoundViolated(span[i], _prefix(asm, parents[:span[i] - 1], row),
+                                float(conds[failed[0], eos_idx]), bound.value(span[i]))
 
 
 def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
@@ -499,10 +531,10 @@ def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
         lows = None if series is None else series.min_eos
         if lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None):
             lows = lows[:steps]
-        else:  # per-step minima (NaN propagates) of a walk that stops at the first failing step
+        else:  # per-step minima (NaN propagates) of a walk that stops at the first failing block
             eos_idx = asm.alphabet.eos_index
-            lows = (np.minimum.reduce(conds[:, eos_idx])
-                    for _, conds, _ in _frontiers(asm, steps, budget))
+            lows = (low for span, _, conds, _ in _frontiers(asm, steps, budget)
+                    for low in conds[:, eos_idx].reshape(len(span), -1).min(axis=1).tolist())
         if not all(low >= bound.value(t) * (1.0 - _TOL) for t, low in enumerate(lows, 1)):
             _bound_walk(asm, bound, steps, budget)  # again, with parent pointers to name the prefix
     if bound.diverges:
@@ -610,29 +642,25 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
                             seed: int = 0) -> TerminationEstimate:
     """Estimate termination behaviour by seeded ancestral sampling.
 
-    Samples are processed in fixed-size chunks of ``SAMPLE_CHUNK``, each
-    driven by its own generator substream derived from ``(seed, chunk)``;
-    chunks are independent and merged in index order, so a parallel run
-    distributing chunks over workers reproduces the serial result exactly.
-    Within a chunk, runs sharing the same model state are pooled and
-    advanced with one multinomial draw per state, which keeps sampling
-    cheap even for huge sample counts; a recurring state's sampling
-    distribution and successors are reused, not recomputed at each step.
+    Samples run in chunks of ``SAMPLE_CHUNK``, each drawn from its own
+    generator substream ``(seed, chunk)`` and merged in index order.  Within
+    a chunk, runs in states with equal :meth:`Asm.state_key` are pooled and
+    advanced by one multinomial draw per state, whose sampling distribution
+    and successors are computed once.  On a model that overrides
+    :meth:`Asm.unroll`, a lone state whose runs all go on along one symbol
+    reads its successor from the chains :func:`_frontiers` reads.
 
-    Sampling a chunk stops once every live run sits in a closed set of
-    states with zero EOS probability: no such run can stop, so the rest
-    are counted as truncated without drawing them to ``max_len``, and the
-    result is the same as if they had been.  A leaking model's cost thus
-    stops growing with ``max_len``.  The closed set is sought in the union
-    of the last two frontiers, so a trap whose live states alternate (a
-    two-state cycle) is caught; one whose live states cycle with period 3
-    or more is still walked to ``max_len``.
+    A chunk stops once every live run sits in a closed set of states with
+    EOS probability 0, sought in the union of the last two frontiers: those
+    runs count as truncated, as at ``max_len``.  A trap whose live states
+    cycle with period 3 or more is still walked to ``max_len``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     eos_idx = asm.alphabet.eos_index
+    chains = _Chains(asm, sampling=True) if type(asm).unroll is not Asm.unroll else None
     terminated = 0
     truncated = 0
     lengths: dict[int, int] = {}
@@ -653,7 +681,7 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
                     terminated += stopped
                     lengths[t - 1] = lengths.get(t - 1, 0) + stopped
                 splits.append(draws)
-            stepped, groups = groups, _pooled_step(asm, groups, splits)
+            stepped, groups = groups, _pooled_step(asm, groups, splits, chains)
             # every run now live was drawn from ``stepped``, so it is trapped too
             if _trapped(asm.alphabet.symbols, eos_idx, stepped, previous):
                 break
@@ -739,7 +767,7 @@ def fit_geometric_tail(series: EosHazardSeries) -> EosBoundFamily | None:
     if max(ratios) > min(ratios) * _MAX_WOBBLE:
         return None
     r = max(ratios)
-    c = max(v / r ** (i + 1) for i, v in enumerate(vals))
+    c = max(v / p if (p := r ** (i + 1)) else math.inf for i, v in enumerate(vals))  # p can underflow
     if c * r > 1.0:
         return None
     return EosBoundFamily.geometric(c, r)

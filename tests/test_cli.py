@@ -1,14 +1,19 @@
 """Command-line behaviour: reports, determinism, exit codes."""
 
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from seqtight import (Alphabet, EosBoundFamily, RnnAsm, certify_nontight_upper_bound,
                       decide_tight, eos_hazard_enumerate, fit_geometric_tail,
@@ -252,6 +257,10 @@ GOLDEN_MACHINE_OUTPUT = [
     (("analyze", "builtin:relu-rnn", "--horizon", "10000", "--upper-bound", "geometric:2.7,0.37",
       "--seed", "7"),
      "2e6f6b80635e7b6241b1c63ed056514096d9d18034167b986dc9edea9e49c295"),
+    # one live state per step for 2,000 steps, read from chains of up to 1,024
+    # rows; EOS is exactly 0 from about step 746 on
+    (("sample", "builtin:relu-rnn", "--samples", "10000", "--max-len", "2000", "--seed", "7"),
+     "c68a0cb9c75f5bd5e81cb1dfe20894ccb581a944704ddaf6c3b8cbb4f01a7c96"),
 ]
 
 
@@ -285,6 +294,41 @@ def test_machine_output_is_the_same_through_the_scalar_hooks(capsys, monkeypatch
                         lambda model: proxies.append(CountingAsm(as_asm(model))) or proxies[-1])
     assert run(capsys, *argv)[1] == batched
     assert proxies[0].calls["step"] > 2 ** 11
+
+
+_JSON_SCALARS = (hst.none() | hst.booleans() | hst.integers(-2**70, 2**70)
+                 | hst.floats(allow_nan=True, allow_infinity=True) | hst.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.recursive(_JSON_SCALARS, lambda inner: hst.lists(inner, max_size=5)
+                     | hst.tuples(inner, inner) | hst.dictionaries(hst.text(max_size=4), inner,
+                                                                  max_size=4),
+                     max_leaves=30))
+@example({"b": [0.5, -0.0, math.nan, math.inf, -math.inf], "a": {}, "": [[], {}, [1, [2]]]})
+@example(list(range(10_000)))  # more than one slice through the C encoder
+def test_machine_writer_matches_the_indenting_encoder(value):
+    out = io.StringIO()
+    cli._write_json(out.write, value)
+    assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("key", [1, 0.5, True, None])
+def test_machine_writer_rejects_a_key_that_is_not_a_str(key):
+    # the indenting encoder would quote it; written as it is, it would not be JSON
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._write_json(io.StringIO().write, {"a": 1, "b": {key: 2}})
+
+
+def test_machine_writer_memory_stays_flat_for_a_long_list(tmp_path):
+    values = [i / 8 for i in range(10**6)]
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    cli._emit({"values": values}, [], "machine", str(path))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert path.stat().st_size > 10**7
+    assert peak < path.stat().st_size / 10
 
 
 def test_analyze_machine_format_leaky_model(capsys):

@@ -476,6 +476,12 @@ class TableAsm(Asm):
         return chain
 
 
+class SteppedTableAsm(TableAsm):
+    """A :class:`TableAsm` without an ``unroll`` override."""
+
+    unroll = Asm.unroll
+
+
 @hst.composite
 def table_asms(draw) -> tuple:
     q, k = draw(hst.integers(1, 5)), draw(hst.integers(1, 2))
@@ -486,6 +492,7 @@ def table_asms(draw) -> tuple:
 
 
 _SPLIT, _A, _A_OR_STOP, _STOP = [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]
+_B = [0.0, 1.0, 0.0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -497,6 +504,12 @@ _SPLIT, _A, _A_OR_STOP, _STOP = [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5
 # a chain along a is cut by a branch at state 2; the single a that follows
 # must step from state 3, not read the cut chain's next row
 @example(([[1, 1], [2, 2], [3, 3], [4, 4], [4, 4]], [_A, _A, _SPLIT, _A_OR_STOP, _STOP]),
+         4, 6, 4, 0.0)
+# the chain 2, 3 along a is cut by state 2's branch to 3 and 4: step 4 has both
+@example(([[1, 1], [2, 2], [3, 4], [3, 3], [4, 4]], [_A, _A, _SPLIT, _A_OR_STOP, _STOP]),
+         4, 6, 4, 0.0)
+# ... and by state 2's switch to b, which leads to 4, not 3
+@example(([[1, 1], [2, 2], [3, 4], [3, 3], [4, 4]], [_A, _A, _B, _A_OR_STOP, _STOP]),
          4, 6, 4, 0.0)
 def test_unrolled_chains_match_single_steps(spec, chain, horizon, budget, floor):
     # single-symbol runs that switch symbol, branch and come back, through an
@@ -516,6 +529,15 @@ def test_unrolled_chains_match_single_steps(spec, chain, horizon, budget, floor)
     if unrolled[0] != "budget":
         assert unrolled[0] == pytest.approx(fsa.values, abs=1e-12)
         assert unrolled[2] == fsa.support_exhausted_at
+
+
+@pytest.mark.parametrize("bad", [[1.5, -0.5, 0.0], [0.5, math.nan, 0.5]])
+def test_invalid_weight_inside_an_unrolled_chain_is_an_error(bad):
+    # state 2 is the first row of the second chain along a, whose next row is
+    # fine: the bad weight on b must end the stretch there and raise
+    asm = TableAsm([[1, 1], [2, 2], [3, 3], [3, 3]], [_A, _A, np.array(bad), _A_OR_STOP], chain=4)
+    with pytest.raises(InvalidWeight, match="symbol 'b' got weight .* at step 3"):
+        eos_hazard_enumerate(asm, horizon=10)
 
 
 def test_one_symbol_walk_unrolls_in_doubling_batches():
@@ -743,6 +765,40 @@ def test_monte_carlo_steps_each_state_key_once(fig1a):
     assert counts[0] == counts[1] == {"step": 4, "state_conditional": 3}
 
 
+@settings(max_examples=150, deadline=None)
+@given(table_asms(), hst.integers(1, 4), hst.integers(1, 3000), hst.integers(1, 40),
+       hst.integers(0, 3))
+# a chain along a cut by a branch at state 2
+@example(([[1, 1], [2, 2], [3, 3], [4, 4], [4, 4]], [_A, _A, _SPLIT, _A_OR_STOP, _STOP]),
+         4, 1000, 30, 0)
+# a chain along a cut by every run stopping at state 3
+@example(([[1, 1], [2, 2], [3, 3], [3, 3]], [_A, _A, _A, _STOP]), 4, 1000, 30, 0)
+# a chain along a into state 2, whose successor along a is itself: once
+# with runs stopping there, once trapped there
+@example(([[1, 1], [2, 2], [2, 2]], [_A, _A, _A_OR_STOP]), 4, 1000, 30, 0)
+@example(([[1, 1], [2, 2], [2, 2]], [_A, _A, _A]), 4, 1000, 30, 0)
+def test_monte_carlo_reads_unrolled_chains_as_single_steps(spec, chain, samples, max_len, seed):
+    # through an unroll that may return fewer rows than asked, against a
+    # model without an unroll override, which is stepped one state at a time
+    estimate = monte_carlo_termination(TableAsm(*spec, chain=chain), samples, max_len, seed)
+    assert estimate == monte_carlo_termination(SteppedTableAsm(*spec), samples, max_len, seed)
+
+
+def test_monte_carlo_reads_no_chains_without_an_unroll_override(fig1a, monkeypatch):
+    # a chain of the default unroll has one row, so it could only cost time
+    monkeypatch.setattr(tightness._Chains, "take", None)
+    one_symbol = SteppedTableAsm([[1, 1], [2, 2], [3, 3], [3, 3]], [_A, _A, _A, _STOP])
+    assert monte_carlo_termination(one_symbol, 100, max_len=10).length_counts == ((3, 100),)
+    assert monte_carlo_termination(sfssm_as_asm(fig1a), 1000, max_len=50).samples == 1000
+
+
+def test_monte_carlo_reads_one_symbol_runs_from_doubling_chains():
+    asm = CountingRnn.of(make_tight_softplus_rnn())
+    monte_carlo_termination(asm, 10_000, max_len=10_000, seed=0)  # about 10,000 steps
+    assert asm.calls["state_conditionals"] <= 25
+    assert asm.calls["successors"] == 0
+
+
 def count_pooled_steps(monkeypatch) -> list[int]:
     """A one-element list counting the calls to ``tightness._pooled_step``."""
     steps = [0]
@@ -896,6 +952,13 @@ def test_fit_geometric_tail_on_relu_series():
 
 def test_fit_geometric_tail_rejects_harmonic_series():
     series = eos_hazard_enumerate(make_tight_softplus_rnn(), 30)
+    assert fit_geometric_tail(series) is None
+
+
+def test_fit_geometric_tail_rejects_a_ratio_whose_powers_underflow():
+    # 0.9 ** 8000 underflows to 0 under a hazard that is still positive, so
+    # no finite scale dominates the series
+    series = _series_from_values([0.5] * 4000 + [0.5 * 0.9 ** k for k in range(4000)], None)
     assert fit_geometric_tail(series) is None
 
 
