@@ -14,19 +14,20 @@ from .linalg import (Singular, SpectralEstimate, neumann_partial_sum, solve_line
                      spectral_radius_estimate)
 from .verdicts import Certificate, TightnessVerdict
 from .sfssm import (BadInit, BadRow, EmptyCorpus, NegativeEntry, NoUsefulStates, Sfssm,
-                    SpectralRadiusTooLarge, TerminationShortfall, accessible, build_sfssm,
-                    check_spectral_radius, coaccessible, decide_tight, mle_ngram,
-                    prefix_probability_fsa, solve_tightness, string_probability_fsa,
+                    TerminationShortfall, accessible, build_sfssm, coaccessible, decide_tight,
+                    mle_ngram, prefix_probability_fsa, solve_tightness, string_probability_fsa,
                     termination_probability, trim, useful_states)
 from .asm_zoo import (DeadPrefix, ParityAsm, RnnAsm, SfssmAsm, make_nontight_relu_rnn,
-                      make_tight_softplus_rnn, sfssm_as_asm, softmax)
-from .tightness import (BoundViolated, BudgetExceeded, DualityReport, EosBoundFamily,
-                        EosHazardSeries, InvalidWeight, TerminationEstimate,
+                      make_tight_softplus_rnn, softmax)
+from .tightness import (Analysis, BoundViolated, BudgetExceeded, DualityReport, EosBoundFamily,
+                        EosHazardSeries, InvalidWeight, TerminationEstimate, analyze,
                         certify_nontight_upper_bound, certify_tight_lower_bound,
                         eos_hazard_enumerate, eos_hazard_fsa, fit_geometric_tail,
                         monte_carlo_termination, product_sum_duality_check, suggests_tight,
                         termination_cdf)
 from .modelfile import (BUILTINS, ParseError, as_asm, load_model, model_digest,
                         parse_corpus, parse_model, write_model)
+
+sfssm_as_asm = SfssmAsm  # the adapter's old name, which the acceptance tests still import
 
 __version__ = "0.1.0"

@@ -234,7 +234,3 @@ class SfssmAsm(Asm):
         # bytes cache their hash; states are finite and nonnegative, so no
         # -0.0 or NaN can give equal floats unequal bytes
         return np.asarray(state, dtype=float).tobytes()
-
-
-def sfssm_as_asm(m: Sfssm) -> SfssmAsm:
-    return SfssmAsm(m)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Four subcommands: ``analyze`` decides or brackets tightness and reports
-the hazard series, ``prob`` scores a single string, ``sample`` runs the
+Four subcommands: ``analyze`` reports what :func:`seqtight.tightness.analyze`
+decides or brackets, ``prob`` scores a single string, ``sample`` runs the
 seeded ancestral sampler, and ``estimate-ngram`` fits a maximum-likelihood
 n-gram model from a corpus and writes it as a model file.
 
@@ -23,13 +23,9 @@ from .asm_zoo import ParityAsm, RnnAsm
 from .core import OutOfRange, UnknownSymbol, prefix_probability, string_probability
 from .modelfile import (BUILTINS, Model, ParseError, as_asm, load_model, model_digest,
                         parse_corpus, write_model)
-from .sfssm import (EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa,
-                    solve_tightness, string_probability_fsa)
-from .tightness import (DEFAULT_ENUM_BUDGET, BoundViolated, BudgetExceeded, EosBoundFamily,
-                        EosHazardSeries, certify_nontight_upper_bound, certify_tight_lower_bound,
-                        eos_hazard_enumerate, eos_hazard_fsa, fit_geometric_tail,
-                        monte_carlo_termination, suggests_tight, termination_cdf)
-from .verdicts import Certificate, TightnessVerdict
+from .sfssm import EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa, string_probability_fsa
+from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, EosBoundFamily, analyze,
+                        monte_carlo_termination)
 
 
 class _UsageError(Exception):
@@ -114,21 +110,6 @@ def _preview(values) -> str:
 
 # -- analyze ----------------------------------------------------------------
 
-def _series_payload(series: EosHazardSeries, cdf: tuple[float, ...]) -> dict:
-    payload = {
-        "horizon": series.horizon,
-        "eos_hazard": list(series.values),
-        "termination_cdf": list(cdf),
-        "partial_sums": list(series.partial_sums),
-        "survival": list(series.survival),
-    }
-    if series.hit_one_at is not None:
-        payload["hit_one_at"] = series.hit_one_at
-    if series.support_exhausted_at is not None:
-        payload["support_exhausted_at"] = series.support_exhausted_at
-    return payload
-
-
 _ESTIMATE_KEYS = ("samples", "max_len", "seed", "terminated_fraction",
                   "truncated_fraction", "confidence_halfwidth")
 
@@ -138,56 +119,14 @@ def _estimate_payload(estimate) -> dict:
     return {key: getattr(estimate, key) for key in _ESTIMATE_KEYS}
 
 
-def _verdict_for_series(series: EosHazardSeries, lower: EosBoundFamily | None,
-                        upper: EosBoundFamily | None, asm, horizon: int,
-                        budget: int, notes: list[str]) -> TightnessVerdict:
-    if series.sure_termination:
-        step = series.hit_one_at or series.support_exhausted_at
-        return TightnessVerdict.tight(
-            Certificate.EOS_HITS_ONE,
-            detail=f"generation surely stops by step {step}")
-    if lower is not None:
-        try:
-            verdict = certify_tight_lower_bound(lower, asm, horizon, budget, series=series)
-            if verdict.is_tight:
-                return verdict
-            notes.append(verdict.evidence)
-        except BoundViolated as exc:
-            notes.append(f"supplied lower bound does not hold: {exc}")
-    if upper is not None:
-        try:
-            verdict = certify_nontight_upper_bound(series, upper)
-            if verdict.is_non_tight:
-                return verdict
-            notes.append(verdict.evidence)
-        except BoundViolated as exc:
-            notes.append(f"supplied upper bound does not hold: {exc}")
-    if suggests_tight(series):
-        notes.append("numeric evidence is consistent with termination probability 1 "
-                     "(hazard sums diverging, survival vanishing); supply a divergent "
-                     "--bound to certify tightness")
-    fit = fit_geometric_tail(series)
-    if fit is not None:
-        would_leak = certify_nontight_upper_bound(series, fit).leaked_mass
-        if would_leak is not None:
-            # full float precision so the suggested flag parses back to the
-            # exact validated family (rounded values can fall out of range)
-            notes.append(
-                f"hazard decays geometrically over the computed horizon "
-                f"(<= {fit.describe()}); a geometric upper bound certifies non-tightness "
-                f"— rerun with --upper-bound geometric:{fit.scale!r},{fit.ratio!r} "
-                f"to certify leaked mass >= {would_leak:.6g}")
-    return TightnessVerdict.inconclusive(
-        f"no certificate at horizon {series.horizon}: partial hazard sum "
-        f"{series.partial_sums[-1]:.6g}, survival {series.survival[-1]:.6g}")
-
-
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
     digest = model_digest(model)
-    lower = EosBoundFamily.parse(args.bound) if args.bound else None
-    upper = EosBoundFamily.parse(args.upper_bound) if args.upper_bound else None
-    notes: list[str] = []
+    result = analyze(model, horizon=args.horizon, budget=args.budget,
+                     bound=EosBoundFamily.parse(args.bound) if args.bound else None,
+                     upper=EosBoundFamily.parse(args.upper_bound) if args.upper_bound else None,
+                     samples=args.samples, max_len=args.max_len, seed=args.seed)
+    series, cdf, estimate = result.series, result.cdf, result.estimate
     payload: dict = {
         "command": "analyze",
         "model": args.model,
@@ -200,62 +139,42 @@ def cmd_analyze(args) -> int:
             "samples": args.samples,
             "max_len": args.max_len,
         },
+        "verdict": result.verdict.to_dict(),
+        "series": {
+            "horizon": series.horizon,
+            "eos_hazard": list(series.values),
+            "termination_cdf": list(cdf),
+            "partial_sums": list(series.partial_sums),
+            "survival": list(series.survival),
+        },
+        "notes": list(result.notes),
     }
-    termination = leaked = None
-    estimate = None
-
-    if isinstance(model, Sfssm):
-        verdict, termination = solve_tightness(model)
-        if termination == 0.0:
-            notes.append("no useful states: every string has probability 0")
-        leaked = 1.0 - termination
-        series = eos_hazard_fsa(model, args.horizon)
-        if lower is not None or upper is not None:
-            notes.append("bounds are ignored for finite-state models; the "
-                         "co-accessibility decision is exact")
-    else:
-        asm = as_asm(model)
-        series = eos_hazard_enumerate(asm, args.horizon, budget=args.budget)
-        verdict = _verdict_for_series(series, lower, upper, asm, args.horizon,
-                                      args.budget, notes)
-        if verdict.is_tight and verdict.certificate is Certificate.EOS_HITS_ONE:
-            termination, leaked = 1.0, 0.0
-        if args.samples > 0:
-            estimate = monte_carlo_termination(asm, args.samples,
-                                               max_len=args.max_len, seed=args.seed)
-
-    cdf = termination_cdf(series)
-    payload["verdict"] = verdict.to_dict()
-    payload["series"] = _series_payload(series, cdf)
-    if termination is not None:
-        payload["termination_probability"] = termination
-        payload["leaked_mass"] = leaked
-    if estimate is not None:
-        payload["monte_carlo"] = _estimate_payload(estimate)
-    payload["notes"] = notes
-
     lines = [
         f"model: {args.model} ({_model_kind(model)}, digest {digest[:12]})",
-        f"verdict: {verdict.describe()}",
+        f"verdict: {result.verdict.describe()}",
     ]
-    if termination is not None:
-        lines.append(f"termination probability: {termination:.10g}")
-        lines.append(f"leaked mass: {leaked:.10g}")
+    if result.termination is not None:
+        payload["termination_probability"] = result.termination
+        payload["leaked_mass"] = result.leaked_mass
+        lines.append(f"termination probability: {result.termination:.10g}")
+        lines.append(f"leaked mass: {result.leaked_mass:.10g}")
     lines.append(f"eos hazard ({series.horizon} steps): {_preview(series.values)}")
     lines.append(f"termination cdf: {_preview(cdf)}")
     if cdf:
         lines.append(f"cdf at horizon {series.horizon}: {cdf[-1]:.10g}")
     if series.hit_one_at is not None:
+        payload["series"]["hit_one_at"] = series.hit_one_at
         lines.append(f"hazard reaches 1 at step {series.hit_one_at}")
     if series.support_exhausted_at is not None:
+        payload["series"]["support_exhausted_at"] = series.support_exhausted_at
         lines.append(f"prefix mass exhausted at step {series.support_exhausted_at}")
     if estimate is not None:
+        payload["monte_carlo"] = _estimate_payload(estimate)
         lines.append(f"monte carlo: terminated {estimate.terminated_fraction:.5f} "
                      f"± {estimate.confidence_halfwidth:.5f} (95%), "
                      f"truncated {estimate.truncated_fraction:.5f} "
                      f"at max length {estimate.max_len}")
-    for note in notes:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in result.notes]
     _emit(payload, lines, args.format, args.out)
     return 0
 

@@ -43,8 +43,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .asm_zoo import (ParityAsm, RnnAsm, make_nontight_relu_rnn, make_tight_softplus_rnn,
-                      sfssm_as_asm)
+from .asm_zoo import (ParityAsm, RnnAsm, SfssmAsm, make_nontight_relu_rnn,
+                      make_tight_softplus_rnn)
 from .core import Alphabet, Asm
 from .sfssm import Sfssm, _from_edges, build_sfssm
 
@@ -479,7 +479,7 @@ def model_digest(model: Model) -> str:
 def as_asm(model: Model) -> Asm:
     """View any parsed model through the generic ASM interface."""
     if isinstance(model, Sfssm):
-        return sfssm_as_asm(model)
+        return SfssmAsm(model)
     return model
 
 

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import Alphabet, Token, as_prob
-from .linalg import solve_linear, spectral_radius_estimate
+from .linalg import solve_linear
 from .verdicts import Certificate, TightnessVerdict
 
 ROW_TOL = 1e-9
@@ -70,10 +70,6 @@ class NoUsefulStates(ValueError):
 
 class EmptyCorpus(ValueError):
     """n-gram estimation needs at least one corpus string."""
-
-
-class SpectralRadiusTooLarge(ValueError):
-    """A model that should be trimmed has transition spectral radius 1."""
 
 
 class TerminationShortfall(ArithmeticError):
@@ -320,17 +316,6 @@ def termination_probability(m: Sfssm) -> float:
     """
     y = solve_linear(np.eye(m.num_states) - m.transition_sum, m.term)
     return as_prob(float(m.init @ y), slack=1e-9)
-
-
-def check_spectral_radius(m: Sfssm) -> float:
-    """Spectral radius of a trimmed model's transition-sum matrix, from its
-    eigenvalues.  Raises :class:`SpectralRadiusTooLarge` unless it is below 1,
-    as it is for every genuinely trimmed model."""
-    estimate, bound = spectral_radius_estimate(m.transition_sum)
-    if not estimate < 1.0:
-        raise SpectralRadiusTooLarge(f"transition-sum spectral radius estimate is {estimate} "
-                                     f"(row-sum bound {bound}); a trimmed model's is below 1")
-    return estimate
 
 
 _TIGHT = TightnessVerdict.tight(Certificate.CO_ACCESSIBILITY,

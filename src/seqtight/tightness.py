@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import PROB_SLACK, Asm, OutOfRange, Str, as_prob
-from .sfssm import Sfssm
+from .modelfile import as_asm
+from .sfssm import Sfssm, solve_tightness
 from .verdicts import Certificate, TightnessVerdict
 
 HIT_ONE_THRESHOLD = 1.0 - 1e-12
@@ -771,3 +772,94 @@ def fit_geometric_tail(series: EosHazardSeries) -> EosBoundFamily | None:
     if c * r > 1.0:
         return None
     return EosBoundFamily.geometric(c, r)
+
+
+# -- the analysis pipeline ------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Analysis:
+    """What :func:`analyze` found.  ``termination`` is the exact termination
+    probability when one is known (the finite-state solve, or 1 once the hazard
+    proves sure stopping), else None; ``notes`` say why the bounds and the
+    numbers gave no certificate."""
+
+    verdict: TightnessVerdict
+    series: EosHazardSeries
+    cdf: tuple[float, ...]
+    termination: float | None
+    estimate: TerminationEstimate | None
+    notes: tuple[str, ...]
+
+    @property
+    def leaked_mass(self) -> float | None:
+        return None if self.termination is None else 1.0 - self.termination
+
+
+def analyze(model: Sfssm | Asm, *, horizon: int, budget: int = DEFAULT_ENUM_BUDGET,
+            bound: EosBoundFamily | None = None, upper: EosBoundFamily | None = None,
+            samples: int, max_len: int, seed: int) -> Analysis:
+    """Decide or bracket whether ``model`` stops with probability one.
+
+    A finite-state model gets the exact decision and termination probability
+    and its hazard series; bounds are ignored and nothing is sampled.  Any
+    other model is enumerated for ``horizon`` steps within ``budget`` live
+    states (else :class:`BudgetExceeded`) and takes the first certificate
+    that holds: a hazard reaching 1, ``bound``, then ``upper``; else it is
+    inconclusive.  Then ``samples`` seeded runs of at most ``max_len`` steps
+    estimate its termination probability.
+    """
+    notes: list[str] = []
+    if isinstance(model, Sfssm):
+        verdict, termination = solve_tightness(model)
+        if termination == 0.0:
+            notes.append("no useful states: every string has probability 0")
+        series = eos_hazard_fsa(model, horizon)
+        if bound is not None or upper is not None:
+            notes.append("bounds are ignored for finite-state models; the "
+                         "co-accessibility decision is exact")
+        return Analysis(verdict, series, termination_cdf(series), termination, None, tuple(notes))
+    verdict = termination = None
+    asm = as_asm(model)
+    series = eos_hazard_enumerate(asm, horizon, budget=budget)
+    if series.sure_termination:
+        step = series.hit_one_at or series.support_exhausted_at
+        verdict = TightnessVerdict.tight(Certificate.EOS_HITS_ONE,
+                                         detail=f"generation surely stops by step {step}")
+        termination = 1.0
+    # the first bound that certifies decides; each one that does not leaves a note
+    for side, family, certify in (
+            ("lower", bound, lambda: certify_tight_lower_bound(bound, asm, horizon, budget,
+                                                               series=series)),
+            ("upper", upper, lambda: certify_nontight_upper_bound(series, upper))):
+        if verdict is not None or family is None:
+            continue
+        try:
+            found = certify()
+        except BoundViolated as exc:
+            notes.append(f"supplied {side} bound does not hold: {exc}")
+            continue
+        if found.is_inconclusive:
+            notes.append(found.evidence)
+        else:
+            verdict = found
+    if verdict is None:
+        if suggests_tight(series):
+            notes.append("numeric evidence is consistent with termination probability 1 "
+                         "(hazard sums diverging, survival vanishing); supply a divergent "
+                         "--bound to certify tightness")
+        fit = fit_geometric_tail(series)
+        would_leak = None if fit is None else certify_nontight_upper_bound(series, fit).leaked_mass
+        if would_leak is not None:
+            # full float precision so the suggested flag parses back to the
+            # exact validated family (rounded values can fall out of range)
+            notes.append(
+                f"hazard decays geometrically over the computed horizon "
+                f"(<= {fit.describe()}); a geometric upper bound certifies non-tightness "
+                f"— rerun with --upper-bound geometric:{fit.scale!r},{fit.ratio!r} "
+                f"to certify leaked mass >= {would_leak:.6g}")
+        verdict = TightnessVerdict.inconclusive(
+            f"no certificate at horizon {series.horizon}: partial hazard sum "
+            f"{series.partial_sums[-1]:.6g}, survival {series.survival[-1]:.6g}")
+    estimate = (monte_carlo_termination(asm, samples, max_len=max_len, seed=seed)
+                if samples > 0 else None)
+    return Analysis(verdict, series, termination_cdf(series), termination, estimate, tuple(notes))

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from seqtight import (Alphabet, DeadPrefix, OutOfRange, ParityAsm, RnnAsm, UnknownSymbol,
-                      make_nontight_relu_rnn, make_tight_softplus_rnn, sfssm_as_asm,
+from seqtight import (Alphabet, DeadPrefix, OutOfRange, ParityAsm, RnnAsm, SfssmAsm,
+                      UnknownSymbol, make_nontight_relu_rnn, make_tight_softplus_rnn,
                       string_probability, string_probability_fsa, validate_conditional)
 
 from conftest import random_sfssm, strings_up_to
@@ -184,19 +184,19 @@ def test_parity_spreads_rest_uniformly():
 # -- finite-state adapter --------------------------------------------------------------
 
 def test_adapter_conditionals_match_table(fig1a):
-    asm = sfssm_as_asm(fig1a)
+    asm = SfssmAsm(fig1a)
     np.testing.assert_allclose(asm.conditional(("a",)), [0.7, 0.2, 0.1], atol=1e-15)
     np.testing.assert_allclose(asm.conditional(("a", "b")), [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_adapter_dead_prefix(fig1a):
-    asm = sfssm_as_asm(fig1a)
+    asm = SfssmAsm(fig1a)
     with pytest.raises(DeadPrefix):
         asm.conditional(("b",))
 
 
 def test_adapter_conditionals_normalized_where_defined(fig1b):
-    asm = sfssm_as_asm(fig1b)
+    asm = SfssmAsm(fig1b)
     for prefix in [(), ("a",), ("a", "b"), ("a", "b", "b")]:
         assert float(asm.conditional(prefix).sum()) == pytest.approx(1.0, abs=1e-9)
 
@@ -206,7 +206,7 @@ def test_adapter_agrees_with_path_sums(seed):
     # exhaustive equivalence of the two probability routes on short strings
     rng = np.random.default_rng(4000 + seed)
     model = random_sfssm(rng)
-    asm = sfssm_as_asm(model)
+    asm = SfssmAsm(model)
     for x in strings_up_to(model.alphabet.symbols, 6):
         assert string_probability(asm, x) == pytest.approx(
             string_probability_fsa(model, x), abs=1e-12)

@@ -20,7 +20,7 @@ from seqtight import (Alphabet, EosBoundFamily, RnnAsm, certify_nontight_upper_b
                       make_nontight_relu_rnn, make_tight_softplus_rnn,
                       termination_probability, trim, parse_model, mle_ngram, model_digest,
                       write_model)
-from seqtight import cli, sfssm
+from seqtight import cli, sfssm, tightness
 from seqtight.cli import main
 from seqtight.modelfile import as_asm
 
@@ -281,6 +281,26 @@ def test_machine_output_matches_golden_hash(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the text stdout of commands whose notes come from the analysis
+# pipeline: ignored bounds, a failing bound and the geometric-tail hint
+GOLDEN_TEXT_OUTPUT = [
+    (("analyze", "builtin:fig1a", "--bound", "constant:0.1"),
+     "e330ddcb1d867e7c9dd1e10c0053289169d7a22f5728e3ffecae568640b7d89c"),
+    (("analyze", "builtin:parity", "--horizon", "16", "--bound", "table:0,0.1,0,0.1,0.2"),
+     "4cd135c5e61e3a4a46ffc5aa9df97bc4915b22c435ca56b7f5edd089ec7bd6f4"),
+    (("analyze", "builtin:relu-rnn", "--horizon", "50", "--samples", "1000", "--seed", "9"),
+     "d1bc12833c975435a8d9191e55c0d74fdf701818ebcf00d2bf399376ca15d319"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_TEXT_OUTPUT,
+                         ids=[" ".join(argv[1:]) for argv, _ in GOLDEN_TEXT_OUTPUT])
+def test_text_output_matches_golden_hash(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_machine_output_is_the_same_through_the_scalar_hooks(capsys, monkeypatch, tmp_path):
     # a traced benchmark run wraps each model in a proxy that has only the
     # scalar hooks, and its output must match the plain run's byte for byte
@@ -289,8 +309,8 @@ def test_machine_output_is_the_same_through_the_scalar_hooks(capsys, monkeypatch
     argv = ("analyze", str(path), "--horizon", "12", "--format", "machine")
     code, batched, _ = run(capsys, *argv)
     assert code == 0
-    proxies = []
-    monkeypatch.setattr(cli, "as_asm",
+    proxies = []   # analyze resolves as_asm in tightness, where the benchmark's tracer swaps it
+    monkeypatch.setattr(tightness, "as_asm",
                         lambda model: proxies.append(CountingAsm(as_asm(model))) or proxies[-1])
     assert run(capsys, *argv)[1] == batched
     assert proxies[0].calls["step"] > 2 ** 11

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from seqtight import (Alphabet, Asm, FunctionAsm, NotADistribution, UnknownSymbol,
-                      prefix_probability, sfssm_as_asm, string_probability,
+from seqtight import (Alphabet, Asm, FunctionAsm, NotADistribution, SfssmAsm,
+                      UnknownSymbol, prefix_probability, string_probability,
                       validate_conditional)
 
 from conftest import StableRandomAsm, strings_up_to
@@ -60,11 +60,11 @@ def test_validate_conditional_reports_negative_entries():
 
 
 def test_validate_conditional_on_bigram_table(fig1a):
-    validate_conditional(sfssm_as_asm(fig1a), ("a",))
+    validate_conditional(SfssmAsm(fig1a), ("a",))
 
 
 def test_string_probability_on_bigram_table(fig1a):
-    asm = sfssm_as_asm(fig1a)
+    asm = SfssmAsm(fig1a)
     assert string_probability(asm, ("a",)) == pytest.approx(0.1, abs=1e-12)
     # EOS is unreachable once a 'b' has been produced
     assert string_probability(asm, ("a", "b")) == 0.0
@@ -78,13 +78,13 @@ def test_string_probability_of_empty_string_is_eos_at_start():
 
 
 def test_prefix_probability_examples(fig1a):
-    asm = sfssm_as_asm(fig1a)
+    asm = SfssmAsm(fig1a)
     assert prefix_probability(asm, ()) == 1.0
     assert prefix_probability(asm, ("a", "a")) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_unknown_symbol_rejected(fig1a):
-    asm = sfssm_as_asm(fig1a)
+    asm = SfssmAsm(fig1a)
     with pytest.raises(UnknownSymbol):
         string_probability(asm, ("a", "z"))
 
@@ -110,7 +110,7 @@ def test_decomposition_identity_on_random_asms(seed):
 
 
 def test_decomposition_identity_on_bigram_table(fig1a):
-    asm = sfssm_as_asm(fig1a)
+    asm = SfssmAsm(fig1a)
     for prefix in [(), ("a",), ("a", "a"), ("a", "b")]:
         lhs = prefix_probability(asm, prefix)
         rhs = string_probability(asm, prefix) + sum(
@@ -128,7 +128,7 @@ def test_partial_string_mass_never_exceeds_one(seed):
 
 
 def test_incremental_interface_agrees_with_pure_conditional(fig1b):
-    asm = sfssm_as_asm(fig1b)
+    asm = SfssmAsm(fig1b)
     state = asm.initial_state()
     for i, symbol in enumerate(("a", "a", "b", "b")):
         walked = asm.state_conditional(state)

@@ -3,7 +3,7 @@
 import gc
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +13,12 @@ from hypothesis import strategies as hst
 
 from seqtight import (Alphabet, Asm, BoundViolated, BudgetExceeded,
                       EosBoundFamily, FunctionAsm, InvalidWeight, OutOfRange,
-                      ParityAsm, build_sfssm,
+                      ParityAsm, analyze, build_sfssm,
                       certify_nontight_upper_bound, certify_tight_lower_bound,
                       decide_tight, eos_hazard_enumerate, eos_hazard_fsa,
                       fit_geometric_tail, make_nontight_relu_rnn,
                       make_tight_softplus_rnn, monte_carlo_termination,
-                      RnnAsm, product_sum_duality_check, sfssm_as_asm,
+                      RnnAsm, SfssmAsm, product_sum_duality_check,
                       suggests_tight, termination_cdf, termination_probability, trim)
 from seqtight import tightness
 from seqtight.modelfile import BUILTINS, as_asm, load_model
@@ -59,7 +59,7 @@ def test_enumerate_softplus_is_harmonic():
 
 
 def test_enumerate_bigram_first_step_cannot_stop(fig1a):
-    series = eos_hazard_enumerate(sfssm_as_asm(fig1a), 1)
+    series = eos_hazard_enumerate(SfssmAsm(fig1a), 1)
     assert series.values == (0.0,)
 
 
@@ -120,7 +120,7 @@ def test_nan_hazard_is_an_error_not_sure_stopping():
 
 
 def test_enumerate_sure_stop_truncates_and_flags():
-    asm = sfssm_as_asm(sure_stopper())
+    asm = SfssmAsm(sure_stopper())
     series = eos_hazard_enumerate(asm, 5)
     assert series.values == (1.0,)
     assert series.hit_one_at == 1
@@ -130,7 +130,7 @@ def test_enumerate_sure_stop_truncates_and_flags():
 
 def test_enumerate_sure_stop_raise_mode():
     # exhaustion ends the series and is reported in it, never raised
-    series = eos_hazard_enumerate(sfssm_as_asm(sure_stopper()), 5)
+    series = eos_hazard_enumerate(SfssmAsm(sure_stopper()), 5)
     assert series.support_exhausted_at == 2
 
 
@@ -168,7 +168,7 @@ def test_engine_agreement_on_random_models(seed):
     rng = np.random.default_rng(5000 + seed)
     model = random_sfssm(rng)
     direct = eos_hazard_fsa(model, 8)
-    enumerated = eos_hazard_enumerate(sfssm_as_asm(model), 8)
+    enumerated = eos_hazard_enumerate(SfssmAsm(model), 8)
     shared = min(direct.horizon, enumerated.horizon)
     assert direct.values[:shared] == pytest.approx(enumerated.values[:shared], abs=1e-9)
     assert direct.hit_one_at == enumerated.hit_one_at
@@ -201,7 +201,7 @@ def test_cdf_matches_independent_stopping_series_for_relu():
 
 
 def test_cdf_of_bigram_adapter_reaches_leak_limit(fig1a):
-    series = eos_hazard_enumerate(sfssm_as_asm(fig1a), 60)
+    series = eos_hazard_enumerate(SfssmAsm(fig1a), 60)
     cdf = termination_cdf(series)
     assert cdf[-1] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
@@ -311,7 +311,7 @@ def test_lower_bound_empirical_check_pools_states(fig1b):
     # 200 steps would mean ~200 live prefixes, over the budget of 100; the
     # walk pools prefixes sharing a forward state, so it stays tiny
     bound = EosBoundFamily.table([0.0] + [0.05] * 198)
-    verdict = certify_tight_lower_bound(bound, asm=sfssm_as_asm(fig1b),
+    verdict = certify_tight_lower_bound(bound, asm=SfssmAsm(fig1b),
                                         horizon=200, budget=100)
     assert verdict.is_inconclusive
 
@@ -357,7 +357,7 @@ def test_lower_bound_witness_keeps_the_parent_of_a_revisited_key():
                         [1, 0, 0, 0], [0, 0, 0.5, 0.2], names=("BOS", "x", "y", "z"))
     with pytest.raises(BoundViolated) as info:
         certify_tight_lower_bound(EosBoundFamily.table([0.0, 0.0, 0.3]),
-                                  asm=sfssm_as_asm(model), horizon=3)
+                                  asm=SfssmAsm(model), horizon=3)
     assert (info.value.step, info.value.prefix) == (3, ("b", "c"))
 
 
@@ -700,14 +700,14 @@ def test_bound_spelling_round_trips(spec):
 # -- Monte Carlo --------------------------------------------------------------------------------
 
 def test_monte_carlo_sure_stop_is_exact():
-    estimate = monte_carlo_termination(sfssm_as_asm(sure_stopper()), 5000, max_len=10, seed=3)
+    estimate = monte_carlo_termination(SfssmAsm(sure_stopper()), 5000, max_len=10, seed=3)
     assert estimate.terminated_fraction == 1.0
     assert estimate.truncated == 0
     assert estimate.mean_length_of_terminated == 0.0
 
 
 def test_monte_carlo_is_deterministic_per_seed(fig1a):
-    asm = sfssm_as_asm(fig1a)
+    asm = SfssmAsm(fig1a)
     first = monte_carlo_termination(asm, 3000, max_len=200, seed=11)
     second = monte_carlo_termination(asm, 3000, max_len=200, seed=11)
     other = monte_carlo_termination(asm, 3000, max_len=200, seed=12)
@@ -716,7 +716,7 @@ def test_monte_carlo_is_deterministic_per_seed(fig1a):
 
 
 def test_monte_carlo_matches_exact_leak(fig1a):
-    estimate = monte_carlo_termination(sfssm_as_asm(fig1a), 20_000, max_len=500, seed=7)
+    estimate = monte_carlo_termination(SfssmAsm(fig1a), 20_000, max_len=500, seed=7)
     assert abs(estimate.terminated_fraction - 1.0 / 3.0) <= 3 * estimate.confidence_halfwidth
     assert estimate.truncated_fraction == pytest.approx(2.0 / 3.0, abs=0.02)
 
@@ -727,7 +727,7 @@ def test_monte_carlo_softplus_cdf_at_truncation():
 
 
 def test_monte_carlo_length_accounting(fig1b):
-    estimate = monte_carlo_termination(sfssm_as_asm(fig1b), 2000, max_len=2000, seed=1)
+    estimate = monte_carlo_termination(SfssmAsm(fig1b), 2000, max_len=2000, seed=1)
     assert estimate.terminated + estimate.truncated == estimate.samples
     assert sum(c for _, c in estimate.length_counts) == estimate.terminated
     assert estimate.length_quantile(0.5) >= 1  # strings need at least one symbol
@@ -758,7 +758,7 @@ def test_monte_carlo_steps_each_state_key_once(fig1a):
     # and successor are computed once, not once per step
     counts = []
     for max_len in (1_000, 10_000):
-        asm = CountingAsm(sfssm_as_asm(fig1a))
+        asm = CountingAsm(SfssmAsm(fig1a))
         estimate = monte_carlo_termination(asm, 1000, max_len=max_len, seed=0)
         assert estimate.truncated > 0
         counts.append(asm.calls)
@@ -789,7 +789,7 @@ def test_monte_carlo_reads_no_chains_without_an_unroll_override(fig1a, monkeypat
     monkeypatch.setattr(tightness._Chains, "take", None)
     one_symbol = SteppedTableAsm([[1, 1], [2, 2], [3, 3], [3, 3]], [_A, _A, _A, _STOP])
     assert monte_carlo_termination(one_symbol, 100, max_len=10).length_counts == ((3, 100),)
-    assert monte_carlo_termination(sfssm_as_asm(fig1a), 1000, max_len=50).samples == 1000
+    assert monte_carlo_termination(SfssmAsm(fig1a), 1000, max_len=50).samples == 1000
 
 
 def test_monte_carlo_reads_one_symbol_runs_from_doubling_chains():
@@ -828,7 +828,7 @@ def test_monte_carlo_stops_once_every_live_run_is_trapped(monkeypatch, make):
     seen = []
     for max_len in (10**3, 10**6):
         steps[0] = 0
-        estimate = monte_carlo_termination(sfssm_as_asm(make()), 1000, max_len=max_len, seed=0)
+        estimate = monte_carlo_termination(SfssmAsm(make()), 1000, max_len=max_len, seed=0)
         assert estimate.truncated > 0
         seen.append((steps[0], replace(estimate, max_len=None)))
     assert seen[0] == seen[1]
@@ -857,7 +857,7 @@ def test_monte_carlo_samples_on_while_an_alternating_run_can_leave():
     tb = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
     model = build_sfssm(Alphabet(("a", "b")), {"a": ta, "b": tb}, [1, 0, 0], [0, 0, 1],
                         names=("A", "B", "C"))
-    estimate = monte_carlo_termination(sfssm_as_asm(model), 1000, max_len=1000, seed=0)
+    estimate = monte_carlo_termination(SfssmAsm(model), 1000, max_len=1000, seed=0)
     assert estimate.terminated == 1000
 
 
@@ -868,7 +868,7 @@ def test_monte_carlo_samples_on_while_a_live_run_can_leave():
     tb = np.array([[0.0, 0.5], [0.0, 0.0]])
     model = build_sfssm(Alphabet(("a", "b")), {"a": ta, "b": tb}, [1, 0], [0, 1],
                         names=("X", "Y"))
-    estimate = monte_carlo_termination(sfssm_as_asm(model), 1000, max_len=1000, seed=0)
+    estimate = monte_carlo_termination(SfssmAsm(model), 1000, max_len=1000, seed=0)
     assert estimate.terminated == 1000
 
 
@@ -885,7 +885,7 @@ def test_monte_carlo_nan_conditional_fails_the_draw(conditional):
 def test_walks_leave_nothing_for_the_cycle_collector(fig1a):
     # fig1a's absorbing b is its own successor; a walk that linked to it
     # strongly would leave a reference cycle behind every walk
-    asm = sfssm_as_asm(fig1a)
+    asm = SfssmAsm(fig1a)
 
     def walks():
         monte_carlo_termination(asm, 1000, max_len=50, seed=0)
@@ -937,6 +937,100 @@ def test_duality_product_bounded_by_exp_of_sum(p_seq):
     report = product_sum_duality_check(p_seq)
     assert report.partial_product <= math.exp(-report.partial_sum) + 1e-12
     assert 0.0 <= report.partial_product <= 1.0
+
+
+# -- the analysis pipeline -----------------------------------------------------------------------
+
+def test_analyze_finite_state_model_ignores_bounds_and_samples(fig1a):
+    result = analyze(fig1a, horizon=20, bound=EosBoundFamily.constant(0.1), samples=1000,
+                     max_len=50, seed=0)
+    assert result.verdict == decide_tight(fig1a)
+    assert result.termination == pytest.approx(1 / 3, abs=1e-12)
+    assert result.leaked_mass == pytest.approx(2 / 3, abs=1e-12)
+    assert result.series == eos_hazard_fsa(fig1a, 20)
+    assert result.cdf == termination_cdf(result.series)
+    assert result.estimate is None
+    assert result.notes == ("bounds are ignored for finite-state models; the "
+                            "co-accessibility decision is exact",)
+
+
+def test_analyze_model_without_useful_states():
+    model = build_sfssm(Alphabet(("a",)), {"a": np.ones((1, 1))}, [1.0], [0.0])
+    result = analyze(model, horizon=5, samples=10, max_len=5, seed=0)
+    assert result.verdict.is_non_tight
+    assert result.termination == 0.0
+    assert result.leaked_mass == 1.0
+    assert result.notes == ("no useful states: every string has probability 0",)
+
+
+def test_analyze_hazard_reaching_one_gives_exact_termination():
+    asm = SfssmAsm(sure_stopper())   # an Asm, so the general path runs
+    result = analyze(asm, horizon=5, bound=EosBoundFamily.constant(0.5), samples=100,
+                     max_len=10, seed=0)
+    assert result.verdict.certificate is Certificate.EOS_HITS_ONE
+    assert result.termination == 1.0
+    assert result.leaked_mass == 0.0
+    assert result.notes == ()   # the certificate is found before the bound is read
+    assert result.estimate.terminated_fraction == 1.0
+
+
+def test_analyze_general_model_without_a_certificate():
+    relu = make_nontight_relu_rnn()
+    result = analyze(relu, horizon=50, samples=0, max_len=100, seed=0)
+    assert result.verdict.is_inconclusive
+    assert result.termination is None and result.leaked_mass is None
+    assert result.estimate is None
+    assert len(result.notes) == 1
+    assert "--upper-bound geometric:" in result.notes[0]
+    sampled = analyze(relu, horizon=50, samples=200, max_len=100, seed=4)
+    assert sampled.estimate == monte_carlo_termination(relu, 200, max_len=100, seed=4)
+
+
+def test_analyze_notes_numeric_evidence_of_tightness():
+    # all-zero weights: EOS has probability 1/2 at every step
+    zero = np.zeros((1, 1))
+    coin = RnnAsm(alphabet=Alphabet(("a",)), input_embedding=np.ones((2, 1)),
+                  output_embedding=np.ones((2, 1)), input_weights=zero, recurrent_weights=zero,
+                  bias=np.zeros(1), activation="tanh", initial_hidden=np.zeros(1))
+    result = analyze(coin, horizon=60, samples=0, max_len=1, seed=0)
+    assert result.verdict.is_inconclusive
+    assert len(result.notes) == 1
+    assert result.notes[0].startswith("numeric evidence is consistent with termination")
+
+
+def test_analyze_notes_each_bound_that_gives_no_certificate_in_order():
+    result = analyze(make_tight_softplus_rnn(), horizon=10,
+                     bound=EosBoundFamily.parse("table:0.5,0.3"),
+                     upper=EosBoundFamily.geometric(0.9, 0.9), samples=0, max_len=1, seed=0)
+    assert result.verdict.is_inconclusive
+    assert [note.split()[:2] for note in result.notes] == [["lower", "bound"], ["upper", "bound"]]
+    failing = analyze(make_tight_softplus_rnn(), horizon=10, bound=EosBoundFamily.constant(0.4),
+                      upper=EosBoundFamily.geometric(0.1, 0.5), samples=0, max_len=1, seed=0)
+    assert [note[:31] for note in failing.notes] == ["supplied lower bound does not h",
+                                                     "supplied upper bound does not h"]
+
+
+def test_analyze_certifies_from_the_bounds():
+    tight = analyze(make_tight_softplus_rnn(), horizon=40, bound=EosBoundFamily.harmonic(1, 1),
+                    samples=0, max_len=1, seed=0)
+    assert tight.verdict.certificate is Certificate.DIVERGENT_BOUND_FAMILY
+    assert tight.termination is None and tight.notes == ()
+    leaky = analyze(make_nontight_relu_rnn(), horizon=50,
+                    upper=EosBoundFamily.geometric(2.7182818278008387, 0.3678794411746719),
+                    samples=0, max_len=1, seed=0)
+    assert leaky.verdict.is_non_tight
+    assert leaky.termination is None and leaky.notes == ()
+
+
+def test_analyze_propagates_budget_exceeded():
+    with pytest.raises(BudgetExceeded):
+        analyze(seeded_tanh_model(5), horizon=12, budget=16, samples=0, max_len=1, seed=0)
+
+
+def test_analysis_is_frozen(fig1a):
+    result = analyze(fig1a, horizon=3, samples=0, max_len=1, seed=0)
+    with pytest.raises(FrozenInstanceError):
+        result.termination = 1.0
 
 
 # -- heuristics ----------------------------------------------------------------------------------
