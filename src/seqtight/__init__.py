@@ -7,6 +7,15 @@ reachability plus one small linear solve); general models get hazard
 series, analytic certificates, and seeded Monte Carlo estimates.
 """
 
+import os as _os
+import sys as _sys
+
+# several OpenBLAS threads round a solve differently from one, so output bytes
+# would depend on the thread count; a count the caller set is kept
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    _os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .core import (Alphabet, Asm, FunctionAsm, NotADistribution, OutOfRange, Str,
                    UnknownSymbol, prefix_probability, string_probability,
                    validate_conditional)

@@ -42,7 +42,6 @@ _SURVIVAL_THRESHOLD = 1e-6  # and survival below this
 _MAX_RATIO = 0.999          # fit_geometric_tail: trailing step-to-step ratios below this
 _MAX_WOBBLE = 1.01          # and largest over smallest ratio at most this
 _CHAIN_CAP = 1024           # _Chains: most rows asked of one Asm.unroll call
-_UNSTEPPED = object()  # successor key of a symbol an entry has not stepped along
 
 
 class BudgetExceeded(RuntimeError):
@@ -117,30 +116,12 @@ def _series_from_values(values: list[float], support_exhausted_at: int | None) -
                            support_exhausted_at=support_exhausted_at)
 
 
-class _Entry:
-    """A state key's entry in a Monte Carlo walk: its state, sampling
-    distribution (computed once), successor state key by symbol, and the
-    number of runs in it."""
-
-    __slots__ = ("key", "state", "cond", "succ", "weight")
-
-    def __init__(self, asm: Asm, state, cond=None):
-        self.key, self.state, self.cond, self.succ = asm.state_key(state), state, cond, None
-
-    def conditional(self, asm: Asm) -> np.ndarray:
-        """The conditional clipped at 0 and normalized, computed once."""
-        if self.cond is None:
-            cond = np.clip(np.asarray(asm.state_conditional(self.state), dtype=float), 0.0, None)
-            self.cond = cond / cond.sum()
-        return self.cond
-
-
 class _Chains:
     """Chains of states that :meth:`Asm.unroll` built along one symbol, with
     their conditionals (clipped at 0 and normalized, for ``sampling``)."""
 
     def __init__(self, asm: Asm, sampling: bool = False):
-        self.asm, self.sampling, self.last, self.states = asm, sampling, _UNSTEPPED, []
+        self.asm, self.sampling, self.last, self.symbol, self.states = asm, sampling, None, None, []
 
     def take(self, state, symbol: int, n: int) -> tuple[list, np.ndarray]:
         """The next ``1..n`` states along symbol index ``symbol`` from ``state``
@@ -151,58 +132,31 @@ class _Chains:
             batch = self.asm.unroll(state, symbol, min(2 * len(self.states), _CHAIN_CAP) if grow else 1)
             conds = self.asm.state_conditionals(batch)
             if self.sampling:
-                conds = np.clip(np.asarray(conds, dtype=float), 0.0, None)
-                conds /= conds.sum(axis=1, keepdims=True)
+                conds = _sampling(conds)
             self.states, self.conds, self.symbol, self.used = list(batch), conds, symbol, 0
         start, self.used = self.used, min(self.used + n, len(self.states))
         self.last = self.states[self.used - 1]
         return self.states[start:self.used], self.conds[start:self.used]
 
 
-def _pooled_step(asm: Asm, groups: dict, splits: list, chains: _Chains | None) -> dict:
-    """Advance the Monte Carlo frontier ``groups`` (state key -> entry) by one
-    symbol; ``splits[i][j]`` is the number of runs its ``i``-th entry sends
-    along symbol ``j``, EOS last.  Successors with equal state keys share all
-    future conditionals, so they pool exactly.  Only the frontier holds
-    entries, one per key, each caching its successor key by symbol.  With
-    ``chains``, a lone entry whose runs all go on along one new symbol reads them."""
-    grown: dict = {}
-    for entry, split in zip(groups.values(), splits):
-        succ = entry.succ = entry.succ or {}
-        for a, w in zip(asm.alphabet.symbols, split):
-            if w <= 0:  # first and short: most symbols of a large alphabet get no runs
-                continue
-            key = succ.get(a, _UNSTEPPED)
-            nxt = grown.get(key) or groups.get(key)
-            if nxt is None:
-                if chains and len(groups) == 1 and w == entry.weight - split[-1]:  # all along a
-                    states, conds = chains.take(entry.state, asm.alphabet.index(a), 1)
-                    nxt = _Entry(asm, states[0], conds[0])
-                else:
-                    nxt = _Entry(asm, asm.step(entry.state, a))
-                nxt = grown.get(nxt.key) or groups.get(nxt.key) or nxt
-                succ[a] = nxt.key
-            live = grown.get(nxt.key)
-            if live is None:
-                grown[nxt.key] = nxt
-                nxt.weight = w
-            else:
-                live.weight += w
-    return grown
+def _sampling(conds) -> np.ndarray:
+    """Conditional rows clipped at 0 and normalized, to draw from."""
+    conds = np.clip(np.asarray(conds, dtype=float), 0.0, None)
+    return conds / conds.sum(axis=1, keepdims=True)
 
 
-def _trapped(symbols, eos_idx: int, *frontiers: dict) -> bool:
-    """Whether the union of stepped ``frontiers`` is a closed set that cannot
-    stop: each entry's cached conditional gives EOS exactly 0 and each symbol
-    it can draw has a cached successor key in one of the frontiers.  False at
-    the first entry that can stop or leave, so a frontier that can stop pays
-    about one lookup."""
-    for groups in frontiers:
-        for entry in groups.values():
-            if entry.cond[eos_idx] != 0.0:
+def _trapped(table: dict, eos_idx: int, *frontiers: dict) -> bool:
+    """Whether the union of ``frontiers`` (stepped keys of ``table``) is a closed
+    set that cannot stop: every row gives EOS exactly 0, and every symbol it can
+    draw has a cached successor key in one of the frontiers.  False at the first
+    row that can stop or leave, so a frontier that can stop pays about one lookup."""
+    for frontier in frontiers:
+        for key in frontier:
+            _, _, cond, succ = table[key]
+            if cond[eos_idx] != 0.0:
                 return False
-            for a, p in zip(symbols, entry.cond):
-                if p > 0.0 and not any(entry.succ.get(a, _UNSTEPPED) in f for f in frontiers):
+            for j in cond[:eos_idx].nonzero()[0].tolist():
+                if j not in succ or not any(succ[j] in f for f in frontiers):
                     return False
     return True
 
@@ -630,13 +584,9 @@ class TerminationEstimate:
         """Quantile of terminated string lengths (None if nothing terminated)."""
         if self.terminated == 0:
             return None
-        target = q * self.terminated
-        seen = 0
-        for length, count in self.length_counts:
-            seen += count
-            if seen >= target:
-                return length
-        return self.length_counts[-1][0]
+        seen = np.cumsum([count for _, count in self.length_counts])
+        first = int(np.searchsorted(seen, q * self.terminated))  # where seen first reaches it
+        return self.length_counts[min(first, len(seen) - 1)][0]
 
 
 def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
@@ -644,12 +594,15 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     """Estimate termination behaviour by seeded ancestral sampling.
 
     Samples run in chunks of ``SAMPLE_CHUNK``, each drawn from its own
-    generator substream ``(seed, chunk)`` and merged in index order.  Within
-    a chunk, runs in states with equal :meth:`Asm.state_key` are pooled and
-    advanced by one multinomial draw per state, whose sampling distribution
-    and successors are computed once.  On a model that overrides
-    :meth:`Asm.unroll`, a lone state whose runs all go on along one symbol
-    reads its successor from the chains :func:`_frontiers` reads.
+    generator substream ``(seed, chunk)`` and merged in index order.  Runs in
+    states with equal :meth:`Asm.state_key` share every future conditional:
+    a step draws each live key's runs with one multinomial, in first-arrival
+    order, from a table that holds each key of the last two frontiers with
+    its state, sampling distribution and successor keys by symbol index.  A
+    step's new keys get their conditionals in one :meth:`Asm.state_conditionals`
+    call; an uncached successor comes from :meth:`Asm.step`, or, on a model
+    that overrides :meth:`Asm.unroll`, when a lone key sends every unstopped
+    run along one symbol, from the chains :func:`_frontiers` reads.
 
     A chunk stops once every live run sits in a closed set of states with
     EOS probability 0, sought in the union of the last two frontiers: those
@@ -660,37 +613,49 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
         raise ValueError("need at least one sample")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    eos_idx = asm.alphabet.eos_index
+    eos_idx, symbols = asm.alphabet.eos_index, asm.alphabet.symbols
     chains = _Chains(asm, sampling=True) if type(asm).unroll is not Asm.unroll else None
-    terminated = 0
-    truncated = 0
     lengths: dict[int, int] = {}
     for chunk_index, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
-        chunk = min(SAMPLE_CHUNK, samples - start)
         rng = np.random.default_rng([seed, chunk_index])
-        root = _Entry(asm, asm.initial_state())
-        root.weight = chunk
-        groups, previous = {root.key: root}, {}
+        state = asm.initial_state()
+        key = asm.state_key(state)
+        # state key -> [key, state, sampling distribution, successor key by symbol index]
+        table = {key: [key, state, None, {}]}
+        previous, frontier = {}, {key: min(SAMPLE_CHUNK, samples - start)}  # key -> runs
         for t in range(1, max_len + 1):
-            if not groups:
-                break
-            splits = []
-            for entry in groups.values():
-                draws = rng.multinomial(entry.weight, entry.conditional(asm)).tolist()
+            fresh = [table[key] for key in frontier if table[key][2] is None]
+            if fresh:
+                for row, cond in zip(fresh, _sampling(asm.state_conditionals([r[1] for r in fresh]))):
+                    row[2] = cond
+            grown: dict = {}
+            for key, runs in frontier.items():
+                _, state, cond, succ = table[key]
+                draw = rng.multinomial(runs, cond)
+                draws = draw.tolist()
                 stopped = draws[eos_idx]
                 if stopped:
-                    terminated += stopped
                     lengths[t - 1] = lengths.get(t - 1, 0) + stopped
-                splits.append(draws)
-            stepped, groups = groups, _pooled_step(asm, groups, splits, chains)
-            # every run now live was drawn from ``stepped``, so it is trapped too
-            if _trapped(asm.alphabet.symbols, eos_idx, stepped, previous):
+                for j in draw[:eos_idx].nonzero()[0].tolist():
+                    if j not in succ or succ[j] not in table:
+                        if chains and len(frontier) == 1 and draws[j] == runs - stopped:  # all along j
+                            (nxt,), (nxt_cond,) = chains.take(state, j, 1)
+                        else:
+                            nxt, nxt_cond = asm.step(state, symbols[j]), None
+                        k = asm.state_key(nxt)
+                        succ[j] = table.setdefault(k, [k, nxt, nxt_cond, {}])[0]
+                    grown[succ[j]] = grown.get(succ[j], 0) + draws[j]
+            # every run now live was drawn from ``frontier``, so it is trapped too
+            if _trapped(table, eos_idx, frontier, previous) or not grown:
                 break
-            previous = stepped
-        truncated += sum(entry.weight for entry in groups.values())
+            for key in previous:  # the table keeps the last two frontiers only
+                if key not in frontier and key not in grown:
+                    del table[key]
+            previous, frontier = frontier, grown
+    terminated = sum(lengths.values())   # every other run is truncated
     return TerminationEstimate(
         samples=samples, max_len=max_len, seed=seed,
-        terminated=terminated, truncated=truncated,
+        terminated=terminated, truncated=samples - terminated,
         length_counts=tuple(sorted(lengths.items())))
 
 
@@ -804,9 +769,10 @@ def analyze(model: Sfssm | Asm, *, horizon: int, budget: int = DEFAULT_ENUM_BUDG
     and its hazard series; bounds are ignored and nothing is sampled.  Any
     other model is enumerated for ``horizon`` steps within ``budget`` live
     states (else :class:`BudgetExceeded`) and takes the first certificate
-    that holds: a hazard reaching 1, ``bound``, then ``upper``; else it is
-    inconclusive.  Then ``samples`` seeded runs of at most ``max_len`` steps
-    estimate its termination probability.
+    that holds: a hazard reaching 1 (noting that it leaves any bound
+    unchecked), ``bound``, then ``upper``; else it is inconclusive.  Then
+    ``samples`` seeded runs of at most ``max_len`` steps estimate its
+    termination probability.
     """
     notes: list[str] = []
     if isinstance(model, Sfssm):
@@ -826,6 +792,9 @@ def analyze(model: Sfssm | Asm, *, horizon: int, budget: int = DEFAULT_ENUM_BUDG
         verdict = TightnessVerdict.tight(Certificate.EOS_HITS_ONE,
                                          detail=f"generation surely stops by step {step}")
         termination = 1.0
+        if bound is not None or upper is not None:
+            notes.append("bounds are not checked once the hazard series proves sure "
+                         "stopping; the eos-hits-one certificate is exact")
     # the first bound that certifies decides; each one that does not leaves a note
     for side, family, certify in (
             ("lower", bound, lambda: certify_tight_lower_bound(bound, asm, horizon, budget,

@@ -1,10 +1,12 @@
 """Command-line behaviour: reports, determinism, exit codes."""
 
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -28,6 +30,7 @@ from conftest import CountingAsm, dense_transitions, seeded_tanh_model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -205,6 +208,24 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_machine_output_does_not_depend_on_the_blas_thread_count(monkeypatch, tmp_path):
+    # several OpenBLAS threads round the solve of a 201-state bigram
+    # differently from one, so the package pins one unless the caller set a count
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    leaky = workloads.ngram_exact(2, tmp_path).commands[2]
+    unset = {name: value for name, value in os.environ.items()
+             if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    unset["PYTHONPATH"] = str(SRC_DIR)
+    outs = [subprocess.run([sys.executable, "-m", "seqtight.cli", leaky.kind, *leaky.args],
+                           capture_output=True, env=env, check=True).stdout
+            for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"})]
+    assert b'"termination_probability"' in outs[0]
+    assert outs[0] == outs[1]
+
+
 def test_analyze_machine_format_is_byte_stable(capsys):
     code1, out1, _ = run(capsys, "analyze", "builtin:relu-rnn", "--format", "machine",
                          "--horizon", "20", "--samples", "1000", "--seed", "9")
@@ -299,6 +320,26 @@ def test_text_output_matches_golden_hash(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sample_of_a_wide_bigram_matches_golden_hash(capsys, monkeypatch, tmp_path):
+    # about 100 pooled states live at once, where the golden models above
+    # have at most 5; the hash was recorded before Monte Carlo walked a
+    # state-key table
+    rng = random.Random(17)
+    words = [f"w{i:02d}" for i in range(100)]
+    weights = [1.0 / (i + 1) for i in range(100)]
+    lines = (" ".join(rng.choices(words, weights, k=rng.randint(1, 20))) for _ in range(2000))
+    (tmp_path / "corpus.txt").write_text("".join(line + "\n" for line in lines))
+    monkeypatch.chdir(tmp_path)   # the payload records the model path as given
+    code, _, _ = run(capsys, "estimate-ngram", "corpus.txt", "--order", "2", "--out", "wide.model")
+    assert code == 0
+    assert parse_model((tmp_path / "wide.model").read_text()).num_states == 101
+    code, out, _ = run(capsys, "sample", "wide.model", "--samples", "3000", "--max-len", "200",
+                       "--seed", "1", "--format", "machine")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "21d2796455e02c1669527318eea9466387ccb131fe924e1893316c96eb083efc"
 
 
 def test_machine_output_is_the_same_through_the_scalar_hooks(capsys, monkeypatch, tmp_path):

@@ -19,7 +19,8 @@ from seqtight import (Alphabet, Asm, BoundViolated, BudgetExceeded,
                       fit_geometric_tail, make_nontight_relu_rnn,
                       make_tight_softplus_rnn, monte_carlo_termination,
                       RnnAsm, SfssmAsm, product_sum_duality_check,
-                      suggests_tight, termination_cdf, termination_probability, trim)
+                      suggests_tight, TerminationEstimate, termination_cdf,
+                      termination_probability, trim)
 from seqtight import tightness
 from seqtight.modelfile import BUILTINS, as_asm, load_model
 from seqtight.core import as_prob
@@ -733,6 +734,14 @@ def test_monte_carlo_length_accounting(fig1b):
     assert estimate.length_quantile(0.5) >= 1  # strings need at least one symbol
 
 
+@pytest.mark.parametrize("q, length", [(0.0, 1), (0.2, 1), (0.21, 3), (0.7, 3), (0.71, 7),
+                                       (1.0, 7), (1.5, 7)])
+def test_length_quantile_is_the_first_length_whose_running_count_reaches_it(q, length):
+    estimate = TerminationEstimate(samples=12, max_len=9, seed=0, terminated=10, truncated=2,
+                                   length_counts=((1, 2), (3, 5), (7, 3)))
+    assert estimate.length_quantile(q) == length
+
+
 def test_monte_carlo_memory_stays_flat_as_max_len_grows():
     # tanh hidden states that never pool and a tiny EOS probability keep every
     # sample live to max_len, so no live group may hold its ancestor chain
@@ -800,14 +809,15 @@ def test_monte_carlo_reads_one_symbol_runs_from_doubling_chains():
 
 
 def count_pooled_steps(monkeypatch) -> list[int]:
-    """A one-element list counting the calls to ``tightness._pooled_step``."""
+    """A one-element list counting the Monte Carlo steps drawn: the calls to
+    ``tightness._trapped``, which each step makes once."""
     steps = [0]
-    pooled_step = tightness._pooled_step
+    trapped = tightness._trapped
 
     def counted(*args, **kwargs):
         steps[0] += 1
-        return pooled_step(*args, **kwargs)
-    monkeypatch.setattr(tightness, "_pooled_step", counted)
+        return trapped(*args, **kwargs)
+    monkeypatch.setattr(tightness, "_trapped", counted)
     return steps
 
 
@@ -970,8 +980,11 @@ def test_analyze_hazard_reaching_one_gives_exact_termination():
     assert result.verdict.certificate is Certificate.EOS_HITS_ONE
     assert result.termination == 1.0
     assert result.leaked_mass == 0.0
-    assert result.notes == ()   # the certificate is found before the bound is read
+    # the certificate is found before the bound is read, and the note says so
+    assert result.notes == ("bounds are not checked once the hazard series proves sure "
+                            "stopping; the eos-hits-one certificate is exact",)
     assert result.estimate.terminated_fraction == 1.0
+    assert analyze(asm, horizon=5, samples=0, max_len=10, seed=0).notes == ()
 
 
 def test_analyze_general_model_without_a_certificate():
