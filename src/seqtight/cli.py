@@ -19,10 +19,9 @@ import json
 import sys
 import traceback
 
-from .asm_zoo import ParityAsm, RnnAsm
 from .core import OutOfRange, UnknownSymbol, prefix_probability, string_probability
 from .modelfile import (BUILTINS, Model, ParseError, as_asm, load_model, model_digest,
-                        parse_corpus, write_model)
+                        model_kind, parse_corpus, write_model)
 from .sfssm import EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa, string_probability_fsa
 from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, EosBoundFamily, analyze,
                         monte_carlo_termination)
@@ -46,11 +45,6 @@ def _int_at_least(low: int):
         return int(text)
     parse.__name__ = "int"   # so a non-integer reads "invalid int value: ..."
     return parse
-
-
-def _model_kind(model: Model) -> str:
-    kinds = {Sfssm: "sfssm", RnnAsm: "rnn", ParityAsm: "parity"}
-    return kinds.get(type(model), type(model).__name__)
 
 
 def _tokens_for(model: Model, text: str) -> tuple[str, ...]:
@@ -130,7 +124,7 @@ def cmd_analyze(args) -> int:
     payload: dict = {
         "command": "analyze",
         "model": args.model,
-        "model_kind": _model_kind(model),
+        "model_kind": model_kind(model),
         "provenance": {
             "model_digest": digest,
             "seed": args.seed,
@@ -150,7 +144,7 @@ def cmd_analyze(args) -> int:
         "notes": list(result.notes),
     }
     lines = [
-        f"model: {args.model} ({_model_kind(model)}, digest {digest[:12]})",
+        f"model: {args.model} ({model_kind(model)}, digest {digest[:12]})",
         f"verdict: {result.verdict.describe()}",
     ]
     if result.termination is not None:

@@ -349,14 +349,20 @@ def _parse_parity(eos: str, by_name: dict[str, _Section], model_line: int) -> Pa
     return ParityAsm(p_even, alphabet=Alphabet(symbols, eos=eos))
 
 
-# kind -> (parser, "a(n) <kind>", known sections; "transitions" stands for
-# every [transitions <symbol>] section)
+# kind -> (model class, parser, "a(n) <kind>", known sections; "transitions"
+# stands for every [transitions <symbol>] section)
 _KINDS = {
-    "sfssm": (_parse_sfssm, "an sfssm", {"alphabet", "states", "init", "term", "transitions"}),
-    "rnn": (_parse_rnn, "an rnn", {"alphabet", "rnn", "input-weights", "recurrent-weights",
-                                    "input-embedding", "output-embedding"}),
-    "parity": (_parse_parity, "a parity", {"alphabet", "parity"}),
+    "sfssm": (Sfssm, _parse_sfssm, "an sfssm", {"alphabet", "states", "init", "term", "transitions"}),
+    "rnn": (RnnAsm, _parse_rnn, "an rnn", {"alphabet", "rnn", "input-weights", "recurrent-weights",
+                                            "input-embedding", "output-embedding"}),
+    "parity": (ParityAsm, _parse_parity, "a parity", {"alphabet", "parity"}),
 }
+
+
+def model_kind(model) -> str:
+    """The ``model:`` kind whose file holds ``model``, else its class name."""
+    return next((kind for kind, (cls, *_) in _KINDS.items() if isinstance(model, cls)),
+                type(model).__name__)
 
 
 def parse_model(text: str) -> Model:
@@ -365,7 +371,7 @@ def parse_model(text: str) -> Model:
     kind, model_line = headers["model"], header_lines["model"]
     eos = headers.get("eos", "EOS")
     if kind in _KINDS:
-        parse, a_kind, known = _KINDS[kind]
+        _, parse, a_kind, known = _KINDS[kind]
         by_name: dict[str, _Section] = {}
         for section in sections:
             if by_name.setdefault(section.name, section) is not section:
@@ -422,9 +428,8 @@ def write_model(model: Model) -> str:
         if model.state_map is not None:
             raise ValueError("a trimmed model need not be stochastic and has no model file")
         _check_writable_names(model.names)
-    out: list[str] = []
+    out = [f"model: {model_kind(model)}", f"eos: {model.alphabet.eos}", ""]
     if isinstance(model, Sfssm):
-        out += ["model: sfssm", f"eos: {model.alphabet.eos}", ""]
         out += ["[alphabet]", " ".join(model.alphabet.symbols) or "# (empty)", ""]
         out += ["[states]", " ".join(model.names), ""]
         out.append("[init]")
@@ -442,7 +447,6 @@ def write_model(model: Model) -> str:
         out += [f"{model.names[i]} {v!r}" for i, v in enumerate(model.term.tolist()) if v != 0]
     elif isinstance(model, RnnAsm):
         d = model.hidden_dim
-        out += ["model: rnn", f"eos: {model.alphabet.eos}", ""]
         out += ["[alphabet]", " ".join(model.alphabet.symbols), ""]
         out += ["[rnn]",
                 f"hidden {d}",
@@ -463,7 +467,6 @@ def write_model(model: Model) -> str:
                     for i, tok in enumerate(tokens)]
             out.append("")
     elif isinstance(model, ParityAsm):
-        out += ["model: parity", f"eos: {model.alphabet.eos}", ""]
         out += ["[alphabet]", " ".join(model.alphabet.symbols), ""]
         out += ["[parity]", f"eos-prob-even {_fmt(model.eos_prob_even)}"]
     else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -118,12 +117,12 @@ def _series_from_values(values: list[float], support_exhausted_at: int | None) -
 
 class _Chains:
     """Chains of states that :meth:`Asm.unroll` built along one symbol, with
-    their conditionals (clipped at 0 and normalized, for ``sampling``)."""
+    their conditionals (for ``sampling``, a list of :func:`_sampling` rows)."""
 
     def __init__(self, asm: Asm, sampling: bool = False):
         self.asm, self.sampling, self.last, self.symbol, self.states = asm, sampling, None, None, []
 
-    def take(self, state, symbol: int, n: int) -> tuple[list, np.ndarray]:
+    def take(self, state, symbol: int, n: int) -> tuple[list, Sequence]:
         """The next ``1..n`` states along symbol index ``symbol`` from ``state``
         and their conditionals, going on from the last state handed out.  A new
         chain has one row, or twice the last if that ran out along ``symbol``."""
@@ -139,10 +138,18 @@ class _Chains:
         return self.states[start:self.used], self.conds[start:self.used]
 
 
-def _sampling(conds) -> np.ndarray:
-    """Conditional rows clipped at 0 and normalized, to draw from."""
-    conds = np.clip(np.asarray(conds, dtype=float), 0.0, None)
-    return conds / conds.sum(axis=1, keepdims=True)
+def _sampling(conds, step: int | None = None) -> list:
+    """Conditional rows normalized to draw from.  A row with a NaN or negative
+    entry or none positive raises :class:`InvalidWeight` naming ``step``, or
+    with no ``step`` comes back as None, to be asked for again if a walk reaches it."""
+    conds = np.asarray(conds, dtype=float)
+    sums = conds.sum(axis=1, keepdims=True)
+    bad = ~((conds.min(axis=1) >= 0) & (sums[:, 0] > 0))  # True for NaN
+    if bad.any():
+        if step is not None:
+            raise InvalidWeight(f"a conditional at step {step} has a NaN or negative entry, or none positive")
+        sums[bad] = 1.0  # no 0/0 on the rows that come back as None
+    return [None if b else row for row, b in zip(conds / sums, bad.tolist())]
 
 
 def _trapped(table: dict, eos_idx: int, *frontiers: dict) -> bool:
@@ -175,64 +182,61 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
     """Yield ``(span, weights, conds, parents)`` blocks for steps ``1..steps``
     while any state is live.  A one-step block (``span`` is ``range(t, t +
     1)``) holds the frontier: its states' pooled prefix probabilities and
-    their conditionals (one :meth:`Asm.state_conditionals` call).  Its (row,
-    symbol) pairs with positive ``weight * cond`` are stepped in one
-    :meth:`Asm.successors` call, row-major, and pooled by state key in
-    first-arrival order, adding weights in that order.  A single pair starts
-    a stretch read from :class:`_Chains` instead: one row per step of
-    ``span``, ``weights`` an array, up to the first row that branches,
-    switches symbol or sends a zero, NaN or negative weight.  With
-    ``witness``, ``parents`` gains each step's ``(parent rows, symbol
-    indices)`` of first arrivals, for :func:`_prefix`.  Raises
-    :class:`InvalidWeight` on a NaN or negative weight, :class:`BudgetExceeded`
+    their conditionals (one :meth:`Asm.state_conditionals` call).  A step
+    splits the weights over the symbols as ``weights * conds``; the (row,
+    symbol) pairs it sends positive weight are stepped in one
+    :meth:`Asm.successors` call, row-major, and pooled by state key: a key
+    keeps its first arrival and the sum of its arrivals' weights, added in
+    that order.  A single pair starts a stretch read from :class:`_Chains`
+    instead: one row per step of ``span``, up to the first row that branches,
+    switches symbol or sends a zero, NaN or negative weight.  With ``witness``,
+    ``parents`` gains each step's ``(parent rows, symbol indices)`` of first
+    arrivals, for :func:`_prefix`.  Raises :class:`InvalidWeight` on a NaN or
+    negative weight or a row with no positive entry, :class:`BudgetExceeded`
     past ``budget`` rows."""
-    states, weights, parents = [asm.initial_state()], [1.0], []
+    states, weights, parents = [asm.initial_state()], np.ones(1), []
     conds = asm.state_conditionals(states)
-    symbols = asm.alphabet.symbols
-    chains, span = _Chains(asm), range(1, 2)
+    chains, span, symbols = _Chains(asm), range(1, 2), asm.alphabet.symbols
     while True:
+        dead = ~(conds > 0).any(axis=1)  # not weight * cond: a weight may underflow to 0
+        if dead.any():  # a block holds one step's rows, or one row a step
+            step = span[int(np.argmax(dead)) * len(span) // len(conds)]
+            raise InvalidWeight(f"the conditional at step {step} has no positive entry; "
+                                f"the model's conditional is not a distribution")
         yield span, weights, conds, parents
         t = span[-1]
         if t == steps:
             return
-        if isinstance(weights, np.ndarray):  # a stretch, whose last row is the frontier
-            states, weights, conds = states[-1:], weights[-1:].tolist(), conds[-1:]
-        rows, cols, sent = [], [], []
-        for i, (weight, cond) in enumerate(zip(weights, conds[:, :len(symbols)].tolist())):
-            for j, p in enumerate(cond):
-                w = weight * p
-                if w > 0:
-                    rows.append(i)
-                    cols.append(j)
-                    sent.append(w)
-                elif w != 0:
-                    raise InvalidWeight(f"symbol {symbols[j]!r} got weight {w!r} at step {t}; "
-                                        f"the model's conditional is not a distribution")
-        if not rows:
+        if len(span) > 1:  # a stretch, whose last row is the frontier
+            states, weights, conds = states[-1:], weights[-1:], conds[-1:]
+        moved = weights[:, None] * conds[:, :len(symbols)]
+        bad = ~(moved >= 0)  # True for NaN
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), len(symbols))
+            raise InvalidWeight(f"symbol {symbols[j]!r} got weight {float(moved[i, j])!r} "
+                                f"at step {t}; the model's conditional is not a distribution")
+        rows, cols = np.nonzero(moved)
+        if not rows.size:
             return
-        if len(rows) == 1 and budget >= 1:
-            states, conds = chains.take(states[rows[0]], j := cols[0], steps - t)
+        sent = moved[rows, cols]
+        if rows.size == 1 and budget >= 1:
+            states, conds = chains.take(states[rows[0]], j := int(cols[0]), steps - t)
             weights = np.multiply.accumulate(np.append(sent, conds[:-1, j]))
             moved = weights[:-1, None] * conds[:-1, :len(symbols)]
             go_on = (moved[:, j] > 0) & ((moved == 0).sum(axis=1) == len(symbols) - 1)
             k = int(np.argmin(np.append(go_on, False))) + 1  # up to the first row that stops
             states, weights, conds, span = states[:k], weights[:k], conds[:k], range(t + 1, t + 1 + k)
         else:
-            batch, keys = asm.successors(states, rows, cols)
+            batch, keys = asm.successors(states, rows.tolist(), cols.tolist())
             index: dict = {}
             pooled = [index.setdefault(key, len(index)) for key in keys]
             if len(index) > budget:
                 raise BudgetExceeded(t + 1, len(index), budget)
             states, weights, span = batch, sent, range(t + 1, t + 2)
             if len(index) < len(keys):  # some successors share a state key
-                first, weights = [], []
-                for pos, (k, w) in enumerate(zip(pooled, sent)):
-                    if k < len(first):
-                        weights[k] += w
-                    else:
-                        first.append(pos)
-                        weights.append(w)
-                states, rows, cols = batch[first], [rows[p] for p in first], [cols[p] for p in first]
+                first = np.unique(pooled, return_index=True)[1]
+                weights = np.bincount(pooled, weights=sent)  # adds in arrival order
+                states, rows, cols = batch[first.tolist()], rows[first], cols[first]
             conds = asm.state_conditionals(states)
         if witness:  # a stretch's later steps each come from row 0
             parents += [(rows, cols)] + [([0], cols)] * (len(span) - 1)
@@ -260,8 +264,8 @@ def eos_hazard_enumerate(asm: Asm, horizon: int,
     for span, weights, conds, _ in _frontiers(asm, horizon, budget):
         eos = conds[:, eos_idx]
         if len(span) == 1:
-            num = math.fsum(map(operator.mul, weights, eos.tolist()))
-            values.append(min(max(num / math.fsum(weights), 0.0), 1.0))
+            num = math.fsum((weights * eos).tolist())
+            values.append(min(max(num / math.fsum(weights.tolist()), 0.0), 1.0))
         else:  # one row per step, whose one-term sums are exact
             values += np.minimum(np.maximum(weights * eos / weights, 0.0), 1.0).tolist()
         min_eos += eos.reshape(len(span), -1).min(axis=1).tolist()  # with NaN, the hazard raises
@@ -602,7 +606,8 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     step's new keys get their conditionals in one :meth:`Asm.state_conditionals`
     call; an uncached successor comes from :meth:`Asm.step`, or, on a model
     that overrides :meth:`Asm.unroll`, when a lone key sends every unstopped
-    run along one symbol, from the chains :func:`_frontiers` reads.
+    run along one symbol, from the chains :func:`_frontiers` reads.  A live
+    row that is no distribution raises :class:`InvalidWeight` (see :func:`_sampling`).
 
     A chunk stops once every live run sits in a closed set of states with
     EOS probability 0, sought in the union of the last two frontiers: those
@@ -624,9 +629,9 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
         table = {key: [key, state, None, {}]}
         previous, frontier = {}, {key: min(SAMPLE_CHUNK, samples - start)}  # key -> runs
         for t in range(1, max_len + 1):
-            fresh = [table[key] for key in frontier if table[key][2] is None]
-            if fresh:
-                for row, cond in zip(fresh, _sampling(asm.state_conditionals([r[1] for r in fresh]))):
+            if fresh := [table[key] for key in frontier if table[key][2] is None]:
+                conds = _sampling(asm.state_conditionals([r[1] for r in fresh]), t)
+                for row, cond in zip(fresh, conds):
                     row[2] = cond
             grown: dict = {}
             for key, runs in frontier.items():
@@ -682,14 +687,11 @@ def product_sum_duality_check(p_seq: Sequence[float]) -> DualityReport:
     :class:`OutOfRange`.
     """
     values = list(p_seq)
-    product = 1.0
     for i, p in enumerate(values):
         if not (0.0 <= p < 1.0):
             raise OutOfRange(f"entry {i} is {p!r}, outside [0, 1)")
-        product *= 1.0 - p
-    return DualityReport(terms=len(values),
-                         partial_product=product,
-                         partial_sum=math.fsum(values))
+    return DualityReport(terms=len(values), partial_sum=math.fsum(values),
+                         partial_product=math.prod((1.0 - p for p in values), start=1.0))
 
 
 # -- numeric heuristics (evidence, never certificates) --------------------

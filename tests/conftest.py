@@ -2,8 +2,11 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +157,17 @@ def seeded_tanh_model(seed: int, hidden: int = 4) -> RnnAsm:
                   recurrent_weights=rng.normal(0.0, 0.6, (hidden, hidden)),
                   bias=rng.normal(0.0, 0.1, hidden), activation="tanh",
                   initial_hidden=np.zeros(hidden))
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's model generators, ``perfbench/workloads.py``, as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

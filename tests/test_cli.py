@@ -1,7 +1,6 @@
 """Command-line behaviour: reports, determinism, exit codes."""
 
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -30,7 +29,6 @@ from conftest import CountingAsm, dense_transitions, seeded_tanh_model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -208,13 +206,9 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
-def test_machine_output_does_not_depend_on_the_blas_thread_count(monkeypatch, tmp_path):
+def test_machine_output_does_not_depend_on_the_blas_thread_count(tmp_path, workloads):
     # several OpenBLAS threads round the solve of a 201-state bigram
     # differently from one, so the package pins one unless the caller set a count
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses look their module up
-    spec.loader.exec_module(workloads)
     leaky = workloads.ngram_exact(2, tmp_path).commands[2]
     unset = {name: value for name, value in os.environ.items()
              if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -340,6 +334,20 @@ def test_sample_of_a_wide_bigram_matches_golden_hash(capsys, monkeypatch, tmp_pa
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "21d2796455e02c1669527318eea9466387ccb131fe924e1893316c96eb083efc"
+
+
+def test_analyze_of_a_wide_frontier_matches_golden_hash(capsys, monkeypatch, tmp_path, workloads):
+    # the bench tanh model pools no two prefixes, so 2**16 rows are live at
+    # step 17, where the golden models above have a few; the hash was recorded
+    # before the frontier was split and pooled with array operations
+    tanh = workloads.tanh_rnn(np.random.default_rng([1, 2]))
+    (tmp_path / "tanh.model").write_text(write_model(tanh))
+    monkeypatch.chdir(tmp_path)   # the payload records the model path as given
+    code, out, _ = run(capsys, "analyze", "tanh.model", "--horizon", "17", "--samples", "0",
+                       "--format", "machine")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "6fad4bf108e2887fdf545d063c3820d3fbb5b97f1e0b9507d6c6f47e029189b7"
 
 
 def test_machine_output_is_the_same_through_the_scalar_hooks(capsys, monkeypatch, tmp_path):

@@ -1,8 +1,6 @@
 """Model file parsing, canonical serialization, digests, and builtins."""
 
 import hashlib
-import importlib.util
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from seqtight import (ParityAsm, ParseError, RnnAsm, Sfssm, mle_ngram, parse_corpus,
-                      parse_model, trim, write_model, model_digest)
+from seqtight import (Alphabet, FunctionAsm, ParityAsm, ParseError, RnnAsm, Sfssm, mle_ngram,
+                      parse_corpus, parse_model, trim, write_model, model_digest)
 from seqtight.cli import main
-from seqtight.modelfile import BUILTINS, load_model
+from seqtight.modelfile import BUILTINS, load_model, model_kind
 from seqtight.sfssm import ROW_TOL
 
 from conftest import dense_transitions, random_sfssm
@@ -470,12 +468,7 @@ BENCH_DIGESTS = {
 
 
 @pytest.mark.parametrize("seed", sorted(BENCH_DIGESTS))
-def test_bench_bigram_files_keep_their_digests(seed, tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", MODELS_DIR.parent / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses look it up
-    spec.loader.exec_module(workloads)
+def test_bench_bigram_files_keep_their_digests(seed, tmp_path, workloads, capsys):
     workloads.ngram_exact(seed, tmp_path)
     assert main(["estimate-ngram", str(tmp_path / "corpus.txt"), "--order", "2",
                  "--out", str(tmp_path / "mle.model")]) == 0
@@ -495,6 +488,18 @@ def test_parse_corpus_lines_and_blanks():
 
 def test_parse_corpus_empty_text():
     assert parse_corpus("") == []
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_model_kind_is_the_kind_the_writer_names(name):
+    model = BUILTINS[name]()
+    assert write_model(model).startswith(f"model: {model_kind(model)}\n")
+
+
+def test_model_kind_of_a_model_with_no_file_kind_is_its_class_name():
+    assert model_kind(FunctionAsm(Alphabet(("a",)), lambda prefix: [0.5, 0.5])) == "FunctionAsm"
+    with pytest.raises(TypeError, match="cannot serialize FunctionAsm"):
+        write_model(FunctionAsm(Alphabet(("a",)), lambda prefix: [0.5, 0.5]))
 
 
 def test_write_model_rejects_unserializable_symbols():

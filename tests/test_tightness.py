@@ -86,10 +86,18 @@ def test_invalid_symbol_weight_is_an_error_not_lost_mass(conditional):
     # the mass on a NaN or negative entry must not silently vanish, or the
     # walk would report "prefix mass exhausted" and certify sure stopping
     asm = FunctionAsm(Alphabet(("a", "b")), lambda prefix: conditional)
-    with pytest.raises(InvalidWeight, match="step 1"):
+    # the weight prints as a float, not as np.float64(nan)
+    with pytest.raises(InvalidWeight, match=r"symbol 'a' got weight (nan|-0\.1) at step 1;"):
         eos_hazard_enumerate(asm, horizon=5)
     with pytest.raises(InvalidWeight):
         certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=asm, horizon=5)
+
+
+def test_a_conditional_with_no_positive_entry_is_an_error_not_sure_stopping():
+    # it sends no mass anywhere, which would read as exhausted prefix mass
+    asm = FunctionAsm(Alphabet(("a",)), lambda prefix: [0.0, 0.0])
+    with pytest.raises(InvalidWeight, match="at step 1 has no positive entry"):
+        analyze(asm, horizon=5, samples=0, max_len=5, seed=0)
 
 
 def nan_eos_asm():
@@ -435,6 +443,11 @@ _UNDERFLOWING_RNN = RnnAsm(alphabet=Alphabet(("a",)), input_embedding=np.zeros((
 _OVERFLOWING_RNN = replace(make_nontight_relu_rnn(), recurrent_weights=np.array([[10.0]]))
 
 
+def test_an_underflowing_weight_still_exhausts_the_support():
+    # every conditional is a distribution; only the prefix mass runs out
+    assert eos_hazard_enumerate(_UNDERFLOWING_RNN, 200).support_exhausted_at == 76
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_rnns(), hst.integers(1, 6), hst.integers(1, 60), hst.floats(0.0, 0.6))
 @example(_UNDERFLOWING_RNN, 200, 1, 0.0)
@@ -492,6 +505,27 @@ def table_asms(draw) -> tuple:
     return table, conds
 
 
+def loop_hazards(asm, horizon) -> tuple:
+    """The hazard series by a loop over every (row, symbol) pair, pooling
+    successors by state key in first-arrival order and adding their weights
+    in that order: the reference for the array step in tightness._frontiers."""
+    eos, states, weights, values = asm.alphabet.eos_index, [asm.initial_state()], [1.0], []
+    for _ in range(horizon):
+        conds = [np.asarray(asm.state_conditional(s), dtype=float).tolist() for s in states]
+        num = math.fsum(w * cond[eos] for w, cond in zip(weights, conds))
+        values.append(min(max(num / math.fsum(weights), 0.0), 1.0))
+        pooled: dict = {}
+        for state, w, cond in zip(states, weights, conds):
+            for j, p in enumerate(cond[:eos]):
+                if w * p > 0:
+                    nxt = asm.step(state, asm.alphabet.symbols[j])
+                    pooled.setdefault(asm.state_key(nxt), [nxt, 0.0])[1] += w * p
+        if not pooled:
+            break
+        states, weights = [s for s, _ in pooled.values()], [w for _, w in pooled.values()]
+    return tuple(values)
+
+
 _SPLIT, _A, _A_OR_STOP, _STOP = [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]
 _B = [0.0, 1.0, 0.0]
 
@@ -530,6 +564,7 @@ def test_unrolled_chains_match_single_steps(spec, chain, horizon, budget, floor)
     if unrolled[0] != "budget":
         assert unrolled[0] == pytest.approx(fsa.values, abs=1e-12)
         assert unrolled[2] == fsa.support_exhausted_at
+        assert unrolled[0] == loop_hazards(TableAsm(*spec), horizon)  # bit for bit
 
 
 @pytest.mark.parametrize("bad", [[1.5, -0.5, 0.0], [0.5, math.nan, 0.5]])
@@ -887,9 +922,37 @@ def test_monte_carlo_samples_on_while_a_live_run_can_leave():
     lambda prefix: [1.0, 0.0] if not prefix else [math.nan, 0.0],  # NaN after a step with no EOS
 ])
 def test_monte_carlo_nan_conditional_fails_the_draw(conditional):
+    # the first NaN row is live at step 1, or at step 2 after a clean first step
     asm = FunctionAsm(Alphabet(("a",)), conditional)
-    with pytest.raises(ValueError, match="pvals"):
+    step = 1 if math.isnan(sum(conditional(()))) else 2
+    with pytest.raises(InvalidWeight, match=f"at step {step} "):
         monte_carlo_termination(asm, 100, max_len=10, seed=0)
+
+
+@pytest.mark.parametrize("alphabet, conditional", [
+    (("a",), [0.0, 0.0]),          # no symbol and no EOS: 0/0 when normalized
+    (("a", "b"), [-0.1, 0.7, 0.4]),  # clipping the -0.1 would hide it
+])
+def test_monte_carlo_rejects_a_conditional_that_is_no_distribution(alphabet, conditional):
+    asm = FunctionAsm(Alphabet(alphabet), lambda prefix: conditional)
+    with pytest.raises(InvalidWeight, match="at step 1 "):
+        monte_carlo_termination(asm, 100, max_len=10, seed=0)
+
+
+@pytest.mark.parametrize("last, failing_step", [([0.0, 1.0], None), ([1.0, 0.0], 4)])
+def test_a_chain_row_is_checked_only_when_a_walk_reaches_it(last, failing_step):
+    # a chain of 0 -> 1 -> 2 -> 3 along a holds state 3, which is no
+    # distribution; it is only an error if the walk gets there
+    spec = ([[1], [2], [3], [3]], [[1.0, 0.0], [0.5, 0.5], last, [0.0, 0.0]])
+    asm = TableAsm(*spec, chain=4)
+    if failing_step is None:
+        assert eos_hazard_enumerate(asm, 10).support_exhausted_at == 4
+        assert monte_carlo_termination(asm, 100, max_len=10, seed=0).terminated == 100
+    else:
+        with pytest.raises(InvalidWeight, match=f"at step {failing_step} has no positive entry"):
+            eos_hazard_enumerate(asm, 10)
+        with pytest.raises(InvalidWeight, match=f"at step {failing_step} "):
+            monte_carlo_termination(asm, 100, max_len=10, seed=0)
 
 
 def test_walks_leave_nothing_for_the_cycle_collector(fig1a):
