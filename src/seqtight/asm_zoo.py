@@ -55,8 +55,8 @@ class RnnAsm(Asm):
     The hidden state evolves as ``h' = act(W_in @ v[x] + W_rec @ h + bias)``
     where ``v[x]`` is the input embedding of the consumed symbol, and the
     conditional distribution is ``softmax(U @ h)`` over the output
-    embeddings ``U`` (one row per symbol, EOS last).  Every parameter must
-    be finite; softmax outputs are then positive, so every prefix is live.
+    embeddings ``U`` (one row per symbol, EOS last).  Parameters must be
+    finite; while ``h`` is too, softmax outputs are positive and every prefix live.
     """
 
     alphabet: Alphabet
@@ -113,16 +113,15 @@ class RnnAsm(Asm):
         idx = alphabet.eos_index if symbol == alphabet.eos else alphabet.index(symbol)
         return self._advance(np.matvec(self.recurrent_weights, np.asarray(state, dtype=float)), idx)
 
-    def state_conditional(self, state) -> np.ndarray:
-        """Softmax over output-embedding logits; strictly positive, sums to 1."""
-        return softmax(np.matvec(self.output_embedding, np.asarray(state, dtype=float)))
-
     def state_key(self, state):
         # + 0.0 turns -0.0 into 0.0, so the two pool
         return (np.asarray(state, dtype=float) + 0.0).tobytes()
 
     def state_conditionals(self, states) -> np.ndarray:
+        """Softmax over output-embedding logits; one row in gives one row out."""
         return softmax(np.matvec(self.output_embedding, np.asarray(states, dtype=float)))
+
+    state_conditional = state_conditionals
 
     def successors(self, states, rows, symbols):
         recurrent = np.matvec(self.recurrent_weights, np.asarray(states, dtype=float))

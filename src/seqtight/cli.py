@@ -6,8 +6,9 @@ seeded ancestral sampler, and ``estimate-ngram`` fits a maximum-likelihood
 n-gram model from a corpus and writes it as a model file.
 
 Exit codes: 0 when the analysis completed (whatever the verdict — a
-non-tight model is a result, not a failure), 1 for usage or parse
-problems, 2 for internal invariant violations.
+non-tight model is a result, not a failure), 1 for usage or parse problems
+and for a conditional that is no distribution (an RNN whose hidden state
+overflows, say), 2 for internal invariant violations.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .core import OutOfRange, UnknownSymbol, prefix_probability, string_probabil
 from .modelfile import (BUILTINS, Model, ParseError, as_asm, load_model, model_digest,
                         model_kind, parse_corpus, write_model)
 from .sfssm import EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa, string_probability_fsa
-from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, EosBoundFamily, analyze,
-                        monte_carlo_termination)
+from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, EosBoundFamily, InvalidWeight,
+                        analyze, monte_carlo_termination)
 
 
 class _UsageError(Exception):
@@ -332,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (_UsageError, ParseError, UnknownSymbol, EmptyCorpus, BudgetExceeded, OutOfRange,
-            OSError) as exc:
+            InvalidWeight, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # internal invariant violation

@@ -17,7 +17,7 @@ import numpy as np
 Token = str
 Str = tuple[Token, ...]
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-8  # a conditional may sum this far from 1; covers build_sfssm's ROW_TOL
 PROB_SLACK = 1e-12
 
 
@@ -34,7 +34,7 @@ class UnknownSymbol(ValueError):
 
 
 class NotADistribution(ValueError):
-    """A conditional vector failed validation (negative mass or bad total)."""
+    """A conditional vector failed validation (negative or NaN entries, or a bad total)."""
 
     def __init__(self, prefix: Str, total: float, offending: list[tuple[int, float]]):
         self.prefix = prefix
@@ -42,7 +42,7 @@ class NotADistribution(ValueError):
         self.offending = offending
         parts = [f"conditional at prefix {prefix!r} sums to {total!r}"]
         if offending:
-            parts.append(f"negative entries at {offending!r}")
+            parts.append(f"negative or NaN entries at {offending!r}")
         super().__init__("; ".join(parts))
 
 
@@ -189,19 +189,20 @@ class FunctionAsm(Asm):
         return np.asarray(self._fn(tuple(prefix)), dtype=float)
 
 
-def validate_conditional(asm: Asm, prefix: Str) -> None:
-    """Check that the conditional vector at ``prefix`` is a distribution.
+def _distributions(rows) -> np.ndarray:
+    """Which conditional rows are distributions, the one rule of every walk: no entry
+    negative or NaN, the sum within ``DEFAULT_TOL`` of 1 (not inf, 0 or unnormalized)."""
+    rows = np.asarray(rows, dtype=float)
+    return (rows >= 0).all(axis=-1) & (np.abs(rows.sum(axis=-1) - 1.0) <= DEFAULT_TOL)
 
-    Raises :class:`NotADistribution` if any entry is more negative than
-    ``DEFAULT_TOL`` or the total differs from 1 by more than ``DEFAULT_TOL``.
-    """
+
+def validate_conditional(asm: Asm, prefix: Str) -> None:
+    """Raise :class:`NotADistribution` unless the conditional at ``prefix`` has one
+    entry per symbol plus EOS and passes the walks' rule, :func:`_distributions`."""
     vec = np.asarray(asm.conditional(prefix), dtype=float)
-    if vec.shape != (asm.alphabet.full_size,):
-        raise NotADistribution(prefix, float(vec.sum()), [])
-    offending = [(int(i), float(v)) for i, v in enumerate(vec) if v < -DEFAULT_TOL]
-    total = float(vec.sum())
-    if offending or abs(total - 1.0) > DEFAULT_TOL:
-        raise NotADistribution(prefix, total, offending)
+    if vec.shape != (asm.alphabet.full_size,) or not _distributions(vec):
+        raise NotADistribution(prefix, float(vec.sum()),
+                               [(i, v) for i, v in enumerate(vec.tolist()) if not v >= 0])
 
 
 def _prefix_walk(asm: Asm, x: Iterable[Token]) -> tuple[float, object]:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PROB_SLACK, Asm, OutOfRange, Str, as_prob
+from .core import PROB_SLACK, Alphabet, Asm, OutOfRange, Str, _distributions, as_prob
 from .modelfile import as_asm
 from .sfssm import Sfssm, solve_tightness
 from .verdicts import Certificate, TightnessVerdict
@@ -68,7 +68,15 @@ class BoundViolated(ValueError):
 
 
 class InvalidWeight(ValueError):
-    """A model's conditional gave a NaN or negative weight, or a hazard outside [0, 1]."""
+    """A walk reached a conditional that is no distribution, or a hazard outside [0, 1]."""
+
+
+def _invalid(step: int, row: np.ndarray, alphabet: Alphabet) -> InvalidWeight:
+    """The error for ``row`` at ``step``: its first negative or non-finite entry, else its sum."""
+    bad = np.flatnonzero(~(np.isfinite(row) & (row >= 0)))
+    fault = (f"symbol {(*alphabet.symbols, alphabet.eos)[bad[0]]!r} has {float(row[bad[0]])!r}"
+             if bad.size else f"it sums to {float(row.sum())!r}")
+    return InvalidWeight(f"the conditional at step {step} is not a distribution: {fault}")
 
 
 @dataclass(frozen=True)
@@ -131,24 +139,22 @@ class _Chains:
             batch = self.asm.unroll(state, symbol, min(2 * len(self.states), _CHAIN_CAP) if grow else 1)
             conds = self.asm.state_conditionals(batch)
             if self.sampling:
-                conds = _sampling(conds)
+                conds = _sampling(conds, self.asm.alphabet)
             self.states, self.conds, self.symbol, self.used = list(batch), conds, symbol, 0
         start, self.used = self.used, min(self.used + n, len(self.states))
         self.last = self.states[self.used - 1]
         return self.states[start:self.used], self.conds[start:self.used]
 
 
-def _sampling(conds, step: int | None = None) -> list:
-    """Conditional rows normalized to draw from.  A row with a NaN or negative
-    entry or none positive raises :class:`InvalidWeight` naming ``step``, or
-    with no ``step`` comes back as None, to be asked for again if a walk reaches it."""
+def _sampling(conds, alphabet: Alphabet, step: int | None = None) -> list:
+    """Conditional rows normalized to draw from.  A row that is no distribution
+    raises :class:`InvalidWeight` naming ``step``, or with no ``step`` comes
+    back as None, to be asked for again if a walk reaches it."""
     conds = np.asarray(conds, dtype=float)
-    sums = conds.sum(axis=1, keepdims=True)
-    bad = ~((conds.min(axis=1) >= 0) & (sums[:, 0] > 0))  # True for NaN
-    if bad.any():
-        if step is not None:
-            raise InvalidWeight(f"a conditional at step {step} has a NaN or negative entry, or none positive")
-        sums[bad] = 1.0  # no 0/0 on the rows that come back as None
+    bad = ~_distributions(conds)
+    if step is not None and bad.any():
+        raise _invalid(step, conds[int(np.argmax(bad))], alphabet)
+    sums = np.where(bad, 1.0, conds.sum(axis=1))[:, None]  # no 0/0 on the rows that come back as None
     return [None if b else row for row, b in zip(conds / sums, bad.tolist())]
 
 
@@ -189,20 +195,18 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
     keeps its first arrival and the sum of its arrivals' weights, added in
     that order.  A single pair starts a stretch read from :class:`_Chains`
     instead: one row per step of ``span``, up to the first row that branches,
-    switches symbol or sends a zero, NaN or negative weight.  With ``witness``,
-    ``parents`` gains each step's ``(parent rows, symbol indices)`` of first
-    arrivals, for :func:`_prefix`.  Raises :class:`InvalidWeight` on a NaN or
-    negative weight or a row with no positive entry, :class:`BudgetExceeded`
-    past ``budget`` rows."""
+    switches symbol or sends no weight on.  With ``witness``, ``parents`` gains
+    each step's ``(parent rows, symbol indices)`` of first arrivals, for
+    :func:`_prefix`.  Raises :class:`InvalidWeight` at the first row to yield
+    that is no distribution, :class:`BudgetExceeded` past ``budget`` rows."""
     states, weights, parents = [asm.initial_state()], np.ones(1), []
     conds = asm.state_conditionals(states)
     chains, span, symbols = _Chains(asm), range(1, 2), asm.alphabet.symbols
     while True:
-        dead = ~(conds > 0).any(axis=1)  # not weight * cond: a weight may underflow to 0
-        if dead.any():  # a block holds one step's rows, or one row a step
-            step = span[int(np.argmax(dead)) * len(span) // len(conds)]
-            raise InvalidWeight(f"the conditional at step {step} has no positive entry; "
-                                f"the model's conditional is not a distribution")
+        bad = ~_distributions(conds)
+        if bad.any():  # a block holds one step's rows, or one row a step
+            i = int(np.argmax(bad))
+            raise _invalid(span[i * len(span) // len(conds)], conds[i], asm.alphabet)
         yield span, weights, conds, parents
         t = span[-1]
         if t == steps:
@@ -210,11 +214,6 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
         if len(span) > 1:  # a stretch, whose last row is the frontier
             states, weights, conds = states[-1:], weights[-1:], conds[-1:]
         moved = weights[:, None] * conds[:, :len(symbols)]
-        bad = ~(moved >= 0)  # True for NaN
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), len(symbols))
-            raise InvalidWeight(f"symbol {symbols[j]!r} got weight {float(moved[i, j])!r} "
-                                f"at step {t}; the model's conditional is not a distribution")
         rows, cols = np.nonzero(moved)
         if not rows.size:
             return
@@ -268,7 +267,7 @@ def eos_hazard_enumerate(asm: Asm, horizon: int,
             values.append(min(max(num / math.fsum(weights.tolist()), 0.0), 1.0))
         else:  # one row per step, whose one-term sums are exact
             values += np.minimum(np.maximum(weights * eos / weights, 0.0), 1.0).tolist()
-        min_eos += eos.reshape(len(span), -1).min(axis=1).tolist()  # with NaN, the hazard raises
+        min_eos += eos.reshape(len(span), -1).min(axis=1).tolist()
     exhausted = len(values) + 1 if len(values) < horizon else None
     return replace(_series_from_values(values, exhausted), min_eos=tuple(min_eos))
 
@@ -460,10 +459,10 @@ class EosBoundFamily:
 
 def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int) -> None:
     """Raise :class:`BoundViolated` naming the first prefix, in frontier order,
-    whose EOS probability is NaN or below ``f(t) * (1 - _TOL)`` within ``steps`` steps."""
+    whose EOS probability is below ``f(t) * (1 - _TOL)`` within ``steps`` steps."""
     eos_idx = asm.alphabet.eos_index
     for span, _, conds, parents in _frontiers(asm, steps, budget, witness=True):
-        failed = np.flatnonzero(~(conds[:, eos_idx] >= [bound.value(t) * (1.0 - _TOL) for t in span]))
+        failed = np.flatnonzero(conds[:, eos_idx] < [bound.value(t) * (1.0 - _TOL) for t in span])
         if failed.size:
             i, row = divmod(int(failed[0]), len(conds) // len(span))
             raise BoundViolated(span[i], _prefix(asm, parents[:span[i] - 1], row),
@@ -490,7 +489,7 @@ def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
         lows = None if series is None else series.min_eos
         if lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None):
             lows = lows[:steps]
-        else:  # per-step minima (NaN propagates) of a walk that stops at the first failing block
+        else:  # per-step minima of a walk that stops at the first failing block
             eos_idx = asm.alphabet.eos_index
             lows = (low for span, _, conds, _ in _frontiers(asm, steps, budget)
                     for low in conds[:, eos_idx].reshape(len(span), -1).min(axis=1).tolist())
@@ -630,7 +629,7 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
         previous, frontier = {}, {key: min(SAMPLE_CHUNK, samples - start)}  # key -> runs
         for t in range(1, max_len + 1):
             if fresh := [table[key] for key in frontier if table[key][2] is None]:
-                conds = _sampling(asm.state_conditionals([r[1] for r in fresh]), t)
+                conds = _sampling(asm.state_conditionals([r[1] for r in fresh]), asm.alphabet, t)
                 for row, cond in zip(fresh, conds):
                     row[2] = cond
             grown: dict = {}

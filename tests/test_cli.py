@@ -161,6 +161,21 @@ def test_analyze_rejects_nan_rnn(capsys, tmp_path):
     assert "initial_hidden has a non-finite entry: nan" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the hidden state overflows
+def test_a_model_whose_conditional_is_no_distribution_exits_1(capsys, tmp_path):
+    # h doubles each step from 1, so h is inf after 1023 symbols and the
+    # conditional at step 1024 is NaN: a fault of the model, not of seqtight
+    path = tmp_path / "overflow_rnn.model"
+    path.write_text(write_model(make_nontight_relu_rnn()).replace("h0 0.0", "h0 1.0")
+                    .replace("[recurrent-weights]\n1.0", "[recurrent-weights]\n2.0"))
+    for argv in (("analyze", str(path), "--horizon", "1100", "--samples", "0"),
+                 ("sample", str(path), "--samples", "100", "--max-len", "1100")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: the conditional at step 1024 is not a distribution: symbol 'a' has nan\n"
+
+
 @pytest.mark.parametrize("name, verdict", [("fig1a", "non-tight"), ("fig1b", "tight")])
 def test_analyze_trims_and_solves_once(capsys, monkeypatch, name, verdict):
     counted_names = ("accessible", "coaccessible", "_trim", "solve_linear")

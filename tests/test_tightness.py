@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -20,7 +21,7 @@ from seqtight import (Alphabet, Asm, BoundViolated, BudgetExceeded,
                       make_tight_softplus_rnn, monte_carlo_termination,
                       RnnAsm, SfssmAsm, product_sum_duality_check,
                       suggests_tight, TerminationEstimate, termination_cdf,
-                      termination_probability, trim)
+                      termination_probability, trim, validate_conditional)
 from seqtight import tightness
 from seqtight.modelfile import BUILTINS, as_asm, load_model
 from seqtight.core import as_prob
@@ -86,17 +87,18 @@ def test_invalid_symbol_weight_is_an_error_not_lost_mass(conditional):
     # the mass on a NaN or negative entry must not silently vanish, or the
     # walk would report "prefix mass exhausted" and certify sure stopping
     asm = FunctionAsm(Alphabet(("a", "b")), lambda prefix: conditional)
-    # the weight prints as a float, not as np.float64(nan)
-    with pytest.raises(InvalidWeight, match=r"symbol 'a' got weight (nan|-0\.1) at step 1;"):
+    # the entry prints as a float, not as np.float64(nan)
+    message = r"at step 1 is not a distribution: symbol 'a' has (nan|-0\.1)$"
+    with pytest.raises(InvalidWeight, match=message):
         eos_hazard_enumerate(asm, horizon=5)
-    with pytest.raises(InvalidWeight):
+    with pytest.raises(InvalidWeight, match=message):
         certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=asm, horizon=5)
 
 
 def test_a_conditional_with_no_positive_entry_is_an_error_not_sure_stopping():
     # it sends no mass anywhere, which would read as exhausted prefix mass
     asm = FunctionAsm(Alphabet(("a",)), lambda prefix: [0.0, 0.0])
-    with pytest.raises(InvalidWeight, match="at step 1 has no positive entry"):
+    with pytest.raises(InvalidWeight, match="at step 1 is not a distribution: it sums to 0.0$"):
         analyze(asm, horizon=5, samples=0, max_len=5, seed=0)
 
 
@@ -105,21 +107,18 @@ def nan_eos_asm():
 
 
 def test_nan_eos_fails_the_lower_bound_walk():
-    # every comparison with NaN is False, so a plain `observed < want` check passes it
-    with pytest.raises(BoundViolated) as info:
+    # every comparison with NaN is False, so a plain `observed < want` check
+    # would pass it; a NaN EOS makes the row no distribution, not a low bound
+    with pytest.raises(InvalidWeight, match="at step 1 is not a distribution: symbol 'EOS' has nan"):
         certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=nan_eos_asm(), horizon=4)
-    assert info.value.step == 1
-    assert math.isnan(info.value.observed)
 
 
 def test_nan_eos_behind_a_passing_state_fails_the_lower_bound_walk():
-    # Python's min([0.3, nan]) is 0.3, so a per-step minimum must come from np.min
+    # the NaN row comes second in its step's frontier, after a valid one
     conditionals = {(): [0.4, 0.4, 0.2], ("a",): [0.4, 0.3, 0.3], ("b",): [0.5, 0.5, math.nan]}
     asm = FunctionAsm(Alphabet(("a", "b")), lambda prefix: conditionals[prefix])
-    with pytest.raises(BoundViolated) as info:
+    with pytest.raises(InvalidWeight, match="at step 2 is not a distribution: symbol 'EOS' has nan"):
         certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=asm, horizon=2)
-    assert (info.value.step, info.value.prefix) == (2, ("b",))
-    assert math.isnan(info.value.observed)
 
 
 def test_nan_hazard_is_an_error_not_sure_stopping():
@@ -572,8 +571,67 @@ def test_invalid_weight_inside_an_unrolled_chain_is_an_error(bad):
     # state 2 is the first row of the second chain along a, whose next row is
     # fine: the bad weight on b must end the stretch there and raise
     asm = TableAsm([[1, 1], [2, 2], [3, 3], [3, 3]], [_A, _A, np.array(bad), _A_OR_STOP], chain=4)
-    with pytest.raises(InvalidWeight, match="symbol 'b' got weight .* at step 3"):
+    with pytest.raises(InvalidWeight, match="at step 3 is not a distribution: symbol 'b' has "):
         eos_hazard_enumerate(asm, horizon=10)
+
+
+_BAD_ROWS = [
+    ([math.nan, 0.5, 0.5], "symbol 'a' has nan"),
+    ([math.inf, 0.5, 0.5], "symbol 'a' has inf"),
+    ([1.1, -0.1, 0.0], "symbol 'b' has -0.1"),
+    ([0.6, 0.5, -0.1], "symbol 'EOS' has -0.1"),
+    ([0.2, 0.2, 0.2], "it sums to 0.6"),
+    ([1.0, 0.5, 0.5], "it sums to 2.0"),
+    ([0.0, 0.0, 0.0], "it sums to 0.0"),
+]
+
+
+@pytest.mark.parametrize("chain", [False, True])
+@pytest.mark.parametrize("bad, fault", _BAD_ROWS)
+def test_every_walk_rejects_a_row_that_is_no_distribution_at_its_step(bad, fault, chain):
+    # steps 1 and 2 are fine and the bad row is the conditional at step 3:
+    # reached by a branching frontier, or as the third row of a chain along a
+    if chain:
+        asm = TableAsm([[1, 1], [2, 2], [3, 3], [3, 3]],
+                       [np.array([0.6, 0.0, 0.4])] * 2 + [np.array(bad), _A_OR_STOP], chain=4)
+    else:
+        asm = FunctionAsm(Alphabet(("a", "b")),
+                          lambda prefix: [0.4, 0.4, 0.2] if len(prefix) < 2 else bad)
+    message = f"at step 3 is not a distribution: {re.escape(fault)}"
+    walks = [lambda: eos_hazard_enumerate(asm, 10),
+             lambda: certify_tight_lower_bound(EosBoundFamily.constant(0.1), asm=asm, horizon=10),
+             lambda: monte_carlo_termination(asm, 100, max_len=10, seed=0),
+             lambda: analyze(asm, horizon=10, bound=EosBoundFamily.constant(0.1),
+                             upper=EosBoundFamily.geometric(0.5, 0.5), samples=100, max_len=10, seed=0)]
+    for walk in walks:
+        with pytest.raises(InvalidWeight, match=message):
+            walk()
+
+
+def test_a_model_build_sfssm_accepts_passes_every_walk():
+    # every row is 0.9999999e-9 short of 1, inside build_sfssm's ROW_TOL; after
+    # "a a" the mixed conditional rounds to more than 1e-9 short
+    short = 0.9999999e-9
+    model = build_sfssm(Alphabet(("a",)), {"a": np.array([[0.05, 0.25], [0.15, 0.15]])},
+                        [1.0, 0.0], [0.7 - short, 0.7 - short])
+    asm = SfssmAsm(model)
+    assert abs(asm.conditional(("a", "a")).sum() - 1.0) > 1e-9
+    for prefix in [(), ("a",), ("a", "a"), ("a",) * 3]:
+        validate_conditional(asm, prefix)
+    series = eos_hazard_enumerate(asm, 10)
+    assert series.values == pytest.approx(eos_hazard_fsa(model, 10).values, abs=1e-12)
+    estimate = monte_carlo_termination(asm, 1000, max_len=100, seed=0)
+    assert estimate.terminated == 1000
+
+
+def test_a_trimmed_model_cannot_be_walked(fig1a):
+    # trim drops the trap b, so the row of state a sums to 0.8: no distribution
+    asm = SfssmAsm(trim(fig1a))
+    message = r"at step 2 is not a distribution: it sums to 0\.7999"
+    with pytest.raises(InvalidWeight, match=message):
+        eos_hazard_enumerate(asm, 5)
+    with pytest.raises(InvalidWeight, match=message):
+        monte_carlo_termination(asm, 100, max_len=5, seed=0)
 
 
 def test_one_symbol_walk_unrolls_in_doubling_batches():
@@ -949,7 +1007,7 @@ def test_a_chain_row_is_checked_only_when_a_walk_reaches_it(last, failing_step):
         assert eos_hazard_enumerate(asm, 10).support_exhausted_at == 4
         assert monte_carlo_termination(asm, 100, max_len=10, seed=0).terminated == 100
     else:
-        with pytest.raises(InvalidWeight, match=f"at step {failing_step} has no positive entry"):
+        with pytest.raises(InvalidWeight, match=f"at step {failing_step} is not a distribution: it sums to 0.0"):
             eos_hazard_enumerate(asm, 10)
         with pytest.raises(InvalidWeight, match=f"at step {failing_step} "):
             monte_carlo_termination(asm, 100, max_len=10, seed=0)
