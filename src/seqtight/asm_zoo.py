@@ -40,6 +40,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# an overflowing hidden state yields inf and NaN rows, which every walk rejects
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
 _ACTIVATIONS = {
     "relu": lambda x: np.maximum(x, 0.0),
     "softplus": lambda x: np.logaddexp(x, 0.0),
@@ -107,6 +110,7 @@ class RnnAsm(Asm):
 
     # np.matvec makes one gemv call per row, so a row does not depend on the
     # batch (a gemm's rows do) and the scalar hooks match the batch hooks
+    @_quiet_overflow
     def step(self, state, symbol: Token):
         """One recurrence update of the hidden state, consuming ``symbol``."""
         alphabet = self.alphabet
@@ -117,17 +121,20 @@ class RnnAsm(Asm):
         # + 0.0 turns -0.0 into 0.0, so the two pool
         return (np.asarray(state, dtype=float) + 0.0).tobytes()
 
+    @_quiet_overflow
     def state_conditionals(self, states) -> np.ndarray:
         """Softmax over output-embedding logits; one row in gives one row out."""
         return softmax(np.matvec(self.output_embedding, np.asarray(states, dtype=float)))
 
     state_conditional = state_conditionals
 
+    @_quiet_overflow
     def successors(self, states, rows, symbols):
         recurrent = np.matvec(self.recurrent_weights, np.asarray(states, dtype=float))
         h = self._advance(recurrent.take(rows, 0), symbols)
         return h, [row.tobytes() for row in h + 0.0]
 
+    @_quiet_overflow
     def unroll(self, state, symbol, n):
         chain, h = np.empty((n, self.hidden_dim)), np.asarray(state, dtype=float)
         drive, act = self._drive[symbol], _ACTIVATIONS[self.activation]

@@ -193,7 +193,9 @@ def _distributions(rows) -> np.ndarray:
     """Which conditional rows are distributions, the one rule of every walk: no entry
     negative or NaN, the sum within ``DEFAULT_TOL`` of 1 (not inf, 0 or unnormalized)."""
     rows = np.asarray(rows, dtype=float)
-    return (rows >= 0).all(axis=-1) & (np.abs(rows.sum(axis=-1) - 1.0) <= DEFAULT_TOL)
+    with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN, and fails
+        sums = rows.sum(axis=-1)
+    return (rows >= 0).all(axis=-1) & (np.abs(sums - 1.0) <= DEFAULT_TOL)
 
 
 def validate_conditional(asm: Asm, prefix: Str) -> None:
@@ -201,8 +203,9 @@ def validate_conditional(asm: Asm, prefix: Str) -> None:
     entry per symbol plus EOS and passes the walks' rule, :func:`_distributions`."""
     vec = np.asarray(asm.conditional(prefix), dtype=float)
     if vec.shape != (asm.alphabet.full_size,) or not _distributions(vec):
-        raise NotADistribution(prefix, float(vec.sum()),
-                               [(i, v) for i, v in enumerate(vec.tolist()) if not v >= 0])
+        with np.errstate(invalid="ignore"):  # inf and -inf sum to NaN
+            total = float(vec.sum())
+        raise NotADistribution(prefix, total, [(i, v) for i, v in enumerate(vec.tolist()) if not v >= 0])
 
 
 def _prefix_walk(asm: Asm, x: Iterable[Token]) -> tuple[float, object]:

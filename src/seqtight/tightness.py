@@ -34,7 +34,6 @@ from .verdicts import Certificate, TightnessVerdict
 
 HIT_ONE_THRESHOLD = 1.0 - 1e-12
 DEFAULT_ENUM_BUDGET = 1_000_000
-SAMPLE_CHUNK = 65536
 _TOL = 1e-12                # relative slack when checking a computed series against an asserted bound
 _SUM_THRESHOLD = 20.0       # suggests_tight: hazard sum above this
 _SURVIVAL_THRESHOLD = 1e-6  # and survival below this
@@ -154,7 +153,8 @@ def _sampling(conds, alphabet: Alphabet, step: int | None = None) -> list:
     bad = ~_distributions(conds)
     if step is not None and bad.any():
         raise _invalid(step, conds[int(np.argmax(bad))], alphabet)
-    sums = np.where(bad, 1.0, conds.sum(axis=1))[:, None]  # no 0/0 on the rows that come back as None
+    with np.errstate(invalid="ignore"):  # a bad row's unused sum may be inf - inf
+        sums = np.where(bad, 1.0, conds.sum(axis=1))[:, None]  # no 0/0 on the rows that come back as None
     return [None if b else row for row, b in zip(conds / sums, bad.tolist())]
 
 
@@ -596,8 +596,8 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
                             seed: int = 0) -> TerminationEstimate:
     """Estimate termination behaviour by seeded ancestral sampling.
 
-    Samples run in chunks of ``SAMPLE_CHUNK``, each drawn from its own
-    generator substream ``(seed, chunk)`` and merged in index order.  Runs in
+    One walk draws all ``samples`` runs, 1 to ``2**63 - 1`` (else :class:`OutOfRange`),
+    from ``default_rng([seed, 0])``; its cost does not grow with ``samples``.  Runs in
     states with equal :meth:`Asm.state_key` share every future conditional:
     a step draws each live key's runs with one multinomial, in first-arrival
     order, from a table that holds each key of the last two frontiers with
@@ -608,54 +608,53 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     run along one symbol, from the chains :func:`_frontiers` reads.  A live
     row that is no distribution raises :class:`InvalidWeight` (see :func:`_sampling`).
 
-    A chunk stops once every live run sits in a closed set of states with
+    The walk stops once every live run sits in a closed set of states with
     EOS probability 0, sought in the union of the last two frontiers: those
     runs count as truncated, as at ``max_len``.  A trap whose live states
     cycle with period 3 or more is still walked to ``max_len``.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= samples <= np.iinfo(np.int64).max:  # the most runs one rng.multinomial takes
+        raise OutOfRange(f"samples is {samples}; one walk draws 1 to 2**63 - 1 runs")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     eos_idx, symbols = asm.alphabet.eos_index, asm.alphabet.symbols
     chains = _Chains(asm, sampling=True) if type(asm).unroll is not Asm.unroll else None
     lengths: dict[int, int] = {}
-    for chunk_index, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
-        rng = np.random.default_rng([seed, chunk_index])
-        state = asm.initial_state()
-        key = asm.state_key(state)
-        # state key -> [key, state, sampling distribution, successor key by symbol index]
-        table = {key: [key, state, None, {}]}
-        previous, frontier = {}, {key: min(SAMPLE_CHUNK, samples - start)}  # key -> runs
-        for t in range(1, max_len + 1):
-            if fresh := [table[key] for key in frontier if table[key][2] is None]:
-                conds = _sampling(asm.state_conditionals([r[1] for r in fresh]), asm.alphabet, t)
-                for row, cond in zip(fresh, conds):
-                    row[2] = cond
-            grown: dict = {}
-            for key, runs in frontier.items():
-                _, state, cond, succ = table[key]
-                draw = rng.multinomial(runs, cond)
-                draws = draw.tolist()
-                stopped = draws[eos_idx]
-                if stopped:
-                    lengths[t - 1] = lengths.get(t - 1, 0) + stopped
-                for j in draw[:eos_idx].nonzero()[0].tolist():
-                    if j not in succ or succ[j] not in table:
-                        if chains and len(frontier) == 1 and draws[j] == runs - stopped:  # all along j
-                            (nxt,), (nxt_cond,) = chains.take(state, j, 1)
-                        else:
-                            nxt, nxt_cond = asm.step(state, symbols[j]), None
-                        k = asm.state_key(nxt)
-                        succ[j] = table.setdefault(k, [k, nxt, nxt_cond, {}])[0]
-                    grown[succ[j]] = grown.get(succ[j], 0) + draws[j]
-            # every run now live was drawn from ``frontier``, so it is trapped too
-            if _trapped(table, eos_idx, frontier, previous) or not grown:
-                break
-            for key in previous:  # the table keeps the last two frontiers only
-                if key not in frontier and key not in grown:
-                    del table[key]
-            previous, frontier = frontier, grown
+    rng = np.random.default_rng([seed, 0])  # not default_rng(seed), which changes every seeded output
+    state = asm.initial_state()
+    key = asm.state_key(state)
+    # state key -> [key, state, sampling distribution, successor key by symbol index]
+    table = {key: [key, state, None, {}]}
+    previous, frontier = {}, {key: samples}  # key -> runs
+    for t in range(1, max_len + 1):
+        if fresh := [table[key] for key in frontier if table[key][2] is None]:
+            conds = _sampling(asm.state_conditionals([r[1] for r in fresh]), asm.alphabet, t)
+            for row, cond in zip(fresh, conds):
+                row[2] = cond
+        grown: dict = {}
+        for key, runs in frontier.items():
+            _, state, cond, succ = table[key]
+            draw = rng.multinomial(runs, cond)
+            draws = draw.tolist()
+            stopped = draws[eos_idx]
+            if stopped:
+                lengths[t - 1] = lengths.get(t - 1, 0) + stopped
+            for j in draw[:eos_idx].nonzero()[0].tolist():
+                if j not in succ or succ[j] not in table:
+                    if chains and len(frontier) == 1 and draws[j] == runs - stopped:  # all along j
+                        (nxt,), (nxt_cond,) = chains.take(state, j, 1)
+                    else:
+                        nxt, nxt_cond = asm.step(state, symbols[j]), None
+                    k = asm.state_key(nxt)
+                    succ[j] = table.setdefault(k, [k, nxt, nxt_cond, {}])[0]
+                grown[succ[j]] = grown.get(succ[j], 0) + draws[j]
+        # every run now live was drawn from ``frontier``, so it is trapped too
+        if _trapped(table, eos_idx, frontier, previous) or not grown:
+            break
+        for key in previous:  # the table keeps the last two frontiers only
+            if key not in frontier and key not in grown:
+                del table[key]
+        previous, frontier = frontier, grown
     terminated = sum(lengths.values())   # every other run is truncated
     return TerminationEstimate(
         samples=samples, max_len=max_len, seed=seed,

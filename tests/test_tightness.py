@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from seqtight import (Alphabet, Asm, BoundViolated, BudgetExceeded,
-                      EosBoundFamily, FunctionAsm, InvalidWeight, OutOfRange,
+                      EosBoundFamily, FunctionAsm, InvalidWeight, NotADistribution, OutOfRange,
                       ParityAsm, analyze, build_sfssm,
                       certify_nontight_upper_bound, certify_tight_lower_bound,
                       decide_tight, eos_hazard_enumerate, eos_hazard_fsa,
@@ -583,6 +583,7 @@ _BAD_ROWS = [
     ([0.2, 0.2, 0.2], "it sums to 0.6"),
     ([1.0, 0.5, 0.5], "it sums to 2.0"),
     ([0.0, 0.0, 0.0], "it sums to 0.0"),
+    ([math.inf, -math.inf, 0.5], "symbol 'a' has inf"),
 ]
 
 
@@ -606,6 +607,19 @@ def test_every_walk_rejects_a_row_that_is_no_distribution_at_its_step(bad, fault
     for walk in walks:
         with pytest.raises(InvalidWeight, match=message):
             walk()
+
+
+def test_a_row_of_inf_and_minus_inf_is_an_error_not_a_warning():
+    # its sum is inf - inf, a NaN that numpy warns about, and the suite makes
+    # that RuntimeWarning an error which would replace the intended one
+    asm = FunctionAsm(Alphabet(("a", "b")), lambda prefix: [math.inf, -math.inf, 0.5])
+    message = "at step 1 is not a distribution: symbol 'a' has inf"
+    with pytest.raises(InvalidWeight, match=message):
+        eos_hazard_enumerate(asm, 3)
+    with pytest.raises(InvalidWeight, match=message):
+        monte_carlo_termination(asm, 10, max_len=3, seed=0)
+    with pytest.raises(NotADistribution, match=r"sums to nan; .* at \[\(1, -inf\)\]"):
+        validate_conditional(asm, ())
 
 
 def test_a_model_build_sfssm_accepts_passes_every_walk():
@@ -914,6 +928,24 @@ def count_pooled_steps(monkeypatch) -> list[int]:
     return steps
 
 
+def test_monte_carlo_steps_do_not_grow_with_the_sample_count(monkeypatch):
+    # one walk draws every run, so the relu RNN takes max_len steps at any N
+    steps = count_pooled_steps(monkeypatch)
+    for samples in (1000, 2**17, 10**6):
+        steps[0] = 0
+        monte_carlo_termination(make_nontight_relu_rnn(), samples, max_len=50, seed=0)
+        assert steps[0] == 50
+
+
+def test_monte_carlo_rejects_more_samples_than_one_draw_holds():
+    asm = SfssmAsm(BUILTINS["fig1a"]())
+    for samples in (0, 2**63):
+        with pytest.raises(OutOfRange, match=rf"samples is {samples}; .* 1 to 2\*\*63 - 1 runs"):
+            monte_carlo_termination(asm, samples, max_len=10, seed=0)
+    estimate = monte_carlo_termination(asm, 2**63 - 1, max_len=10, seed=0)
+    assert estimate.terminated + estimate.truncated == 2**63 - 1
+
+
 def two_symbol_trap():
     # S stops with probability 0.3 or falls into T, which loops on both a and b
     ta = np.array([[0.5, 0.0], [0.0, 0.5]])
@@ -925,7 +957,7 @@ def two_symbol_trap():
 @pytest.mark.parametrize("make", [lambda: BUILTINS["fig1a"](), two_symbol_trap],
                          ids=["fig1a", "two-symbol-trap"])
 def test_monte_carlo_stops_once_every_live_run_is_trapped(monkeypatch, make):
-    # once the live runs sit in a closed set that cannot stop, the chunk ends:
+    # once the live runs sit in a closed set that cannot stop, the walk ends:
     # the steps taken and the estimate do not depend on max_len
     steps = count_pooled_steps(monkeypatch)
     seen = []
