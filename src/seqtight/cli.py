@@ -8,7 +8,9 @@ n-gram model from a corpus and writes it as a model file.
 Exit codes: 0 when the analysis completed (whatever the verdict — a
 non-tight model is a result, not a failure), 1 for usage or parse problems
 and for a conditional that is no distribution (an RNN whose hidden state
-overflows, say), 2 for internal invariant violations.
+overflows, say), 2 for internal invariant violations.  A reader that
+closes the pipe before the whole report is written (``seqtight analyze
+... | head``) is not an error: the command stops quietly with 0.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import traceback
 
@@ -96,6 +99,7 @@ def _emit(payload: dict, text_lines: list[str], fmt: str, out: str | None) -> No
         else:
             handle.write("\n".join(text_lines))
         handle.write("\n")
+        handle.flush()   # so a closed pipe raises in main, not in the exit flush
 
 
 def _preview(values) -> str:
@@ -332,6 +336,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (_UsageError, ParseError, UnknownSymbol, EmptyCorpus, BudgetExceeded, OutOfRange,
             InvalidWeight, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

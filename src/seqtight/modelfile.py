@@ -267,7 +267,7 @@ def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAs
     rnn_section = _required(by_name, "rnn", model_line)
     hidden: int | None = None
     activation: str | None = None
-    rows: dict[str, list[float]] = {}
+    rows: dict[str, tuple] = {}   # "h0" or "bias" -> (its line, its numbers)
     for line in _entries(rnn_section):
         key, values = line[2][0], line[2][1:]
         if key == "hidden":
@@ -283,13 +283,16 @@ def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAs
                 raise ParseError("'activation' takes one name", *_where(line))
             activation = values[0]
         elif key in ("h0", "bias"):
-            rows[key] = [_parse_float(line, k) for k in range(1, len(line[2]))]
+            rows[key] = line, [_parse_float(line, k) for k in range(1, len(line[2]))]
         else:
             raise ParseError(f"unknown [rnn] entry {key!r}", *_where(line))
     if hidden is None or hidden < 1:
         raise ParseError("[rnn] must declare 'hidden <d>' with d >= 1", rnn_section.line)
     if activation is None:
         raise ParseError("[rnn] must declare 'activation <name>'", rnn_section.line)
+    for key, (line, values) in rows.items():
+        if len(values) != hidden:
+            raise ParseError(f"'{key}' needs exactly {hidden} numbers", *_where(line))
 
     def read_matrix(name: str) -> np.ndarray:
         section = _required(by_name, name, model_line)
@@ -305,24 +308,21 @@ def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAs
 
     def read_embedding(name: str) -> np.ndarray:
         section = _required(by_name, name, model_line)
-        emb = np.zeros((len(symbols) + 1, hidden))
-        order = {s: i for i, s in enumerate(symbols)}
-        order[eos] = len(symbols)
-        filled = set()
+        tokens = dict.fromkeys((*symbols, eos))   # ordered, with O(1) membership
+        emb: dict[str, list[float]] = {}
         for line in section.lines:
             token = line[2][0]
-            if token not in order:
+            if token not in tokens:
                 raise ParseError(f"embedding for unknown symbol {token!r}", *_where(line))
-            if token in filled:
+            if token in emb:
                 raise ParseError(f"duplicate embedding for {token!r}", *_where(line))
-            filled.add(token)
             if len(line[2]) != hidden + 1:
                 raise ParseError(f"embeddings need exactly {hidden} numbers", *_where(line))
-            emb[order[token]] = [_parse_float(line, k) for k in range(1, hidden + 1)]
-        missing = set(order) - filled
+            emb[token] = [_parse_float(line, k) for k in range(1, hidden + 1)]
+        missing = tokens.keys() - emb.keys()
         if missing:
             raise ParseError(f"missing embeddings for {sorted(missing)!r}", section.line)
-        return emb
+        return np.array([emb[token] for token in tokens])
 
     return RnnAsm(
         alphabet=Alphabet(symbols, eos=eos),
@@ -330,9 +330,9 @@ def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAs
         output_embedding=read_embedding("output-embedding"),
         input_weights=read_matrix("input-weights"),
         recurrent_weights=read_matrix("recurrent-weights"),
-        bias=np.asarray(rows.get("bias", [0.0] * hidden)),
+        bias=np.asarray(rows["bias"][1]) if "bias" in rows else np.zeros(hidden),
         activation=activation,
-        initial_hidden=np.asarray(rows.get("h0", [0.0] * hidden)),
+        initial_hidden=np.asarray(rows["h0"][1]) if "h0" in rows else np.zeros(hidden),
     )
 
 

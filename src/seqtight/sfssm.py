@@ -30,7 +30,7 @@ emitted by its outgoing transition.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -322,35 +322,21 @@ _TIGHT = TightnessVerdict.tight(Certificate.CO_ACCESSIBILITY,
                                 detail="every accessible state is co-accessible")
 
 
-def _non_tight(m: Sfssm, witness: int, termination: float) -> TightnessVerdict:
-    return TightnessVerdict.non_tight(
-        witness_state=witness, witness_name=m.names[witness], leaked_mass=1.0 - termination,
-        detail=f"state {m.names[witness]} is accessible but cannot reach termination")
-
-
-def _trimmed_termination(m: Sfssm, useful: frozenset[int]) -> tuple[float, Sfssm | None]:
-    try:
-        sub = _trim(m, useful)
-    except NoUsefulStates:
-        return 0.0, None
-    return termination_probability(sub), sub
-
-
 def decide_tight(m: Sfssm) -> TightnessVerdict:
     """Exact tightness decision: tight iff accessible implies co-accessible.
 
-    A tight verdict needs reachability only.  A non-tight verdict reports
-    the lowest-index accessible state that cannot reach termination plus
-    the exact leaked mass (one minus the termination probability).
+    A tight verdict needs reachability only.  A non-tight verdict is
+    :func:`solve_tightness`'s, which searches again before its solve.
     """
-    acc, co = accessible(m), coaccessible(m)
-    bad = sorted(acc - co)
-    return _non_tight(m, bad[0], _trimmed_termination(m, acc & co)[0]) if bad else _TIGHT
+    return _TIGHT if accessible(m) <= coaccessible(m) else solve_tightness(m)[0]
 
 
 def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
-    """``decide_tight(m)`` and the exact termination probability (0 when no
-    state is useful), from one trim and one linear solve.
+    """The exact verdict and termination probability, from one reachability
+    search, one trim and one linear solve (none when no state is useful:
+    the termination probability is then 0).  A non-tight verdict names the
+    lowest-index accessible state that cannot reach termination and leaks
+    one minus the termination probability.
 
     A tight verdict is checked against the solve.  Validated rows may sum
     to ``1 - ROW_TOL``, so the termination probability may fall short of 1
@@ -360,10 +346,14 @@ def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
     in the solves, raises :class:`TerminationShortfall`.
     """
     acc, co = accessible(m), coaccessible(m)
-    bad = sorted(acc - co)
-    termination, sub = _trimmed_termination(m, acc & co)
-    if bad:
-        return _non_tight(m, bad[0], termination), termination
+    sub = _trim(m, acc & co) if acc & co else None
+    termination = 0.0 if sub is None else termination_probability(sub)
+    if acc - co:
+        witness = min(acc - co)
+        name = m.names[witness]
+        return TightnessVerdict.non_tight(
+            witness_state=witness, witness_name=name, leaked_mass=1.0 - termination,
+            detail=f"state {name} is accessible but cannot reach termination"), termination
     if termination < 1.0 - ROW_TOL:
         scaled = solve_linear(np.eye(sub.num_states) - sub.transition_sum,
                               np.full(sub.num_states, ROW_TOL))
@@ -406,24 +396,16 @@ def mle_ngram(corpus: Sequence[Sequence[Token]], order: int) -> Sfssm:
 
     width = order - 1
     start = (_BOS,) * width
-    counts: dict[tuple, Counter] = {}
-    history_order: list[tuple] = []
-
-    def bump(history: tuple, event) -> None:
-        if history not in counts:
-            counts[history] = Counter()
-            history_order.append(history)
-        counts[history][event] += 1
-
+    counts: defaultdict[tuple, Counter] = defaultdict(Counter)   # key order is state order
     for x in corpus:
         history = start
         for token in x:
-            bump(history, token)
+            counts[history][token] += 1
             history = _shift(history, token, width)
-        bump(history, None)  # end-of-string event
+        counts[history][None] += 1  # end-of-string event
 
-    q = len(history_order)
-    index = {h: i for i, h in enumerate(history_order)}
+    q = len(counts)
+    index = {h: i for i, h in enumerate(counts)}
     symbol_index = {a: k for k, a in enumerate(alphabet.symbols)}
     edges: list[tuple[int, int, int, float]] = []
     term = np.zeros(q)
@@ -441,7 +423,7 @@ def mle_ngram(corpus: Sequence[Sequence[Token]], order: int) -> Sfssm:
     # Histories become display names ("BOS", "a", "BOS,a", ...); fall back
     # to generic indices if corpus tokens make the joined names collide.
     names = tuple(",".join("BOS" if part == _BOS else part for part in h) if h else "BOS"
-                  for h in history_order)
+                  for h in counts)
     if len(set(names)) != q:
         names = _default_names(q)
     return _from_edges(alphabet, np.array(edges, dtype=float).reshape(-1, 4).T, init, term, names)

@@ -197,6 +197,41 @@ def test_an_overflowing_rnn_prints_only_its_error_line(tmp_path, command, option
     assert result.stderr == OVERFLOW_ERROR
 
 
+def test_a_huge_rnn_width_is_a_parse_error_before_any_allocation(tmp_path):
+    # under a 1 GiB address-space limit, so an array of the declared width
+    # (2 x 10^11 floats, 1.46 TiB) fails with MemoryError instead of filling memory
+    path = tmp_path / "huge.model"
+    path.write_text(write_model(make_tight_softplus_rnn()).replace("hidden 1", "hidden 100000000000")
+                    .replace("h0 0.0\n", "").replace("bias 0.0\n", ""))
+    probe = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from seqtight.cli import main; sys.exit(main(sys.argv[1:]))")
+    result = subprocess.run([sys.executable, "-c", probe, "analyze", str(path)],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: line 18, column 1: embeddings need exactly 100000000000 numbers\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_a_closed_output_pipe_ends_quietly(fmt, unbuffered):
+    # the read end is closed before the child writes, as when `| head`
+    # has already exited; unbuffered, the write itself fails, buffered, the flush
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC_DIR)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "seqtight.cli", "analyze",
+                                 str(MODELS_DIR / "fig1b.model"), "--format", fmt],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("argv", [("sample", "builtin:fig1a"),
                                   ("analyze", "builtin:relu-rnn", "--horizon", "5")],
                          ids=["sample", "analyze"])

@@ -402,6 +402,10 @@ PINNED_RNN_ERRORS = [
     ('rnn embedding value repeats its symbol', '[output-embedding]\na 1.0',
      '[output-embedding]\na a',
      ("expected a number, got 'a'", 23, 3)),
+    ('rnn h0 too long', 'h0 0.0', 'h0 0.0 1.0',
+     ("'h0' needs exactly 1 numbers", 9, 1)),
+    ('rnn bias without numbers', 'bias 0.0', 'bias',
+     ("'bias' needs exactly 1 numbers", 10, 1)),
 ]
 PINNED_HEADER_ERRORS = [
     ('parity bad value', 'model: parity\n[parity]\neos-prob-even  x\n',
@@ -443,6 +447,56 @@ def test_rnn_parse_errors_are_pinned(old, new, expected):
                          ids=[case[0] for case in PINNED_HEADER_ERRORS])
 def test_header_and_parity_parse_errors_are_pinned(text, expected):
     assert error_tuple(text) == expected
+
+
+# every other ParseError of the parsers: (case, kind written, text replaced,
+# replacement, (message, line, column))
+WRITTEN = {kind: write_model(BUILTINS[kind]()) for kind in ("fig1b", "softplus-rnn", "parity")}
+WRITTEN_ERRORS = [
+    ('duplicate header', 'fig1b', 'eos: EOS\n', 'eos: EOS\neos: EOS\n',
+     ("duplicate header 'eos'", 3, 1)),
+    ('empty section header', 'fig1b', '[term]', '[ ]',
+     ("empty section header", 21, 1)),
+    ('duplicate alphabet symbol', 'fig1b', '[alphabet]\na b', '[alphabet]\na b a',
+     ("duplicate alphabet symbol 'a'", 5, 5)),
+    ('duplicate state', 'fig1b', '[states]\nBOS a b', '[states]\nBOS a b a',
+     ("duplicate state 'a'", 8, 9)),
+    ('empty states', 'fig1b', '[states]\nBOS a b', '[states]',
+     ("[states] section is empty", 7, 1)),
+    ('transition section with two symbols', 'fig1b', '[transitions b]', '[transitions b a]',
+     ("transition sections are named [transitions <symbol>]", 17, 1)),
+    ('hidden with two values', 'softplus-rnn', 'hidden 1', 'hidden 1 2',
+     ("'hidden' takes one integer", 8, 1)),
+    ('activation without a name', 'softplus-rnn', 'activation softplus', 'activation',
+     ("'activation' takes one name", 9, 1)),
+    ('unknown rnn entry', 'softplus-rnn', 'bias 0.0', 'bias 0.0\n  scale 2.0',
+     ("unknown [rnn] entry 'scale'", 12, 3)),
+    ('hidden zero', 'softplus-rnn', 'hidden 1', 'hidden 0',
+     ("[rnn] must declare 'hidden <d>' with d >= 1", 7, 1)),
+    ('no activation', 'softplus-rnn', 'activation softplus\n', '',
+     ("[rnn] must declare 'activation <name>'", 7, 1)),
+    ('matrix with two rows', 'softplus-rnn', '[input-weights]\n0.0', '[input-weights]\n0.0\n0.0',
+     ("[input-weights] needs exactly 1 rows", 13, 1)),
+    ('embedding for an unknown symbol', 'softplus-rnn', '[input-embedding]\na 1.0',
+     '[input-embedding]\n z 1.0', ("embedding for unknown symbol 'z'", 20, 2)),
+    ('duplicate embedding', 'softplus-rnn', '[input-embedding]\na 1.0',
+     '[input-embedding]\na 1.0\na 1.0', ("duplicate embedding for 'a'", 21, 1)),
+    ('embedding too long', 'softplus-rnn', '[output-embedding]\na 1.0',
+     '[output-embedding]\na 1.0 2.0', ("embeddings need exactly 1 numbers", 24, 1)),
+    ('missing embedding', 'softplus-rnn', '[output-embedding]\na 1.0\nEOS 0.0',
+     '[output-embedding]\na 1.0', ("missing embeddings for ['EOS']", 23, 1)),
+    ('unknown parity entry', 'parity', 'eos-prob-even 0.1', 'eos-prob-odd 0.1',
+     ("[parity] lines are 'eos-prob-even <p>'", 8, 1)),
+    ('section of another kind', 'parity', '[parity]', '[rnn]',
+     ("unexpected section [rnn] in a parity file", 7, 1)),
+]
+
+
+@pytest.mark.parametrize("kind, old, new, expected", [case[1:] for case in WRITTEN_ERRORS],
+                         ids=[case[0] for case in WRITTEN_ERRORS])
+def test_parse_errors_of_edited_written_models_are_pinned(kind, old, new, expected):
+    assert old in WRITTEN[kind]
+    assert error_tuple(WRITTEN[kind].replace(old, new, 1)) == expected
 
 
 def test_load_model_skips_a_byte_order_mark(tmp_path):

@@ -338,6 +338,23 @@ def test_mle_rejects_reserved_token():
         mle_ngram([("EOS",)], 2)
 
 
+def test_mle_rejects_order_zero():
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+        mle_ngram([("a",)], 0)
+
+
+def test_mle_rejects_the_start_placeholder_token():
+    with pytest.raises(ValueError, match="reserved start placeholder"):
+        mle_ngram([("a", "\x00BOS")], 2)
+
+
+def test_mle_falls_back_to_generic_names_when_joined_histories_collide():
+    # "a,b" then "c" and "a" then "b,c" both join to the name "a,b,c"
+    model = mle_ngram([("a,b", "c"), ("a", "b,c")], 3)
+    assert model.names == ("q0", "q1", "q2", "q3", "q4")
+    assert decide_tight(model).is_tight
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_mle_is_always_tight(seed):
     rng = np.random.default_rng(3000 + seed)
