@@ -9,15 +9,15 @@ Exit codes: 0 when the analysis completed (whatever the verdict — a
 non-tight model is a result, not a failure), 1 for usage or parse problems
 and for a conditional that is no distribution (an RNN whose hidden state
 overflows, say), 2 for internal invariant violations.  A reader that
-closes the pipe before the whole report is written (``seqtight analyze
-... | head``) is not an error: the command stops quietly with 0.
+closes the pipe before the whole report or the ``--help`` text is written
+(``seqtight analyze ... | head``) is not an error: the command stops
+quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -25,7 +25,7 @@ import traceback
 
 from .core import OutOfRange, UnknownSymbol, prefix_probability, string_probability
 from .modelfile import (BUILTINS, Model, ParseError, as_asm, load_model, model_digest,
-                        model_kind, parse_corpus, write_model)
+                        model_kind, parse_corpus, sha256, write_model)
 from .sfssm import EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa, string_probability_fsa
 from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, EosBoundFamily, InvalidWeight,
                         analyze, monte_carlo_termination)
@@ -39,6 +39,11 @@ class _Parser(argparse.ArgumentParser):
     # usage errors exit with 1 here; argparse's built-in error path exits 2
     def error(self, message):
         raise _UsageError(message)
+
+    # --help exits inside parse_args; flush first, so a closed pipe raises in main
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()
+        super().exit(status, message)
 
 
 def _int_at_least(low: int):
@@ -249,8 +254,8 @@ def cmd_estimate_ngram(args) -> int:
         "out": args.out,
         "states": model.num_states,
         "symbols": list(model.alphabet.symbols),
-        # model_digest(model), from the text just written rather than a second write_model
-        "provenance": {"model_digest": hashlib.sha256(text.encode("utf-8")).hexdigest()},
+        # model_digest(model), hashed from the text just written, not from a second write_model
+        "provenance": {"model_digest": sha256(text.encode("utf-8")).hexdigest()},
     }
     lines = [
         f"estimated order-{args.order} model from {len(corpus)} strings",

@@ -37,11 +37,18 @@ the canonical shape of each kind.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import count
 from typing import Callable, Union
 
 import numpy as np
+
+try:  # hashlib maps OpenSSL's libcrypto (3.5 MB of RSS); random.py also tries these first
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .asm_zoo import (ParityAsm, RnnAsm, SfssmAsm, make_nontight_relu_rnn,
                       make_tight_softplus_rnn)
@@ -475,8 +482,9 @@ def write_model(model: Model) -> str:
 
 
 def model_digest(model: Model) -> str:
-    """SHA-256 of the canonical serialization; stable across reformatting."""
-    return hashlib.sha256(write_model(model).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical :func:`write_model` text, stable across reformatting;
+    CPython's built-in module gives ``hashlib.sha256``'s bytes without OpenSSL."""
+    return sha256(write_model(model).encode("utf-8")).hexdigest()
 
 
 def as_asm(model: Model) -> Asm:

@@ -213,10 +213,16 @@ def test_a_huge_rnn_width_is_a_parse_error_before_any_allocation(tmp_path):
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("fmt", ["text", "machine"])
-def test_a_closed_output_pipe_ends_quietly(fmt, unbuffered):
+@pytest.mark.parametrize("argv", [
+    ("analyze", str(MODELS_DIR / "fig1b.model"), "--format", "text"),
+    ("analyze", str(MODELS_DIR / "fig1b.model"), "--format", "machine"),
+    ("--help",),
+    ("analyze", "--help"),
+], ids=["text", "machine", "help", "analyze-help"])
+def test_a_closed_output_pipe_ends_quietly(argv, unbuffered):
     # the read end is closed before the child writes, as when `| head`
-    # has already exited; unbuffered, the write itself fails, buffered, the flush
+    # has already exited; unbuffered, the write itself fails, buffered, the
+    # flush, which --help reaches inside parse_args
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC_DIR)
     if unbuffered:
@@ -224,8 +230,7 @@ def test_a_closed_output_pipe_ends_quietly(fmt, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = subprocess.run([sys.executable, "-m", "seqtight.cli", "analyze",
-                                 str(MODELS_DIR / "fig1b.model"), "--format", fmt],
+        result = subprocess.run([sys.executable, "-m", "seqtight.cli", *argv],
                                 stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
@@ -285,6 +290,33 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, samples", [
+    ((), False),
+    (("analyze", str(MODELS_DIR / "fig1b.model")), False),
+    (("prob", str(MODELS_DIR / "fig1a.model"), "a b"), False),
+    (("estimate-ngram", "{corpus}", "--order", "2", "--out", "{model}"), False),
+    (("sample", "builtin:fig1a"), True),
+], ids=["import", "analyze", "prob", "estimate-ngram", "sample"])
+def test_only_sampling_loads_numpy_random_and_openssl(tmp_path, argv, samples):
+    # the digests take CPython's built-in sha256, so a finite-state command
+    # never maps OpenSSL; numpy.random imports secrets -> hmac -> hashlib,
+    # which loads it into every sampling process
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\nb a a\n")
+    argv = [arg.format(corpus=corpus, model=tmp_path / "mle.model") for arg in argv]
+    probe = ("import contextlib, io, json, sys; from seqtight.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "print(json.dumps([code, '_hashlib' in sys.modules, 'numpy.random' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, check=True)
+    code, openssl, numpy_random = json.loads(result.stdout)
+    assert code == 0
+    assert numpy_random is samples
+    if not samples:
+        assert openssl is False
 
 
 def test_machine_output_does_not_depend_on_the_blas_thread_count(tmp_path, workloads):

@@ -1,6 +1,10 @@
 """Model file parsing, canonical serialization, digests, and builtins."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,12 +16,13 @@ from hypothesis import strategies as hst
 from seqtight import (Alphabet, FunctionAsm, ParityAsm, ParseError, RnnAsm, Sfssm, mle_ngram,
                       parse_corpus, parse_model, trim, write_model, model_digest)
 from seqtight.cli import main
-from seqtight.modelfile import BUILTINS, load_model, model_kind
+from seqtight.modelfile import BUILTINS, load_model, model_kind, sha256
 from seqtight.sfssm import ROW_TOL
 
 from conftest import dense_transitions, random_sfssm
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def models_equal(a, b) -> bool:
@@ -78,6 +83,37 @@ def test_digest_is_stable_and_discriminating():
     assert model_digest(BUILTINS["fig1a"]()) != model_digest(BUILTINS["fig1b"]())
     parsed = parse_model((MODELS_DIR / "fig1a.model").read_text())
     assert model_digest(parsed) == model_digest(BUILTINS["fig1a"]())
+
+
+def test_the_builtin_sha256_is_hashlibs_sha256():
+    # every length up to 300 bytes, past the 55/56/64-byte padding edges
+    data = bytes(np.random.default_rng(5).integers(0, 256, size=300, dtype=np.uint8))
+    for n in range(301):
+        assert sha256(data[:n]).hexdigest() == hashlib.sha256(data[:n]).hexdigest()
+
+
+DIGESTED_MODELS = [f"builtin:{name}" for name in sorted(BUILTINS)] + \
+                  [str(path) for path in sorted(MODELS_DIR.glob("*.model"))]
+
+
+def hashlib_digests() -> list[str]:
+    return [hashlib.sha256(write_model(load_model(name)).encode("utf-8")).hexdigest()
+            for name in DIGESTED_MODELS]
+
+
+def test_model_digest_is_the_hashlib_sha256_of_the_written_text():
+    assert [model_digest(load_model(name)) for name in DIGESTED_MODELS] == hashlib_digests()
+
+
+def test_without_the_builtin_sha256_modules_digests_go_through_hashlib():
+    probe = ("import hashlib, json, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+             "from seqtight import modelfile\n"
+             "print(json.dumps([modelfile.sha256 is hashlib.sha256, "
+             "[modelfile.model_digest(modelfile.load_model(name)) for name in sys.argv[1:]]]))")
+    result = subprocess.run([sys.executable, "-c", probe, *DIGESTED_MODELS],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    assert json.loads(result.stdout) == [True, hashlib_digests()]
 
 
 def test_comments_and_blank_lines_are_ignored():
