@@ -16,11 +16,12 @@ Step convention used throughout: the conditional for generation step
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import Alphabet, Asm, OutOfRange, Str, Token
-from .sfssm import Sfssm
+from .sfssm import Sfssm, coaccessible
 
 
 class DeadPrefix(ValueError):
@@ -220,7 +221,8 @@ class SfssmAsm(Asm):
     The carried state is the normalized forward state distribution; the
     conditional is its product with the model's row-mass matrix (per-symbol
     outgoing mass, then termination).  Prefixes the model cannot generate
-    have no conditional and raise :class:`DeadPrefix`.
+    have no conditional and raise :class:`DeadPrefix`.  A state can stop iff
+    it puts positive mass on a co-accessible state of the model.
     """
 
     def __init__(self, model: Sfssm):
@@ -240,3 +242,12 @@ class SfssmAsm(Asm):
         # bytes cache their hash; states are finite and nonnegative, so no
         # -0.0 or NaN can give equal floats unequal bytes
         return np.asarray(state, dtype=float).tobytes()
+
+    def can_stop(self, state) -> bool:
+        return bool(np.asarray(state, dtype=float)[self._coaccessible].any())
+
+    @cached_property
+    def _coaccessible(self) -> np.ndarray:
+        mask = np.zeros(self.model.num_states, dtype=bool)
+        mask[list(coaccessible(self.model))] = True
+        return mask

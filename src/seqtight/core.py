@@ -116,7 +116,8 @@ class Asm:
     :meth:`state_conditional`); the base class derives the other.  The
     engines walk only the hooks, and the derived :meth:`conditional` walks
     them along the prefix.  By default the carried state is the prefix
-    itself, so a prefix-only model works unchanged.
+    itself, so a prefix-only model works unchanged.  A model whose state keys
+    recur may override :meth:`can_stop`, so sampling ends once no run can stop.
 
     Instances are immutable; per-call state is caller-owned, so models can
     be shared freely across threads.
@@ -151,6 +152,12 @@ class Asm:
         during hazard enumeration, bound checking and sampling, where a
         recurring key's conditional and successors are reused, not recomputed."""
         return state
+
+    def can_stop(self, state) -> bool:
+        """Whether some continuation from ``state`` may still draw EOS.  ``False``
+        promises that none ever does, so Monte Carlo stops walking runs there;
+        the default ``True`` means "unknown, may stop"."""
+        return True
 
     # -- batch interface, for engines that step a whole frontier ----------
     # optional: an override must match the scalar hooks bit for bit

@@ -193,7 +193,7 @@ def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
     total_init = float(init.sum())
     if not abs(total_init - 1.0) <= ROW_TOL:
         raise BadInit(total_init)
-    row_sums = model.row_mass.sum(axis=1)
+    row_sums = np.bincount(model.src, weights=model.prob, minlength=len(init)) + term
     for idx in np.flatnonzero(~(np.abs(row_sums - 1.0) <= ROW_TOL))[:1]:
         raise BadRow(int(idx), state_names[idx], float(row_sums[idx]))
     return model
@@ -256,7 +256,7 @@ def _reach(starts: np.ndarray, frm: np.ndarray, to: np.ndarray, q: int) -> froze
     while stack:
         s = stack.pop()
         nbrs = to[bounds[s]:bounds[s + 1]]
-        new = np.unique(nbrs[~seen[nbrs]])
+        new = nbrs[~seen[nbrs]]  # a repeat is popped twice, the second time finding nothing
         seen[new] = True
         stack.extend(new.tolist())
     return frozenset(np.flatnonzero(seen).tolist())

@@ -158,22 +158,6 @@ def _sampling(conds, alphabet: Alphabet, step: int | None = None) -> list:
     return [None if b else row for row, b in zip(conds / sums, bad.tolist())]
 
 
-def _trapped(table: dict, eos_idx: int, *frontiers: dict) -> bool:
-    """Whether the union of ``frontiers`` (stepped keys of ``table``) is a closed
-    set that cannot stop: every row gives EOS exactly 0, and every symbol it can
-    draw has a cached successor key in one of the frontiers.  False at the first
-    row that can stop or leave, so a frontier that can stop pays about one lookup."""
-    for frontier in frontiers:
-        for key in frontier:
-            _, _, cond, succ = table[key]
-            if cond[eos_idx] != 0.0:
-                return False
-            for j in cond[:eos_idx].nonzero()[0].tolist():
-                if j not in succ or not any(succ[j] in f for f in frontiers):
-                    return False
-    return True
-
-
 def _prefix(asm: Asm, parents: list, row: int) -> Str:
     """The prefix that first reached frontier row ``row``, read back through
     the per-step ``(parent rows, symbol indices)`` lists ``parents``."""
@@ -608,10 +592,8 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     run along one symbol, from the chains :func:`_frontiers` reads.  A live
     row that is no distribution raises :class:`InvalidWeight` (see :func:`_sampling`).
 
-    The walk stops once every live run sits in a closed set of states with
-    EOS probability 0, sought in the union of the last two frontiers: those
-    runs count as truncated, as at ``max_len``.  A trap whose live states
-    cycle with period 3 or more is still walked to ``max_len``.
+    The walk stops once no live run's state can stop (:meth:`Asm.can_stop` is
+    False for each): those runs count as truncated, as at ``max_len``.
     """
     if not 1 <= samples <= np.iinfo(np.int64).max:  # the most runs one rng.multinomial takes
         raise OutOfRange(f"samples is {samples}; one walk draws 1 to 2**63 - 1 runs")
@@ -648,10 +630,9 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
                     k = asm.state_key(nxt)
                     succ[j] = table.setdefault(k, [k, nxt, nxt_cond, {}])[0]
                 grown[succ[j]] = grown.get(succ[j], 0) + draws[j]
-        # every run now live was drawn from ``frontier``, so it is trapped too
-        if _trapped(table, eos_idx, frontier, previous) or not grown:
+        if not any(asm.can_stop(table[key][1]) for key in grown):  # also when no run is live
             break
-        for key in previous:  # the table keeps the last two frontiers only
+        for key in previous:  # a cache: it keeps the keys of the last two frontiers only
             if key not in frontier and key not in grown:
                 del table[key]
         previous, frontier = frontier, grown

@@ -122,6 +122,9 @@ class CountingAsm(Asm):
     def state_key(self, state):
         return self.inner.state_key(state)
 
+    def can_stop(self, state):
+        return self.inner.can_stop(state)
+
 
 class CountingRnn(RnnAsm):
     """An :class:`RnnAsm` that counts its batch hook calls."""

@@ -409,6 +409,20 @@ def test_machine_output_matches_golden_hash(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_sample_stops_walking_runs_caught_in_a_period_three_cycle(capsys, monkeypatch):
+    # half the runs of cycle.model enter C1 -> C2 -> C3 -> C1, which cannot
+    # stop: the walk ends there, so 10^8 steps change nothing but max_len
+    monkeypatch.chdir(MODELS_DIR.parent)
+    payloads = []
+    for max_len in ("1000", "100000000"):
+        code, out, _ = run(capsys, "sample", "models/cycle.model", "--samples", "100000",
+                           "--max-len", max_len, "--format", "machine")
+        assert code == 0
+        payloads.append({k: v for k, v in json.loads(out).items() if k != "max_len"})
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["truncated_fraction"] > 0
+
+
 # sha256 of the text stdout of commands whose notes come from the analysis
 # pipeline: ignored bounds, a failing bound and the geometric-tail hint
 GOLDEN_TEXT_OUTPUT = [

@@ -23,7 +23,7 @@ from seqtight import (Alphabet, Asm, BoundViolated, BudgetExceeded,
                       suggests_tight, TerminationEstimate, termination_cdf,
                       termination_probability, trim, validate_conditional)
 from seqtight import tightness
-from seqtight.modelfile import BUILTINS, as_asm, load_model
+from seqtight.modelfile import BUILTINS, load_model
 from seqtight.core import as_prob
 from seqtight.tightness import _series_from_values
 from seqtight.verdicts import Certificate
@@ -915,22 +915,23 @@ def test_monte_carlo_reads_one_symbol_runs_from_doubling_chains():
     assert asm.calls["successors"] == 0
 
 
-def count_pooled_steps(monkeypatch) -> list[int]:
-    """A one-element list counting the Monte Carlo steps drawn: the calls to
-    ``tightness._trapped``, which each step makes once."""
+def count_pooled_steps(monkeypatch, cls: type) -> list[int]:
+    """A one-element list counting the calls to ``cls.can_stop``: the Monte
+    Carlo walk asks at least once per step drawn, and exactly once when the
+    step's successors share one state key."""
     steps = [0]
-    trapped = tightness._trapped
+    can_stop = cls.can_stop
 
-    def counted(*args, **kwargs):
+    def counted(self, state):
         steps[0] += 1
-        return trapped(*args, **kwargs)
-    monkeypatch.setattr(tightness, "_trapped", counted)
+        return can_stop(self, state)
+    monkeypatch.setattr(cls, "can_stop", counted)
     return steps
 
 
 def test_monte_carlo_steps_do_not_grow_with_the_sample_count(monkeypatch):
     # one walk draws every run, so the relu RNN takes max_len steps at any N
-    steps = count_pooled_steps(monkeypatch)
+    steps = count_pooled_steps(monkeypatch, RnnAsm)
     for samples in (1000, 2**17, 10**6):
         steps[0] = 0
         monte_carlo_termination(make_nontight_relu_rnn(), samples, max_len=50, seed=0)
@@ -946,6 +947,35 @@ def test_monte_carlo_rejects_more_samples_than_one_draw_holds():
     assert estimate.terminated + estimate.truncated == 2**63 - 1
 
 
+def one_symbol_sfssm(edges, term):
+    """A model over ``a`` on the states named in ``term`` (the first starts),
+    with ``edges`` ``(src, dst, prob)`` by name."""
+    names = tuple(term)
+    trans = np.zeros((len(names), len(names)))
+    for src, dst, prob in edges:
+        trans[names.index(src), names.index(dst)] = prob
+    init = np.eye(len(names))[0]
+    return build_sfssm(Alphabet(("a",)), {"a": trans}, init, list(term.values()), names=names)
+
+
+def cycle_entry(k: int):
+    # B stops with probability 0.5 or enters the deterministic k-cycle C0 -> ... -> C0
+    cycle = [(f"C{i}", f"C{(i + 1) % k}", 1.0) for i in range(k)]
+    return one_symbol_sfssm([("B", "C0", 0.5), *cycle],
+                            {"B": 0.5, **{f"C{i}": 0.0 for i in range(k)}})
+
+
+def walk_lengths_and_estimates(monkeypatch, model, max_lens, samples=1000, seed=0):
+    """``(can_stop calls, estimate without max_len)`` of a walk of ``model`` at each max_len."""
+    steps = count_pooled_steps(monkeypatch, SfssmAsm)
+    seen = []
+    for max_len in max_lens:
+        steps[0] = 0
+        estimate = monte_carlo_termination(SfssmAsm(model), samples, max_len=max_len, seed=seed)
+        seen.append((steps[0], replace(estimate, max_len=None)))
+    return seen
+
+
 def two_symbol_trap():
     # S stops with probability 0.3 or falls into T, which loops on both a and b
     ta = np.array([[0.5, 0.0], [0.0, 0.5]])
@@ -959,28 +989,18 @@ def two_symbol_trap():
 def test_monte_carlo_stops_once_every_live_run_is_trapped(monkeypatch, make):
     # once the live runs sit in a closed set that cannot stop, the walk ends:
     # the steps taken and the estimate do not depend on max_len
-    steps = count_pooled_steps(monkeypatch)
-    seen = []
-    for max_len in (10**3, 10**6):
-        steps[0] = 0
-        estimate = monte_carlo_termination(SfssmAsm(make()), 1000, max_len=max_len, seed=0)
-        assert estimate.truncated > 0
-        seen.append((steps[0], replace(estimate, max_len=None)))
+    seen = walk_lengths_and_estimates(monkeypatch, make(), (10**3, 10**6))
+    assert seen[0][1].truncated > 0
     assert seen[0] == seen[1]
     assert seen[0][0] < 100
 
 
 def test_monte_carlo_stops_once_live_runs_alternate_inside_a_trap(monkeypatch):
     # trap.model's runs that start with c alternate C1 -> C2 -> C1, so no
-    # frontier alone is closed; the union of two successive ones is
-    steps = count_pooled_steps(monkeypatch)
-    asm = as_asm(load_model(str(MODELS_DIR / "trap.model")))
-    seen = []
-    for max_len in (10**3, 10**5):
-        steps[0] = 0
-        estimate = monte_carlo_termination(asm, 3000, max_len=max_len, seed=2)
-        assert estimate.truncated > 0
-        seen.append((steps[0], replace(estimate, max_len=None)))
+    # frontier alone is closed, yet no state of the cycle is co-accessible
+    model = load_model(str(MODELS_DIR / "trap.model"))
+    seen = walk_lengths_and_estimates(monkeypatch, model, (10**3, 10**5), samples=3000, seed=2)
+    assert seen[0][1].truncated > 0
     assert seen[0] == seen[1]
     assert seen[0][0] < 100
 
@@ -1005,6 +1025,39 @@ def test_monte_carlo_samples_on_while_a_live_run_can_leave():
                         names=("X", "Y"))
     estimate = monte_carlo_termination(SfssmAsm(model), 1000, max_len=1000, seed=0)
     assert estimate.terminated == 1000
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_monte_carlo_stops_in_a_trap_of_any_period(monkeypatch, k):
+    # no union of a few frontiers holds a long cycle; co-accessibility sees it at once
+    seen = walk_lengths_and_estimates(monkeypatch, cycle_entry(k), (10**3, 10**4))
+    assert seen[0] == seen[1]
+    assert seen[0][0] < 10
+    assert seen[0][1].terminated + seen[0][1].truncated == 1000 and seen[0][1].truncated > 0
+
+
+def test_monte_carlo_stops_when_the_belief_cycles_with_period_six(monkeypatch):
+    # one symbol leads into a 3-cycle and a 2-cycle at once, so the
+    # belief state of the runs that did not stop recurs every 6 steps
+    cycles = [("A0", "A1", 1.0), ("A1", "A2", 1.0), ("A2", "A0", 1.0),
+              ("D0", "D1", 1.0), ("D1", "D0", 1.0)]
+    model = one_symbol_sfssm([("B", "A0", 0.25), ("B", "D0", 0.25), *cycles],
+                             {"B": 0.5, "A0": 0, "A1": 0, "A2": 0, "D0": 0, "D1": 0})
+    seen = walk_lengths_and_estimates(monkeypatch, model, (10**3, 10**4))
+    assert seen[0] == seen[1]
+    assert seen[0][0] < 10
+
+
+def test_monte_carlo_samples_on_while_the_belief_holds_a_state_that_can_stop(monkeypatch):
+    # after a, the runs' belief puts mass on the trap T and on S, which stops
+    # with probability 0.5 per step; every run in S stops, so 0.5 terminate
+    model = one_symbol_sfssm([("B", "T", 0.5), ("B", "S", 0.5), ("S", "S", 0.5), ("T", "T", 1.0)],
+                             {"B": 0.0, "S": 0.5, "T": 0.0})
+    samples = 10_000
+    (steps, estimate), = walk_lengths_and_estimates(monkeypatch, model, (1000,), samples)
+    assert steps > 20  # S's share of the belief halves each step, and it stays positive
+    assert max(length for length, _ in estimate.length_counts) > 5
+    assert abs(estimate.terminated_fraction - 0.5) <= 5 * math.sqrt(0.25 / samples)
 
 
 @pytest.mark.parametrize("conditional", [
