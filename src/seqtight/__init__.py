@@ -34,7 +34,7 @@ from .tightness import (Analysis, BoundViolated, BudgetExceeded, DualityReport, 
                         eos_hazard_enumerate, eos_hazard_fsa, fit_geometric_tail,
                         monte_carlo_termination, product_sum_duality_check, suggests_tight,
                         termination_cdf)
-from .modelfile import (BUILTINS, ParseError, as_asm, load_model, model_digest,
+from .modelfile import (BUILTINS, NotUtf8, ParseError, as_asm, load_model, model_digest,
                         parse_corpus, parse_model, write_model)
 
 sfssm_as_asm = SfssmAsm  # the adapter's old name, which the acceptance tests still import

@@ -22,10 +22,11 @@ import json
 import os
 import sys
 import traceback
+from itertools import count
 
 from .core import OutOfRange, UnknownSymbol, prefix_probability, string_probability
-from .modelfile import (BUILTINS, Model, ParseError, as_asm, load_model, model_digest,
-                        model_kind, parse_corpus, sha256, write_model)
+from .modelfile import (BUILTINS, Model, NotUtf8, ParseError, as_asm, corpus_strings,
+                        load_model, model_digest, model_kind, read_lines, sha256, write_model)
 from .sfssm import EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa, string_probability_fsa
 from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, EosBoundFamily, InvalidWeight,
                         analyze, monte_carlo_termination)
@@ -238,12 +239,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate_ngram(args) -> int:
-    with open(args.corpus, encoding="utf-8-sig") as handle:   # a leading byte-order mark is skipped
-        corpus = parse_corpus(handle.read())
+    strings = count()   # advanced once per string as the corpus streams in, never held whole
     try:
+        corpus = (x for x, _ in zip(corpus_strings(read_lines(args.corpus)), strings))
         model = mle_ngram(corpus, args.order)
         text = write_model(model)
-    except ValueError as exc:  # reserved tokens, unserializable symbols
+    except ValueError as exc:  # reserved tokens, unserializable symbols, invalid UTF-8
         raise _UsageError(str(exc)) from exc
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -258,7 +259,7 @@ def cmd_estimate_ngram(args) -> int:
         "provenance": {"model_digest": sha256(text.encode("utf-8")).hexdigest()},
     }
     lines = [
-        f"estimated order-{args.order} model from {len(corpus)} strings",
+        f"estimated order-{args.order} model from {next(strings)} strings",
         f"states: {model.num_states}, symbols: {len(model.alphabet.symbols)}",
         f"wrote {args.out}",
     ]
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     ngram = sub.add_parser("estimate-ngram",
                            help="maximum-likelihood n-gram model from a corpus")
     ngram.add_argument("corpus", help="UTF-8 text, one whitespace-tokenized string per line")
-    ngram.add_argument("--order", "-n", type=int, required=True,
+    ngram.add_argument("--order", "-n", type=_int_at_least(1), required=True,
                        help="n-gram order (1 = unigram, 2 = bigram, ...)")
     ngram.add_argument("--out", required=True, help="where to write the model file")
     ngram.add_argument("--format", choices=("text", "machine"), default="text")
@@ -345,8 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         # the reader has gone; what is still buffered goes to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (_UsageError, ParseError, UnknownSymbol, EmptyCorpus, BudgetExceeded, OutOfRange,
-            InvalidWeight, OSError) as exc:
+    except (_UsageError, ParseError, NotUtf8, UnknownSymbol, EmptyCorpus, BudgetExceeded,
+            OutOfRange, InvalidWeight, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # internal invariant violation

@@ -38,7 +38,7 @@ the canonical shape of each kind.
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
         super().__init__(f"line {line}, column {col}: {message}")
+
+
+class NotUtf8(ValueError):
+    """A model or corpus file holds bytes that are not UTF-8."""
 
 
 # -- builtins --------------------------------------------------------------
@@ -410,8 +414,21 @@ def load_model(spec: str) -> Model:
             raise ParseError(f"unknown builtin model {name!r} "
                              f"(available: {', '.join(sorted(BUILTINS))})", 1)
         return BUILTINS[name]()
-    with open(spec, encoding="utf-8-sig") as handle:   # a leading byte-order mark is skipped
-        return parse_model(handle.read())
+    return parse_model("".join(read_lines(spec)))
+
+
+def read_lines(path: str) -> Iterator[str]:
+    """The lines of the UTF-8 file ``path``, lazily, a leading byte-order mark
+    skipped; a byte that is not UTF-8 raises :class:`NotUtf8` naming its offset."""
+    offset = 0
+    with open(path, "rb") as handle:
+        for line in handle:   # no UTF-8 sequence holds the byte b"\n", so lines decode alone
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                raise NotUtf8(f"{path}: byte {offset + bad.start} is not UTF-8 ({bad.reason})") from None
+            yield text if offset else text.removeprefix("\ufeff")
+            offset += len(line)
 
 
 # -- serialization -----------------------------------------------------------
@@ -494,6 +511,11 @@ def as_asm(model: Model) -> Asm:
     return model
 
 
+def corpus_strings(lines: Iterable[str]) -> Iterator[tuple[str, ...]]:
+    """Lazily, a whitespace-tokenized string per ``str.splitlines`` line of each item."""
+    return (tuple(line.split()) for chunk in lines for line in chunk.splitlines())
+
+
 def parse_corpus(text: str) -> list[tuple[str, ...]]:
-    """One whitespace-tokenized string per line; blank lines are empty strings."""
-    return [tuple(line.split()) for line in text.splitlines()]
+    """:func:`corpus_strings` of the whole text, as a list."""
+    return list(corpus_strings((text,)))

@@ -30,7 +30,7 @@ emitted by its outgoing transition.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -307,6 +307,15 @@ def _trim(m: Sfssm, useful: frozenset[int]) -> Sfssm:
                  state_map=tuple(keep))
 
 
+def _identity_minus_sum(m: Sfssm) -> np.ndarray:
+    """``np.eye(Q) - m.transition_sum`` bit for bit, in one array: edges are
+    subtracted from zeros in edge order, and ``1 + (-p)`` rounds as ``1 - p``."""
+    a = np.zeros((m.num_states, m.num_states))
+    np.subtract.at(a, (m.src, m.dst), m.prob)
+    a[np.diag_indices(m.num_states)] += 1.0
+    return a
+
+
 def termination_probability(m: Sfssm) -> float:
     """Total probability of generating a finite string, computed exactly.
 
@@ -314,7 +323,7 @@ def termination_probability(m: Sfssm) -> float:
     trimmed model (``trim(m)``) and returns ``s @ y``.  Trimming guarantees
     the system is nonsingular.
     """
-    y = solve_linear(np.eye(m.num_states) - m.transition_sum, m.term)
+    y = solve_linear(_identity_minus_sum(m), m.term)
     return as_prob(float(m.init @ y), slack=1e-9)
 
 
@@ -355,8 +364,7 @@ def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
             witness_state=witness, witness_name=name, leaked_mass=1.0 - termination,
             detail=f"state {name} is accessible but cannot reach termination"), termination
     if termination < 1.0 - ROW_TOL:
-        scaled = solve_linear(np.eye(sub.num_states) - sub.transition_sum,
-                              np.full(sub.num_states, ROW_TOL))
+        scaled = solve_linear(_identity_minus_sum(sub), np.full(sub.num_states, ROW_TOL))
         allowed = 2.0 * (ROW_TOL + float(sub.init @ scaled))
         if not 1.0 - termination <= allowed:
             raise TerminationShortfall(f"verdict is tight but the termination probability "
@@ -368,62 +376,46 @@ def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
 _BOS = "\x00BOS"  # internal history placeholder; never a corpus token
 
 
-def _shift(history: tuple, token: Token, width: int) -> tuple:
-    return (history + (token,))[-width:] if width else ()
-
-
-def mle_ngram(corpus: Sequence[Sequence[Token]], order: int) -> Sfssm:
+def mle_ngram(corpus: Iterable[Sequence[Token]], order: int) -> Sfssm:
     """Maximum-likelihood n-gram model of the given ``order`` (n >= 1).
 
-    States are the length ``order - 1`` histories actually observed in the
-    corpus, padded on the left with a start placeholder; transition and
-    termination probabilities are relative event counts per history.  The
-    start history gets all initial mass.  Every state observed in a corpus
-    string can, by construction, finish generating that string, so the
-    resulting model is always tight.
+    ``corpus`` is any iterable of token sequences, read once.  States are the
+    ``order - 1`` token histories observed, padded on the left with a start
+    placeholder; probabilities are relative event counts per history, and the
+    start history (state 0) gets all initial mass.  Each observed state can
+    finish the string it was seen in, so the model is always tight.
     """
-    corpus = [tuple(x) for x in corpus]
-    if not corpus:
-        raise EmptyCorpus("corpus contains no strings")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    symbols = sorted({tok for x in corpus for tok in x})
-    if "EOS" in symbols:
-        raise ValueError("corpus uses the reserved end-of-sequence token 'EOS'")
-    if _BOS in symbols:
-        raise ValueError("corpus uses the reserved start placeholder token")
-    alphabet = Alphabet(tuple(symbols))
-
-    width = order - 1
-    start = (_BOS,) * width
-    counts: defaultdict[tuple, Counter] = defaultdict(Counter)   # key order is state order
+    start = (_BOS,) * (order - 1)
+    tokens: dict[Token, Token] = {}      # one object per distinct token, shared by every key
+    counts: Counter[tuple] = Counter()   # (history..., event) windows; a None event ends a string
     for x in corpus:
-        history = start
-        for token in x:
-            counts[history][token] += 1
-            history = _shift(history, token, width)
-        counts[history][None] += 1  # end-of-string event
+        padded = (*start, *[tokens.setdefault(tok, tok) for tok in x], None)
+        counts.update(zip(*(padded[i:] for i in range(order))))
+    if not counts:
+        raise EmptyCorpus("corpus contains no strings")
+    if "EOS" in tokens:
+        raise ValueError("corpus uses the reserved end-of-sequence token 'EOS'")
+    if _BOS in tokens:
+        raise ValueError("corpus uses the reserved start placeholder token")
+    alphabet = Alphabet(tuple(sorted(tokens)))
 
-    q = len(counts)
-    index = {h: i for i, h in enumerate(counts)}
-    symbol_index = {a: k for k, a in enumerate(alphabet.symbols)}
-    edges: list[tuple[int, int, int, float]] = []
-    term = np.zeros(q)
-    for h, events in counts.items():
-        total = sum(events.values())
-        for event, c in events.items():
-            if event is None:
-                term[index[h]] = c / total
-            else:
-                edges.append((symbol_index[event], index[h], index[_shift(h, event, width)],
-                              c / total))
-    init = np.zeros(q)
-    init[index[start]] = 1.0
+    index = {h: i for i, h in enumerate(dict.fromkeys(g[:-1] for g in counts))}
+    column = {a: k for k, a in enumerate((*alphabet.symbols, None))}   # the end event last
+    src = np.fromiter((index[g[:-1]] for g in counts), np.intp, len(counts))
+    symbol = np.fromiter((column[g[-1]] for g in counts), np.intp, len(counts))
+    weight = np.fromiter(counts.values(), float, len(counts))
+    prob = weight / np.bincount(src, weights=weight)[src]
+    moves = symbol < alphabet.size
+    dst = np.fromiter((index[g[1:]] for g in counts if g[-1] is not None), np.intp)
+    term = np.bincount(src[~moves], weights=prob[~moves], minlength=len(index))
+    init = np.eye(1, len(index))[0]   # the start history is the first used
 
     # Histories become display names ("BOS", "a", "BOS,a", ...); fall back
     # to generic indices if corpus tokens make the joined names collide.
     names = tuple(",".join("BOS" if part == _BOS else part for part in h) if h else "BOS"
-                  for h in counts)
-    if len(set(names)) != q:
-        names = _default_names(q)
-    return _from_edges(alphabet, np.array(edges, dtype=float).reshape(-1, 4).T, init, term, names)
+                  for h in index)
+    if len(set(names)) != len(index):
+        names = _default_names(len(index))
+    return _from_edges(alphabet, (symbol[moves], src[moves], dst, prob[moves]), init, term, names)

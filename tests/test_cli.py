@@ -19,8 +19,8 @@ from hypothesis import strategies as hst
 from seqtight import (Alphabet, EosBoundFamily, RnnAsm, certify_nontight_upper_bound,
                       decide_tight, eos_hazard_enumerate, fit_geometric_tail,
                       make_nontight_relu_rnn, make_tight_softplus_rnn,
-                      termination_probability, trim, parse_model, mle_ngram, model_digest,
-                      write_model)
+                      termination_probability, trim, parse_corpus, parse_model, mle_ngram,
+                      model_digest, write_model)
 from seqtight import cli, sfssm, tightness
 from seqtight.cli import main
 from seqtight.modelfile import as_asm
@@ -804,3 +804,80 @@ def test_estimate_ngram_unserializable_token_is_usage_error(capsys, tmp_path):
                        "--out", str(tmp_path / "x.model"))
     assert code == 1
     assert "model file" in err
+
+
+def test_estimate_ngram_order_below_one_is_a_usage_error(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b\n")
+    code, _, err = run(capsys, "estimate-ngram", str(corpus), "--order", "0",
+                       "--out", str(tmp_path / "x.model"))
+    assert code == 1
+    assert err == "error: argument --order/-n: must be at least 1, got 0\n"
+    assert not (tmp_path / "x.model").exists()
+
+
+# every line break str.splitlines knows, a byte-order mark at the start and one
+# inside a line, blank lines, comma tokens and no final newline
+ODD_CORPUS = ("\ufeffa b\r\nc\rd\ve\ff\x1cg\x1dh\x1ei\x85j\u2028k\u2029l\n\n\r\n"
+              "\ufeffm a,b\n, ,\nlast")
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_estimate_ngram_streams_the_lines_str_splitlines_gives(capsys, tmp_path, order):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(ODD_CORPUS.encode("utf-8"))
+    with open(corpus, encoding="utf-8-sig") as handle:   # the whole text, as text mode reads it
+        strings = parse_corpus(handle.read())
+    expected = write_model(mle_ngram(strings, order))
+    model = tmp_path / "m.model"
+    code, out, _ = run(capsys, "estimate-ngram", str(corpus), "--order", str(order),
+                       "--out", str(model))
+    assert code == 0
+    assert out.splitlines()[0] == f"estimated order-{order} model from {len(strings)} strings"
+    assert len(strings) == 16
+    assert model.read_text(encoding="utf-8") == expected
+    code, out, _ = run(capsys, "estimate-ngram", str(corpus), "--order", str(order),
+                       "--out", str(model), "--format", "machine")
+    assert code == 0
+    parsed = parse_model(expected)
+    assert json.loads(out) == {
+        "command": "estimate-ngram", "corpus": str(corpus), "order": order, "out": str(model),
+        "states": parsed.num_states, "symbols": list(parsed.alphabet.symbols),
+        "provenance": {"model_digest": hashlib.sha256(expected.encode("utf-8")).hexdigest()}}
+
+
+@pytest.mark.parametrize("command, rest", [("analyze", ()), ("prob", ("a",)), ("sample", ())],
+                         ids=["analyze", "prob", "sample"])
+def test_a_model_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, command, rest):
+    model = tmp_path / "bad.model"
+    model.write_bytes(b"model: sfssm\n\xff\n")
+    code, out, err = run(capsys, command, str(model), *rest)
+    assert (code, out) == (1, "")
+    assert err == f"error: {model}: byte 13 is not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("data, offset, reason", [
+    # the bad byte comes after the first 64 KiB, so the stream has used it before
+    (b"a b\n" * 20_000 + b"c \xff d\n" + b"a\n" * 10, 80_002, "invalid start byte"),
+    # the byte-order mark counts: offsets are the file's
+    (b"\xef\xbb\xbf\xc3(\n", 3, "invalid continuation byte"),
+    (b"a\n\xe2\x82", 2, "unexpected end of data"),
+], ids=["after-64-KiB", "after-a-byte-order-mark", "cut-at-the-end"])
+def test_a_corpus_that_is_not_utf8_is_one_error_line(capsys, tmp_path, data, offset, reason):
+    corpus, model = tmp_path / "corpus.txt", tmp_path / "m.model"
+    corpus.write_bytes(data)
+    code, out, err = run(capsys, "estimate-ngram", str(corpus), "--order", "2", "--out", str(model))
+    assert (code, out) == (1, "")
+    assert err == f"error: {corpus}: byte {offset} is not UTF-8 ({reason})\n"
+    assert not model.exists()
+
+
+def test_a_corpus_that_is_not_utf8_ends_the_installed_command_quietly(tmp_path):
+    corpus, model = tmp_path / "corpus.txt", tmp_path / "m.model"
+    corpus.write_bytes(b"a b\n" * 20_000 + b"\xff\n")
+    done = subprocess.run([sys.executable, "-m", "seqtight.cli", "estimate-ngram", str(corpus),
+                           "--order", "2", "--out", str(model)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {corpus}: byte 80000 is not UTF-8 (invalid start byte)\n"
+    assert not model.exists()

@@ -1,14 +1,20 @@
 """Finite-state engine: validation, probabilities, reachability, trimming,
 exact tightness decisions, and n-gram estimation."""
 
+import random
+import tracemalloc
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
 from seqtight import (Alphabet, BadInit, BadRow, EmptyCorpus, NegativeEntry,
                       NoUsefulStates, Sfssm, TerminationShortfall, accessible, build_sfssm,
                       coaccessible, decide_tight, mle_ngram, neumann_partial_sum,
-                      prefix_probability_fsa, solve_tightness, spectral_radius_estimate,
-                      string_probability_fsa, termination_probability, trim, useful_states)
+                      prefix_probability_fsa, solve_linear, solve_tightness,
+                      spectral_radius_estimate,
+                      string_probability_fsa, termination_probability, trim, useful_states,
+                      write_model)
 from seqtight import sfssm
 from seqtight.sfssm import _from_edges
 
@@ -194,6 +200,36 @@ def test_solve_tightness_allows_the_shortfall_of_rounded_rows(loop, stop, want):
     assert termination == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_the_assembled_identity_minus_sum_has_the_bits_of_eye_minus_transition_sum(seed):
+    model = random_sfssm(np.random.default_rng(7000 + seed), max_states=6, max_symbols=4)
+    q = model.num_states
+    assert sfssm._identity_minus_sum(model).tobytes() == (np.eye(q) - model.transition_sum).tobytes()
+
+
+def test_the_random_models_above_share_edge_pairs_across_symbols():
+    # the bit test matters where several symbols add into one (src, dst) cell
+    shared = 0
+    for seed in range(40):
+        model = random_sfssm(np.random.default_rng(7000 + seed), max_states=6, max_symbols=4)
+        shared += len(model.src) - len(set(zip(model.src.tolist(), model.dst.tolist())))
+    assert shared >= 20
+
+
+def test_solve_tightness_builds_no_transition_sum(monkeypatch):
+    # rows rounded short of 1, so the shortfall solve runs after the first one
+    model = build_sfssm(Alphabet(("a", "b")), {"a": np.array([[0.5, 0.25], [0.0, 0.5]]),
+                                               "b": np.array([[0.249, 0.0], [0.0, 0.499]])},
+                        [1.0, 0.0], [0.0009999991, 0.0009999991])
+    solved, trimmed = [], []
+    monkeypatch.setattr(sfssm, "solve_linear", lambda a, b: solved.append(a) or solve_linear(a, b))
+    monkeypatch.setattr(sfssm, "termination_probability",
+                        lambda m: trimmed.append(m) or termination_probability(m))
+    verdict, _ = solve_tightness(model)
+    assert verdict.is_tight and len(solved) == 2 and len(trimmed) == 1
+    assert "transition_sum" not in vars(trimmed[0])
+
+
 def test_solve_tightness_rejects_a_tight_verdict_far_below_one(fig1b, monkeypatch):
     monkeypatch.setattr(sfssm, "termination_probability", lambda model: 0.99999)
     with pytest.raises(TerminationShortfall, match="0.99999"):
@@ -353,6 +389,97 @@ def test_mle_falls_back_to_generic_names_when_joined_histories_collide():
     model = mle_ngram([("a,b", "c"), ("a", "b,c")], 3)
     assert model.names == ("q0", "q1", "q2", "q3", "q4")
     assert decide_tight(model).is_tight
+
+
+COMMA_TOKENS = ("a", "b", "a,b", ",", "b,", "c")
+
+
+def comma_corpus(rng, max_strings, max_len):
+    """Seeded strings of 0 to ``max_len`` tokens, some holding commas."""
+    return [tuple(COMMA_TOKENS[k] for k in rng.integers(0, len(COMMA_TOKENS), size=n))
+            for n in rng.integers(0, max_len + 1, size=int(rng.integers(1, max_strings)))]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(10))
+def test_mle_reads_a_one_shot_generator_as_it_reads_the_list(seed, order):
+    corpus = comma_corpus(np.random.default_rng(4000 + seed), max_strings=40, max_len=6)
+    listed = mle_ngram(corpus, order)
+    streamed = mle_ngram((x for x in corpus), order)
+    assert write_model(streamed) == write_model(listed)
+    assert streamed.names == listed.names
+
+
+def reference_mle(corpus, order):
+    """The n-gram estimate by one loop per token: counts per history, then
+    ``count / total`` in Python integers, states in order of first use."""
+    counts = defaultdict(Counter)
+    for x in corpus:
+        history = ("\x00BOS",) * (order - 1)
+        for event in (*x, None):
+            counts[history][event] += 1
+            history = (*history, event)[1:] if order > 1 else ()
+    index = {h: i for i, h in enumerate(counts)}
+    alphabet = Alphabet(tuple(sorted({t for x in corpus for t in x})))
+    edges, term = [], np.zeros(len(index))
+    for h, events in counts.items():
+        total = sum(events.values())
+        for event, c in events.items():
+            if event is None:
+                term[index[h]] = c / total
+            else:
+                nxt = (*h, event)[1:] if order > 1 else ()
+                edges.append((alphabet.index(event), index[h], index[nxt], c / total))
+    names = tuple(",".join("BOS" if p == "\x00BOS" else p for p in h) or "BOS" for h in counts)
+    if len(set(names)) != len(names):
+        names = tuple(f"q{i}" for i in range(len(names)))
+    return _from_edges(alphabet, np.array(edges).reshape(-1, 4).T, np.eye(1, len(index))[0],
+                       term, names)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(10))
+def test_mle_matches_the_per_token_loop_bit_for_bit(seed, order):
+    corpus = comma_corpus(np.random.default_rng(4100 + seed), max_strings=200, max_len=8)
+    model, expected = mle_ngram(corpus, order), reference_mle(corpus, order)
+    assert write_model(model) == write_model(expected)
+    assert model.names == expected.names
+
+
+@pytest.mark.parametrize("corpus, error, message", [
+    ([], EmptyCorpus, "corpus contains no strings"),
+    ([("a",), ("EOS",)], ValueError, "reserved end-of-sequence token 'EOS'"),
+    ([("a", "\x00BOS")], ValueError, "reserved start placeholder"),
+], ids=["empty", "eos", "start-placeholder"])
+@pytest.mark.parametrize("form", [list, iter])
+def test_mle_errors_are_the_same_on_a_one_shot_iterator(corpus, error, message, form):
+    with pytest.raises(error, match=message):
+        mle_ngram(form(corpus), 2)
+
+
+def test_mle_rejects_order_zero_before_drawing_a_string():
+    drawn = []
+
+    def corpus():
+        drawn.append(1)
+        yield ("a",)
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+        mle_ngram(corpus(), 0)
+    assert drawn == []
+
+
+def test_mle_memory_is_flat_in_corpus_length():
+    def corpus(lines):   # fresh token objects on every line, as a file's lines give
+        rng = random.Random(11)
+        for _ in range(lines):
+            yield tuple(f"t{rng.randrange(50)}" for _ in range(rng.randrange(9)))
+    peaks = []
+    for lines in (10_000, 40_000):
+        tracemalloc.start()
+        mle_ngram(corpus(lines), 2)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("seed", range(30))
