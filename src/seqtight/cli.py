@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from itertools import count
 
 from .core import OutOfRange, UnknownSymbol, prefix_probability, string_probability
 from .modelfile import (BUILTINS, Model, NotUtf8, ParseError, as_asm, corpus_strings,
-                        load_model, model_digest, model_kind, read_lines, sha256, write_model)
+                        load_model, model_digest, model_kind, model_text, read_lines, sha256)
 from .sfssm import EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa, string_probability_fsa
 from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, EosBoundFamily, InvalidWeight,
                         analyze, monte_carlo_termination)
@@ -243,11 +244,15 @@ def cmd_estimate_ngram(args) -> int:
     try:
         corpus = (x for x, _ in zip(corpus_strings(read_lines(args.corpus)), strings))
         model = mle_ngram(corpus, args.order)
-        text = write_model(model)
+        pieces = model_text(model)
     except ValueError as exc:  # reserved tokens, unserializable symbols, invalid UTF-8
         raise _UsageError(str(exc)) from exc
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    digest = sha256()   # model_digest(model), of the very bytes the file holds
+    with open(args.out, "wb") as handle:
+        for piece in pieces:
+            data = piece.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
     payload = {
         "command": "estimate-ngram",
         "corpus": args.corpus,
@@ -255,8 +260,7 @@ def cmd_estimate_ngram(args) -> int:
         "out": args.out,
         "states": model.num_states,
         "symbols": list(model.alphabet.symbols),
-        # model_digest(model), hashed from the text just written, not from a second write_model
-        "provenance": {"model_digest": sha256(text.encode("utf-8")).hexdigest()},
+        "provenance": {"model_digest": digest.hexdigest()},
     }
     lines = [
         f"estimated order-{args.order} model from {next(strings)} strings",
@@ -337,7 +341,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the built-in modules hashlib loads at import time when OpenSSL's _hashlib is
+# missing; 3.12 moved sha224 to sha512 from _sha256 and _sha512 into _sha2
+_BUILTIN_HASHES = ("_md5", "_sha1",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")),
+                   "_blake2", "_sha3")
+
+
+def _skip_openssl() -> None:
+    """Make hashlib and hmac take CPython's built-in hashes, so numpy.random's
+    import of secrets -> hmac -> hashlib does not map OpenSSL's libcrypto (3.5 MB
+    of RSS); no command uses an OpenSSL hash.  A ``None`` entry makes ``import
+    _hashlib`` raise ImportError, which both catch.  Skipped once _hashlib is loaded,
+    and when a built-in hash module is missing, for which hashlib would log a
+    traceback."""
+    if "_hashlib" not in sys.modules and all(map(importlib.util.find_spec, _BUILTIN_HASHES)):
+        sys.modules["_hashlib"] = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    _skip_openssl()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -37,12 +37,16 @@ the canonical shape of each kind.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import chain, count, starmap
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-try:  # hashlib maps OpenSSL's libcrypto (3.5 MB of RSS); random.py also tries these first
+# CPython's built-in SHA-256 module, which random.py also tries first: the
+# bytes of hashlib.sha256 without importing hashlib, which maps OpenSSL's
+# libcrypto (3.5 MB of RSS) in any process that has not blocked _hashlib as
+# seqtight.cli's main does
+try:
     from _sha2 import sha256
 except ImportError:
     try:
@@ -418,17 +422,19 @@ def load_model(spec: str) -> Model:
 
 
 def read_lines(path: str) -> Iterator[str]:
-    """The lines of the UTF-8 file ``path``, lazily, a leading byte-order mark
-    skipped; a byte that is not UTF-8 raises :class:`NotUtf8` naming its offset."""
+    """The text of the UTF-8 file ``path``, lazily, in blocks of whole lines of
+    about 64 KiB, a leading byte-order mark skipped; a byte that is not UTF-8
+    raises :class:`NotUtf8` naming its offset."""
     offset = 0
     with open(path, "rb") as handle:
-        for line in handle:   # no UTF-8 sequence holds the byte b"\n", so lines decode alone
+        # no UTF-8 sequence holds the byte b"\n", so blocks of whole lines decode alone
+        while block := b"".join(handle.readlines(1 << 16)):
             try:
-                text = line.decode("utf-8")
+                text = block.decode("utf-8")
             except UnicodeDecodeError as bad:
                 raise NotUtf8(f"{path}: byte {offset + bad.start} is not UTF-8 ({bad.reason})") from None
             yield text if offset else text.removeprefix("\ufeff")
-            offset += len(line)
+            offset += len(block)
 
 
 # -- serialization -----------------------------------------------------------
@@ -444,64 +450,75 @@ def _check_writable_names(names) -> None:
                              f"(needs to be a non-empty token without whitespace, '#' or '[')")
 
 
-def write_model(model: Model) -> str:
-    """Canonical text form; parsing it back reproduces the model exactly."""
+def _section(head: str, lines: Iterable[str]) -> str:
+    """One section's text, after the blank line that separates it from the last."""
+    return "\n".join((f"\n[{head}]", *lines, ""))
+
+
+def _sections(model: Model) -> Iterator[tuple[str, Iterable[str]]]:
+    """The name and the lines of each section of ``model``'s file, in order."""
+    if isinstance(model, Sfssm):
+        name = model.names.__getitem__
+        yield "alphabet", [" ".join(model.alphabet.symbols) or "# (empty)"]
+        yield "states", [" ".join(model.names)]
+        yield "init", [f"{name(i)} {v!r}" for i, v in enumerate(model.init.tolist()) if v != 0]
+        bounds = model.offsets.tolist()
+        for a, lo, hi in zip(model.alphabet.symbols, bounds, bounds[1:]):
+            # one symbol's edges at a time, so no list holds every edge
+            yield f"transitions {a}", map(" ".join, zip(map(name, model.src[lo:hi].tolist()),
+                                                        map(name, model.dst[lo:hi].tolist()),
+                                                        map(repr, model.prob[lo:hi].tolist())))
+        yield "term", [f"{name(i)} {v!r}" for i, v in enumerate(model.term.tolist()) if v != 0]
+    elif isinstance(model, RnnAsm):
+        yield "alphabet", [" ".join(model.alphabet.symbols)]
+        yield "rnn", [f"hidden {model.hidden_dim}",
+                      f"activation {model.activation}",
+                      "h0 " + " ".join(_fmt(v) for v in model.initial_hidden),
+                      "bias " + " ".join(_fmt(v) for v in model.bias)]
+        for head, mat in (("input-weights", model.input_weights),
+                          ("recurrent-weights", model.recurrent_weights)):
+            yield head, [" ".join(_fmt(v) for v in row) for row in mat]
+        tokens = list(model.alphabet.symbols) + [model.alphabet.eos]
+        for head, emb in (("input-embedding", model.input_embedding),
+                          ("output-embedding", model.output_embedding)):
+            yield head, [f"{tok} " + " ".join(_fmt(v) for v in emb[i])
+                         for i, tok in enumerate(tokens)]
+    elif isinstance(model, ParityAsm):
+        yield "alphabet", [" ".join(model.alphabet.symbols)]
+        yield "parity", [f"eos-prob-even {_fmt(model.eos_prob_even)}"]
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+
+
+def model_text(model: Model) -> Iterator[str]:
+    """The canonical text of :func:`write_model`, a header and then one piece per
+    section, so the whole text need never be held at once.  Names that cannot
+    be written raise ValueError at the call, before any piece is made."""
     _check_writable_names(model.alphabet.symbols)
     _check_writable_names((model.alphabet.eos,))
     if isinstance(model, Sfssm):
         if model.state_map is not None:
             raise ValueError("a trimmed model need not be stochastic and has no model file")
         _check_writable_names(model.names)
-    out = [f"model: {model_kind(model)}", f"eos: {model.alphabet.eos}", ""]
-    if isinstance(model, Sfssm):
-        out += ["[alphabet]", " ".join(model.alphabet.symbols) or "# (empty)", ""]
-        out += ["[states]", " ".join(model.names), ""]
-        out.append("[init]")
-        out += [f"{model.names[i]} {v!r}" for i, v in enumerate(model.init.tolist()) if v != 0]
-        out.append("")
-        name = model.names.__getitem__
-        edges = list(map(" ".join, zip(map(name, model.src.tolist()), map(name, model.dst.tolist()),
-                                       map(repr, model.prob.tolist()))))
-        bounds = model.offsets.tolist()
-        for a, lo, hi in zip(model.alphabet.symbols, bounds, bounds[1:]):
-            out.append(f"[transitions {a}]")
-            out += edges[lo:hi]
-            out.append("")
-        out.append("[term]")
-        out += [f"{model.names[i]} {v!r}" for i, v in enumerate(model.term.tolist()) if v != 0]
-    elif isinstance(model, RnnAsm):
-        d = model.hidden_dim
-        out += ["[alphabet]", " ".join(model.alphabet.symbols), ""]
-        out += ["[rnn]",
-                f"hidden {d}",
-                f"activation {model.activation}",
-                "h0 " + " ".join(_fmt(v) for v in model.initial_hidden),
-                "bias " + " ".join(_fmt(v) for v in model.bias),
-                ""]
-        for name, mat in (("input-weights", model.input_weights),
-                          ("recurrent-weights", model.recurrent_weights)):
-            out.append(f"[{name}]")
-            out += [" ".join(_fmt(v) for v in row) for row in mat]
-            out.append("")
-        tokens = list(model.alphabet.symbols) + [model.alphabet.eos]
-        for name, emb in (("input-embedding", model.input_embedding),
-                          ("output-embedding", model.output_embedding)):
-            out.append(f"[{name}]")
-            out += [f"{tok} " + " ".join(_fmt(v) for v in emb[i])
-                    for i, tok in enumerate(tokens)]
-            out.append("")
-    elif isinstance(model, ParityAsm):
-        out += ["[alphabet]", " ".join(model.alphabet.symbols), ""]
-        out += ["[parity]", f"eos-prob-even {_fmt(model.eos_prob_even)}"]
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    return "\n".join(out).rstrip() + "\n"
+    return chain((f"model: {model_kind(model)}\neos: {model.alphabet.eos}\n",),
+                 starmap(_section, _sections(model)))
+
+
+def write_model(model: Model) -> str:
+    """Canonical text form; parsing it back reproduces the model exactly."""
+    return "".join(model_text(model)).rstrip() + "\n"
 
 
 def model_digest(model: Model) -> str:
-    """SHA-256 of the canonical :func:`write_model` text, stable across reformatting;
-    CPython's built-in module gives ``hashlib.sha256``'s bytes without OpenSSL."""
-    return sha256(write_model(model).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical :func:`write_model` text, stable across reformatting.
+
+    The text is hashed a section at a time (:func:`model_text`), so neither it
+    nor its UTF-8 copy is held whole.  CPython's built-in SHA-256 module gives
+    ``hashlib.sha256``'s bytes without loading hashlib or OpenSSL."""
+    digest = sha256()
+    for piece in model_text(model):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def as_asm(model: Model) -> Asm:

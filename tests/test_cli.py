@@ -292,6 +292,28 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+# runs main(argv) after ``prelude`` in a fresh interpreter and reports its
+# code and output, whether _hashlib (OpenSSL) was loaded before and after, and
+# whether a module loaded before is still the one in sys.modules
+MAIN_PROBE = ("import contextlib, io, json, sys\n"
+              "from seqtight.cli import main\n"
+              "held = sys.modules.get('_hashlib')\n"
+              "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "print(json.dumps({'code': code, 'out': out.getvalue(), 'held': held is not None,\n"
+              "                  'openssl': sys.modules.get('_hashlib') is not None,\n"
+              "                  'kept': sys.modules.get('_hashlib') is held,\n"
+              "                  'numpy_random': 'numpy.random' in sys.modules}))")
+
+
+def run_main_child(argv, prelude: str = "") -> tuple[str, dict]:
+    """The child's standard error and its report."""
+    result = subprocess.run([sys.executable, "-c", prelude + "\n" + MAIN_PROBE, *argv],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    return result.stderr, json.loads(result.stdout)
+
+
 @pytest.mark.parametrize("argv, samples", [
     ((), False),
     (("analyze", str(MODELS_DIR / "fig1b.model")), False),
@@ -300,23 +322,43 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     (("sample", "builtin:fig1a"), True),
 ], ids=["import", "analyze", "prob", "estimate-ngram", "sample"])
 def test_only_sampling_loads_numpy_random_and_openssl(tmp_path, argv, samples):
-    # the digests take CPython's built-in sha256, so a finite-state command
-    # never maps OpenSSL; numpy.random imports secrets -> hmac -> hashlib,
-    # which loads it into every sampling process
+    # the digests take CPython's built-in sha256, and main blocks _hashlib, so
+    # numpy.random's import of secrets -> hmac -> hashlib takes the built-in
+    # hashes too: no command maps OpenSSL
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b\nb a a\n")
     argv = [arg.format(corpus=corpus, model=tmp_path / "mle.model") for arg in argv]
-    probe = ("import contextlib, io, json, sys; from seqtight.cli import main\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-             "print(json.dumps([code, '_hashlib' in sys.modules, 'numpy.random' in sys.modules]))")
-    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, check=True)
-    code, openssl, numpy_random = json.loads(result.stdout)
-    assert code == 0
-    assert numpy_random is samples
-    if not samples:
-        assert openssl is False
+    _, report = run_main_child(argv)
+    assert report["code"] == 0
+    assert report["numpy_random"] is samples
+    assert report["openssl"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "builtin:fig1a", "--seed", "3"),
+    ("analyze", "builtin:relu-rnn", "--samples", "1000", "--seed", "3"),
+], ids=["sample", "analyze"])
+def test_machine_output_is_the_same_with_openssl_loaded(argv):
+    argv = [*argv, "--format", "machine"]
+    err, loaded = run_main_child(argv, "import hashlib")
+    assert err == ""
+    # main leaves a _hashlib that some module loaded before it in place
+    assert loaded["held"] and loaded["openssl"] and loaded["kept"]
+    err, blocked = run_main_child(argv)
+    assert err == ""
+    assert not blocked["openssl"]
+    assert blocked["code"] == loaded["code"] == 0
+    assert blocked["out"] == loaded["out"]
+    assert json.loads(blocked["out"])["command"] == argv[0]
+
+
+def test_without_a_builtin_hash_module_sampling_loads_openssl():
+    # blocking OpenSSL then would make hashlib log a traceback for md5
+    err, report = run_main_child(("sample", "builtin:fig1a", "--format", "machine"),
+                                 "import sys; sys.modules['_md5'] = None")
+    assert err == ""
+    assert report["code"] == 0 and report["openssl"]
+    assert report["out"] == run_main_child(("sample", "builtin:fig1a", "--format", "machine"))[1]["out"]
 
 
 def test_machine_output_does_not_depend_on_the_blas_thread_count(tmp_path, workloads):
@@ -804,6 +846,7 @@ def test_estimate_ngram_unserializable_token_is_usage_error(capsys, tmp_path):
                        "--out", str(tmp_path / "x.model"))
     assert code == 1
     assert "model file" in err
+    assert not (tmp_path / "x.model").exists()   # the names are checked before the file opens
 
 
 def test_estimate_ngram_order_below_one_is_a_usage_error(capsys, tmp_path):
