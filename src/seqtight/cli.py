@@ -75,7 +75,7 @@ def _tokens_for(model: Model, text: str) -> tuple[str, ...]:
 def _write_json(write, value, indent: str = "") -> None:
     """Write ``value`` as ``json.JSONEncoder(sort_keys=True, indent=2)`` would,
     or raise TypeError at a key that is not a str.  A list holding no list or
-    dict goes through the C encoder 4096 items at a time; the rest recurses."""
+    dict goes through the C encoder 512 items (about 12 KB of floats) at a time; the rest recurses."""
     inner = indent + "  "
     if not value or not isinstance(value, (dict, list, tuple)):
         write(json.dumps(value))
@@ -93,9 +93,9 @@ def _write_json(write, value, indent: str = "") -> None:
         write(f"\n{indent}]")
     else:
         sep = ",\n" + inner
-        for start in range(0, len(value), 4096):
+        for start in range(0, len(value), 512):
             write(sep if start else "[\n" + inner)
-            write(json.dumps(value[start:start + 4096], separators=(sep, ": "))[1:-1])
+            write(json.dumps(value[start:start + 512], separators=(sep, ": "))[1:-1])
         write(f"\n{indent}]")
 
 

@@ -587,10 +587,10 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     order, from a table that holds each key of the last two frontiers with
     its state, sampling distribution and successor keys by symbol index.  A
     step's new keys get their conditionals in one :meth:`Asm.state_conditionals`
-    call; an uncached successor comes from :meth:`Asm.step`, or, on a model
-    that overrides :meth:`Asm.unroll`, when a lone key sends every unstopped
-    run along one symbol, from the chains :func:`_frontiers` reads.  A live
-    row that is no distribution raises :class:`InvalidWeight` (see :func:`_sampling`).
+    call; an uncached successor comes from :meth:`Asm.step`, or, when a lone
+    key sends every unstopped run along one symbol, from the chains
+    :func:`_frontiers` reads.  A live row that is no distribution raises
+    :class:`InvalidWeight` (see :func:`_sampling`).
 
     The walk stops once no live run's state can stop (:meth:`Asm.can_stop` is
     False for each): those runs count as truncated, as at ``max_len``.
@@ -600,14 +600,14 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     eos_idx, symbols = asm.alphabet.eos_index, asm.alphabet.symbols
-    chains = _Chains(asm, sampling=True) if type(asm).unroll is not Asm.unroll else None
+    chains = _Chains(asm, sampling=True)
     lengths: dict[int, int] = {}
     rng = np.random.default_rng([seed, 0])  # not default_rng(seed), which changes every seeded output
     state = asm.initial_state()
     key = asm.state_key(state)
     # state key -> [key, state, sampling distribution, successor key by symbol index]
     table = {key: [key, state, None, {}]}
-    previous, frontier = {}, {key: samples}  # key -> runs
+    frontier = {key: samples}  # key -> runs
     for t in range(1, max_len + 1):
         if fresh := [table[key] for key in frontier if table[key][2] is None]:
             conds = _sampling(asm.state_conditionals([r[1] for r in fresh]), asm.alphabet, t)
@@ -623,7 +623,7 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
                 lengths[t - 1] = lengths.get(t - 1, 0) + stopped
             for j in draw[:eos_idx].nonzero()[0].tolist():
                 if j not in succ or succ[j] not in table:
-                    if chains and len(frontier) == 1 and draws[j] == runs - stopped:  # all along j
+                    if len(frontier) == 1 and draws[j] == runs - stopped:  # all along j
                         (nxt,), (nxt_cond,) = chains.take(state, j, 1)
                     else:
                         nxt, nxt_cond = asm.step(state, symbols[j]), None
@@ -632,10 +632,8 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
                 grown[succ[j]] = grown.get(succ[j], 0) + draws[j]
         if not any(asm.can_stop(table[key][1]) for key in grown):  # also when no run is live
             break
-        for key in previous:  # a cache: it keeps the keys of the last two frontiers only
-            if key not in frontier and key not in grown:
-                del table[key]
-        previous, frontier = frontier, grown
+        table = {key: table[key] for key in (*frontier, *grown)}  # a cache of the last two frontiers
+        frontier = grown
     terminated = sum(lengths.values())   # every other run is truncated
     return TerminationEstimate(
         samples=samples, max_len=max_len, seed=seed,

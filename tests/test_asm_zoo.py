@@ -1,6 +1,7 @@
 """RNN instances, parity model, and the finite-state adapter."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,19 @@ def test_rnn_rejects_unknown_activation():
                recurrent_weights=np.zeros((1, 1)),
                bias=np.zeros(1),
                activation="swish",
+               initial_hidden=np.zeros(1))
+
+
+def test_rnn_rejects_a_parameter_of_the_wrong_shape():
+    # one output row too many: without the check, the RNN would be built
+    with pytest.raises(ValueError, match=re.escape("output_embedding has shape (3, 1), expected (2, 1)")):
+        RnnAsm(alphabet=Alphabet(("a",)),
+               input_embedding=np.zeros((2, 1)),
+               output_embedding=np.zeros((3, 1)),
+               input_weights=np.zeros((1, 1)),
+               recurrent_weights=np.zeros((1, 1)),
+               bias=np.zeros(1),
+               activation="relu",
                initial_hidden=np.zeros(1))
 
 

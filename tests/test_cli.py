@@ -150,6 +150,16 @@ def test_analyze_rejects_nan_model(capsys, tmp_path):
     assert "nan" in err
 
 
+def test_analyze_rejects_a_negative_entry_in_a_vector_that_sums_to_1(capsys, tmp_path):
+    path = tmp_path / "negative.model"
+    path.write_text("model: sfssm\n\n[alphabet]\na\n\n[states]\nq r\n\n[init]\nq 1.5\nr -0.5\n\n"
+                    "[term]\nq 1.0\nr 1.0\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert "negative entry at ('init', 1)" in err
+
+
 def test_analyze_rejects_nan_rnn(capsys, tmp_path):
     # a NaN hidden state makes every conditional NaN; if the model got that
     # far, the lost mass would read as "prefix mass exhausted", i.e. tight
@@ -596,6 +606,19 @@ def test_prob_bigram_values(capsys):
     assert code == 0
     assert "string probability: 0.1" in out
     assert "prefix probability: 1" in out
+
+
+@pytest.mark.parametrize("model, string, string_p, prefix_p", [
+    ("parity", "a", 0.05, 0.5),
+    ("relu-rnn", "a", 0.5 / (math.e + 1), 0.5),
+    ("softplus-rnn", "a a", 1 / 12, 1 / 3),
+])
+def test_prob_of_a_model_that_is_not_finite_state(capsys, model, string, string_p, prefix_p):
+    code, out, _ = run(capsys, "prob", f"builtin:{model}", string, "--format", "machine")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["string_probability"] == pytest.approx(string_p, rel=1e-12)
+    assert payload["prefix_probability"] == pytest.approx(prefix_p, rel=1e-12)
 
 
 def test_prob_unreachable_first_symbol(capsys):

@@ -1,5 +1,7 @@
 """Dense solver, Neumann partial sums, and the spectral-radius estimate."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,11 @@ def test_solve_rejects_a_solution_with_a_large_residual():
     hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
     with pytest.raises(Singular):
         solve_linear(hilbert, np.ones(n))
+
+
+def test_solve_rejects_a_system_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=re.escape("shape mismatch: matrix (2, 3), vector (2,)")):
+        solve_linear(np.ones((2, 3)), np.ones(2))
 
 
 def test_solve_needs_pivoting():
@@ -137,6 +144,11 @@ def test_spectral_periodic_matrix_averages_the_cycle():
     p = np.array([[0.0, 1.0], [0.5, 0.0]])
     est = spectral_radius_estimate(p)
     assert est.estimate == pytest.approx(np.sqrt(0.5), rel=1e-6)
+
+
+def test_spectral_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match=re.escape("matrix is not square: (2, 3)")):
+        spectral_radius_estimate(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("seed", range(20))

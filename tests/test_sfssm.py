@@ -2,8 +2,10 @@
 exact tightness decisions, and n-gram estimation."""
 
 import random
+import re
 import tracemalloc
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +62,24 @@ def test_build_rejects_negative_entries():
     assert info.value.location == ("trans", "a", 0, 0)
 
 
+@pytest.mark.parametrize("trans, init, term, location", [
+    ([[0.0, 0.0], [0.0, 0.0]], [1.5, -0.5], [1.0, 1.0], ("init", 1)),
+    ([[1.5]], [1.0], [-0.5], ("term", 0)),
+])
+def test_build_rejects_a_negative_init_or_term_entry(trans, init, term, location):
+    # the vector and every row still sum to 1, so only the sign check catches it
+    with pytest.raises(NegativeEntry) as info:
+        build_sfssm(Alphabet(("a",)), {"a": np.array(trans)}, init, term)
+    assert info.value.location == location
+
+
+def test_build_rejects_matrices_for_unknown_symbols_or_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=re.escape("symbols outside the alphabet: ['b']")):
+        build_sfssm(Alphabet(("a",)), {"a": np.zeros((1, 1)), "b": np.zeros((1, 1))}, [1.0], [1.0])
+    with pytest.raises(ValueError, match=re.escape("for 'a' has shape (1, 2), expected (1, 1)")):
+        build_sfssm(Alphabet(("a",)), {"a": np.zeros((1, 2))}, [1.0], [1.0])
+
+
 def test_degenerate_single_state_model_is_fine():
     model = one_state_stopper()
     assert string_probability_fsa(model, ()) == 1.0
@@ -81,6 +101,13 @@ def test_malformed_edge_lists_are_rejected():
         _from_edges(Alphabet(("a",)), ([1], [0], [0], [0.5]), [1.0], [0.5])
     with pytest.raises(ValueError, match="state index"):
         _from_edges(Alphabet(("a",)), ([0], [0], [1], [0.5]), [1.0], [0.5])
+
+
+def test_a_model_needs_one_termination_entry_and_one_name_per_state(fig1a):
+    with pytest.raises(ValueError, match="termination vector length differs"):
+        replace(fig1a, term=fig1a.term[:2])
+    with pytest.raises(ValueError, match="state-name count differs"):
+        replace(fig1a, names=fig1a.names[:2])
 
 
 @pytest.mark.parametrize("seed", range(20))

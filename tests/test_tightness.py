@@ -52,6 +52,12 @@ def test_series_accumulators_match_running_loop():
         assert series.survival == tuple(survival)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+def test_a_hazard_outside_the_unit_interval_is_an_invalid_weight(bad):
+    with pytest.raises(InvalidWeight, match=re.escape(f"eos hazard {bad!r} at step 2 is outside [0, 1]")):
+        _series_from_values([0.5, bad, 0.5], None)
+
+
 # -- hazard series: exhaustive enumeration -------------------------------------
 
 def test_enumerate_softplus_is_harmonic():
@@ -729,6 +735,21 @@ def test_bound_families_reject_degenerate_parameters(make):
         make()
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: EosBoundFamily.harmonic(-0.1, 1.0), OutOfRange, "harmonic bound needs c >= 0"),
+    (lambda: EosBoundFamily.harmonic(0.1, -0.5), OutOfRange, "harmonic bound needs c >= 0"),
+    (lambda: EosBoundFamily.geometric(-0.5, 0.5), OutOfRange, "geometric bound needs c >= 0"),
+    (lambda: EosBoundFamily(kind="quadratic"), ValueError, "unknown bound family kind: 'quadratic'"),
+    (lambda: EosBoundFamily.harmonic().value(0), ValueError, "steps are 1-based"),
+    (lambda: EosBoundFamily.harmonic().geometric_tail(10), ValueError,
+     "only defined for geometric families"),
+])
+def test_bound_families_name_what_they_reject(make, error, message):
+    # a negative c would also fail the peak check, but with another message
+    with pytest.raises(error, match=re.escape(message)):
+        make()
+
+
 def test_bound_family_values_and_divergence():
     assert EosBoundFamily.harmonic(1.0, 1.0).value(3) == pytest.approx(0.25)
     assert EosBoundFamily.geometric(0.5, 0.5).value(2) == pytest.approx(0.125)
@@ -900,11 +921,18 @@ def test_monte_carlo_reads_unrolled_chains_as_single_steps(spec, chain, samples,
     assert estimate == monte_carlo_termination(SteppedTableAsm(*spec), samples, max_len, seed)
 
 
-def test_monte_carlo_reads_no_chains_without_an_unroll_override(fig1a, monkeypatch):
-    # a chain of the default unroll has one row, so it could only cost time
-    monkeypatch.setattr(tightness._Chains, "take", None)
+def test_monte_carlo_reads_chains_without_an_unroll_override(fig1a, monkeypatch):
+    # the default unroll's one-row chains serve a lone key's successors too
+    taken = []
+    take = tightness._Chains.take
+
+    def counted(self, state, symbol, n):
+        taken.append(state)
+        return take(self, state, symbol, n)
+    monkeypatch.setattr(tightness._Chains, "take", counted)
     one_symbol = SteppedTableAsm([[1, 1], [2, 2], [3, 3], [3, 3]], [_A, _A, _A, _STOP])
     assert monte_carlo_termination(one_symbol, 100, max_len=10).length_counts == ((3, 100),)
+    assert taken == [0, 1, 2]  # states 1, 2 and 3 each came from a chain
     assert monte_carlo_termination(SfssmAsm(fig1a), 1000, max_len=50).samples == 1000
 
 
@@ -945,6 +973,19 @@ def test_monte_carlo_rejects_more_samples_than_one_draw_holds():
             monte_carlo_termination(asm, samples, max_len=10, seed=0)
     estimate = monte_carlo_termination(asm, 2**63 - 1, max_len=10, seed=0)
     assert estimate.terminated + estimate.truncated == 2**63 - 1
+
+
+def test_monte_carlo_rejects_a_max_len_below_one():
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        monte_carlo_termination(ParityAsm(), 10, max_len=0, seed=0)
+
+
+def test_an_estimate_in_which_nothing_terminates_has_no_mean_or_quantile():
+    never = build_sfssm(Alphabet(("a",)), {"a": np.ones((1, 1))}, [1.0], [0.0])
+    estimate = monte_carlo_termination(SfssmAsm(never), 50, max_len=10, seed=0)
+    assert estimate.truncated == 50
+    assert math.isnan(estimate.mean_length_of_terminated)
+    assert estimate.length_quantile(0.5) is None
 
 
 def one_symbol_sfssm(edges, term):
@@ -1273,6 +1314,16 @@ def test_fit_geometric_tail_rejects_a_ratio_whose_powers_underflow():
     # no finite scale dominates the series
     series = _series_from_values([0.5] * 4000 + [0.5 * 0.9 ** k for k in range(4000)], None)
     assert fit_geometric_tail(series) is None
+
+
+@pytest.mark.parametrize("values, exhausted", [
+    ([0.1, 0.05, 0.025], None),                  # too short to judge
+    ([0.5, 0.25, 0.125, 0.0625, 0.03125], 6),     # sure stopping ends the series
+    ([0.0, 0.5, 0.25, 0.125, 0.0625], None),      # a zero hazard
+])
+def test_fit_geometric_tail_needs_four_positive_steps_of_an_unfinished_series(values, exhausted):
+    # each series decays by exactly 1/2 over its trailing half
+    assert fit_geometric_tail(_series_from_values(values, exhausted)) is None
 
 
 def test_suggests_tight_for_sure_stop():

@@ -37,3 +37,4 @@ def test_describe_is_readable():
         witness_state=2, witness_name="b", leaked_mass=0.5).describe()
     assert "tight" in TightnessVerdict.tight(Certificate.UNIFORM_EOS_BOUND).describe()
     assert "inconclusive" in TightnessVerdict.inconclusive("not enough steps").describe()
+    assert TightnessVerdict.non_tight(witness_state=2).describe() == "non-tight (witness state #2)"
