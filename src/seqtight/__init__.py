@@ -28,8 +28,9 @@ from .sfssm import (BadInit, BadRow, EmptyCorpus, NegativeEntry, NoUsefulStates,
                     termination_probability, trim, useful_states)
 from .asm_zoo import (DeadPrefix, ParityAsm, RnnAsm, SfssmAsm, make_nontight_relu_rnn,
                       make_tight_softplus_rnn, softmax)
-from .tightness import (Analysis, BoundViolated, BudgetExceeded, DualityReport, EosBoundFamily,
-                        EosHazardSeries, InvalidWeight, TerminationEstimate, analyze,
+from .bounds import EosBoundFamily
+from .tightness import (Analysis, BoundViolated, BudgetExceeded, DualityReport, EosHazardSeries,
+                        InvalidWeight, TerminationEstimate, analyze,
                         certify_nontight_upper_bound, certify_tight_lower_bound,
                         eos_hazard_enumerate, eos_hazard_fsa, fit_geometric_tail,
                         monte_carlo_termination, product_sum_duality_check, suggests_tight,

@@ -74,6 +74,8 @@ class RnnAsm(Asm):
 
     def __post_init__(self):
         d = len(self.initial_hidden)
+        if d < 1:  # a model file's hidden size is at least 1 too
+            raise ValueError("initial_hidden needs at least one entry")
         full = self.alphabet.full_size
         for name in ("input_embedding", "output_embedding", "input_weights",
                      "recurrent_weights", "bias", "initial_hidden"):
@@ -133,7 +135,7 @@ class RnnAsm(Asm):
     def successors(self, states, rows, symbols):
         recurrent = np.matvec(self.recurrent_weights, np.asarray(states, dtype=float))
         h = self._advance(recurrent.take(rows, 0), symbols)
-        return h, [row.tobytes() for row in h + 0.0]
+        return h, h + 0.0  # each row's bytes are its state_key
 
     @_quiet_overflow
     def unroll(self, state, symbol, n):

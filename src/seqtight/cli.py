@@ -25,12 +25,15 @@ import sys
 import traceback
 from itertools import count
 
+import numpy as np
+
 from .core import OutOfRange, UnknownSymbol, prefix_probability, string_probability
 from .modelfile import (BUILTINS, Model, NotUtf8, ParseError, as_asm, corpus_strings,
                         load_model, model_digest, model_kind, model_text, read_lines, sha256)
 from .sfssm import EmptyCorpus, Sfssm, mle_ngram, prefix_probability_fsa, string_probability_fsa
-from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, EosBoundFamily, InvalidWeight,
-                        analyze, monte_carlo_termination)
+from .bounds import EosBoundFamily
+from .tightness import (DEFAULT_ENUM_BUDGET, BudgetExceeded, InvalidWeight, analyze,
+                        monte_carlo_termination)
 
 
 class _UsageError(Exception):
@@ -73,11 +76,15 @@ def _tokens_for(model: Model, text: str) -> tuple[str, ...]:
 
 
 def _write_json(write, value, indent: str = "") -> None:
-    """Write ``value`` as ``json.JSONEncoder(sort_keys=True, indent=2)`` would,
-    or raise TypeError at a key that is not a str.  A list holding no list or
-    dict goes through the C encoder 512 items (about 12 KB of floats) at a time; the rest recurses."""
+    """Write ``value`` as ``json.JSONEncoder(sort_keys=True, indent=2)`` would
+    with 1-D arrays as their ``.tolist()``, or raise TypeError at a key that is
+    not a str.  Such an array, or a list holding no list or dict, goes through
+    the C encoder 512 items (about 12 KB of floats) at a time; the rest recurses."""
     inner = indent + "  "
-    if not value or not isinstance(value, (dict, list, tuple)):
+    series = isinstance(value, np.ndarray)  # a float series: no item to scan for a list
+    if series and not len(value):
+        value, series = [], False
+    if not series and (not value or not isinstance(value, (dict, list, tuple))):
         write(json.dumps(value))
     elif isinstance(value, dict):
         for n, key in enumerate(sorted(value)):
@@ -86,7 +93,7 @@ def _write_json(write, value, indent: str = "") -> None:
             write(f"{',' if n else '{'}\n{inner}{json.dumps(key)}: ")
             _write_json(write, value[key], inner)
         write(f"\n{indent}}}")
-    elif any(isinstance(item, (dict, list, tuple)) for item in value):
+    elif not series and any(isinstance(item, (dict, list, tuple)) for item in value):
         for n, item in enumerate(value):
             write(f"{',' if n else '['}\n{inner}")
             _write_json(write, item, inner)
@@ -94,8 +101,9 @@ def _write_json(write, value, indent: str = "") -> None:
     else:
         sep = ",\n" + inner
         for start in range(0, len(value), 512):
+            piece = value[start:start + 512]
             write(sep if start else "[\n" + inner)
-            write(json.dumps(value[start:start + 512], separators=(sep, ": "))[1:-1])
+            write(json.dumps(piece.tolist() if series else piece, separators=(sep, ": "))[1:-1])
         write(f"\n{indent}]")
 
 
@@ -148,10 +156,10 @@ def cmd_analyze(args) -> int:
         "verdict": result.verdict.to_dict(),
         "series": {
             "horizon": series.horizon,
-            "eos_hazard": list(series.values),
-            "termination_cdf": list(cdf),
-            "partial_sums": list(series.partial_sums),
-            "survival": list(series.survival),
+            "eos_hazard": series.values,
+            "termination_cdf": cdf,
+            "partial_sums": series.partial_sums,
+            "survival": series.survival,
         },
         "notes": list(result.notes),
     }
@@ -166,7 +174,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"leaked mass: {result.leaked_mass:.10g}")
     lines.append(f"eos hazard ({series.horizon} steps): {_preview(series.values)}")
     lines.append(f"termination cdf: {_preview(cdf)}")
-    if cdf:
+    if len(cdf):
         lines.append(f"cdf at horizon {series.horizon}: {cdf[-1]:.10g}")
     if series.hit_one_at is not None:
         payload["series"]["hit_one_at"] = series.hit_one_at

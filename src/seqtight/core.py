@@ -10,7 +10,7 @@ top of this interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -166,10 +166,12 @@ class Asm:
         """The conditionals of a batch of carried states, one row each."""
         return np.array([np.asarray(self.state_conditional(s), dtype=float) for s in states])
 
-    def successors(self, states, rows, symbols) -> tuple[np.ndarray, list]:
+    def successors(self, states, rows, symbols) -> tuple[np.ndarray, Sequence]:
         """The successors of ``states[rows[i]]`` along symbol index
-        ``symbols[i]`` (lists of ints), as a batch that a list of indices
-        selects from, and their :meth:`state_key`."""
+        ``symbols[i]`` (integer arrays), as a batch that an index array
+        selects from, and their keys: a list of :meth:`state_key`, or a 2-D
+        array with a row per successor, two of which share a key exactly when
+        their rows' bytes are equal (so ``-0.0`` must be ``0.0`` there)."""
         batch = np.empty(len(rows), dtype=object)
         for i, (r, j) in enumerate(zip(rows, symbols)):
             batch[i] = self.step(states[r], self.alphabet.symbols[j])

@@ -20,13 +20,13 @@ attached as evidence.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .bounds import CONSTANT, GEOMETRIC, EosBoundFamily
 from .core import PROB_SLACK, Alphabet, Asm, OutOfRange, Str, _distributions, as_prob
 from .modelfile import as_asm
 from .sfssm import Sfssm, solve_tightness
@@ -78,9 +78,10 @@ def _invalid(step: int, row: np.ndarray, alphabet: Alphabet) -> InvalidWeight:
     return InvalidWeight(f"the conditional at step {step} is not a distribution: {fault}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EosHazardSeries:
-    """Per-step stopping hazard plus its running sum and survival product.
+    """Per-step stopping hazard plus its running sum and survival product,
+    each a read-only float64 array (8 bytes a step).
 
     ``values[i]`` is the hazard at step ``i + 1``.  ``hit_one_at`` is the
     first step whose hazard reached 1 (within 1e-12), if any;
@@ -92,12 +93,17 @@ class EosHazardSeries:
     smallest EOS probability over the states live at step ``i + 1``.
     """
 
-    values: tuple[float, ...]
-    partial_sums: tuple[float, ...]
-    survival: tuple[float, ...]
+    values: np.ndarray
+    partial_sums: np.ndarray
+    survival: np.ndarray
     hit_one_at: int | None = None
     support_exhausted_at: int | None = None
-    min_eos: tuple[float, ...] | None = None
+    min_eos: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("values", "partial_sums", "survival", "min_eos"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def horizon(self) -> int:
@@ -109,15 +115,21 @@ class EosHazardSeries:
         return self.hit_one_at is not None or self.support_exhausted_at is not None
 
 
-def _series_from_values(values: list[float], support_exhausted_at: int | None) -> EosHazardSeries:
+def _frozen(a) -> np.ndarray:
+    """A read-only float64 view of ``a``, which is copied only if it is no such array."""
+    a = np.asarray(a, dtype=float).view()
+    a.flags.writeable = False
+    return a
+
+
+def _series_from_values(values, support_exhausted_at: int | None) -> EosHazardSeries:
     v = np.asarray(values, dtype=float)
     inside = (v >= 0.0) & (v <= 1.0)  # False for NaN
     if not inside.all():
         i = int(np.argmin(inside))
-        raise InvalidWeight(f"eos hazard {values[i]!r} at step {i + 1} is outside [0, 1]")
+        raise InvalidWeight(f"eos hazard {float(v[i])!r} at step {i + 1} is outside [0, 1]")
     hits = np.flatnonzero(v >= HIT_ONE_THRESHOLD)
-    return EosHazardSeries(values=tuple(values), partial_sums=tuple(np.cumsum(v).tolist()),
-                           survival=tuple(np.cumprod(1.0 - v).tolist()),
+    return EosHazardSeries(values=v, partial_sums=np.cumsum(v), survival=np.cumprod(1.0 - v),
                            hit_one_at=int(hits[0]) + 1 if hits.size else None,
                            support_exhausted_at=support_exhausted_at)
 
@@ -210,19 +222,32 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
             k = int(np.argmin(np.append(go_on, False))) + 1  # up to the first row that stops
             states, weights, conds, span = states[:k], weights[:k], conds[:k], range(t + 1, t + 1 + k)
         else:
-            batch, keys = asm.successors(states, rows.tolist(), cols.tolist())
-            index: dict = {}
-            pooled = [index.setdefault(key, len(index)) for key in keys]
-            if len(index) > budget:
-                raise BudgetExceeded(t + 1, len(index), budget)
+            batch, keys = asm.successors(states, rows, cols)
+            first, pooled = _pool(keys)
+            if len(first) > budget:
+                raise BudgetExceeded(t + 1, len(first), budget)
             states, weights, span = batch, sent, range(t + 1, t + 2)
-            if len(index) < len(keys):  # some successors share a state key
-                first = np.unique(pooled, return_index=True)[1]
+            if len(first) < len(keys):  # some successors share a state key
                 weights = np.bincount(pooled, weights=sent)  # adds in arrival order
-                states, rows, cols = batch[first.tolist()], rows[first], cols[first]
+                states, rows, cols = batch[first], rows[first], cols[first]
             conds = asm.state_conditionals(states)
         if witness:  # a stretch's later steps each come from row 0
             parents += [(rows, cols)] + [([0], cols)] * (len(span) - 1)
+
+
+def _pool(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct state keys in ``keys`` in order of first arrival:
+    each key's first index, and each arrival's number.  A 2-D array's keys are
+    its rows' bytes, pooled by one sort; any other keys go through a dict."""
+    if isinstance(keys, np.ndarray):
+        rows = np.ascontiguousarray(keys).reshape(len(keys), -1)
+        rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, pooled = np.unique(rows, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the sorted keys' numbers, by first arrival
+        return first[order], np.argsort(order)[pooled]
+    index: dict = {}
+    pooled = np.fromiter((index.setdefault(key, len(index)) for key in keys), np.intp, len(keys))
+    return np.unique(pooled, return_index=True)[1], pooled
 
 
 def eos_hazard_enumerate(asm: Asm, horizon: int,
@@ -242,18 +267,18 @@ def eos_hazard_enumerate(asm: Asm, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     eos_idx = asm.alphabet.eos_index
-    values: list[float] = []
-    min_eos: list[float] = []
+    values, min_eos = bytearray(), bytearray()  # float64s, 8 bytes a step
     for span, weights, conds, _ in _frontiers(asm, horizon, budget):
         eos = conds[:, eos_idx]
         if len(span) == 1:
             num = math.fsum((weights * eos).tolist())
-            values.append(min(max(num / math.fsum(weights.tolist()), 0.0), 1.0))
+            values += np.float64(min(max(num / math.fsum(weights.tolist()), 0.0), 1.0)).tobytes()
         else:  # one row per step, whose one-term sums are exact
-            values += np.minimum(np.maximum(weights * eos / weights, 0.0), 1.0).tolist()
-        min_eos += eos.reshape(len(span), -1).min(axis=1).tolist()
-    exhausted = len(values) + 1 if len(values) < horizon else None
-    return replace(_series_from_values(values, exhausted), min_eos=tuple(min_eos))
+            values += np.minimum(np.maximum(weights * eos / weights, 0.0), 1.0).tobytes()
+        min_eos += eos.reshape(len(span), -1).min(axis=1).tobytes()
+    exhausted = len(values) // 8 + 1 if len(values) < 8 * horizon else None
+    return replace(_series_from_values(np.frombuffer(values), exhausted),
+                   min_eos=np.frombuffer(min_eos))
 
 
 def eos_hazard_fsa(m: Sfssm, horizon: int) -> EosHazardSeries:
@@ -282,8 +307,9 @@ def eos_hazard_fsa(m: Sfssm, horizon: int) -> EosHazardSeries:
     return _series_from_values(values, exhausted)
 
 
-def termination_cdf(series: EosHazardSeries) -> tuple[float, ...]:
-    """Cumulative stopping probability by step: ``1 - survival``.
+def termination_cdf(series: EosHazardSeries) -> np.ndarray:
+    """Cumulative stopping probability by step: ``1 - survival``, as a
+    read-only float64 array.
 
     Nondecreasing and bounded by 1; converges to the model's termination
     probability as the horizon grows.
@@ -292,153 +318,7 @@ def termination_cdf(series: EosHazardSeries) -> tuple[float, ...]:
     outside = ~((cdf >= -PROB_SLACK) & (cdf <= 1.0 + PROB_SLACK))  # NaN is outside
     if outside.any():
         as_prob(float(cdf[outside.argmax()]))  # raises OutOfRange, naming the first
-    return tuple(np.clip(cdf, 0.0, 1.0).tolist())
-
-
-# -- bound families ------------------------------------------------------
-
-CONSTANT = "constant"
-HARMONIC = "harmonic"
-LOG_HARMONIC = "log-harmonic"
-GEOMETRIC = "geometric"
-TABLE = "table"
-
-
-@dataclass(frozen=True)
-class EosBoundFamily:
-    """A per-step bound ``f(t)`` on the EOS probability, with a divergence
-    classification.
-
-    Shapes: ``constant`` is ``eps``; ``harmonic`` is ``c / (t + d)``;
-    ``log-harmonic`` is ``c / ((t + d) * log(t + d))``; ``geometric`` is
-    ``c * r^t`` with ``0 < r < 1``; ``table`` lists finitely many values
-    and claims nothing about the tail.  The first three have divergent
-    series (so they can certify tightness when used as lower bounds); a
-    geometric family converges; a table has no classification.
-    """
-
-    kind: str
-    scale: float = 0.0   # eps for constant, c otherwise
-    shift: float = 0.0   # d for harmonic / log-harmonic
-    ratio: float = 0.0   # r for geometric
-    entries: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind == TABLE:
-            for i, v in enumerate(self.entries):
-                if not (0.0 <= v <= 1.0):
-                    raise OutOfRange(f"table entry {i} is {v!r}, outside [0, 1]")
-            return
-        for name in ("scale", "shift", "ratio"):
-            if not math.isfinite(getattr(self, name)):
-                raise OutOfRange(f"bound {name} must be finite, got {getattr(self, name)!r}")
-        if self.kind == HARMONIC:
-            if self.scale < 0 or self.shift < 0:
-                raise OutOfRange("harmonic bound needs c >= 0 and d >= 0")
-        elif self.kind == LOG_HARMONIC:
-            if self.scale < 0 or self.shift <= 0 or math.log(1.0 + self.shift) == 0.0:
-                raise OutOfRange("log-harmonic bound needs c >= 0 and d > 0 with log(1 + d) > 0")
-        elif self.kind == GEOMETRIC:
-            if not (0.0 < self.ratio < 1.0):
-                raise OutOfRange(f"geometric ratio must be in (0, 1), got {self.ratio!r}")
-            if self.scale < 0:
-                raise OutOfRange("geometric bound needs c >= 0")
-        elif self.kind != CONSTANT:
-            raise ValueError(f"unknown bound family kind: {self.kind!r}")
-        peak = self.value(1)  # every non-table family is nonincreasing in t
-        if not (0.0 <= peak <= 1.0):
-            raise OutOfRange(f"bound values leave [0, 1] (peak {peak!r})")
-
-    # constructors ----------------------------------------------------
-
-    @classmethod
-    def constant(cls, eps: float) -> "EosBoundFamily":
-        return cls(kind=CONSTANT, scale=eps)
-
-    @classmethod
-    def harmonic(cls, c: float = 1.0, d: float = 1.0) -> "EosBoundFamily":
-        return cls(kind=HARMONIC, scale=c, shift=d)
-
-    @classmethod
-    def log_harmonic(cls, c: float = 1.0, d: float = 1.0) -> "EosBoundFamily":
-        return cls(kind=LOG_HARMONIC, scale=c, shift=d)
-
-    @classmethod
-    def geometric(cls, c: float, r: float) -> "EosBoundFamily":
-        return cls(kind=GEOMETRIC, scale=c, ratio=r)
-
-    @classmethod
-    def table(cls, values: Sequence[float]) -> "EosBoundFamily":
-        return cls(kind=TABLE, entries=tuple(float(v) for v in values))
-
-    @classmethod
-    def parse(cls, text: str) -> "EosBoundFamily":
-        """The family spelled ``kind:p1,p2,...``, built by that kind's
-        constructor, whose signature decides how many parameters it takes:
-        ``harmonic`` alone is ``1/(t+1)``, and a table needs at least one
-        value.  An unknown kind, or an empty, extra, missing or non-numeric
-        field, raises :class:`OutOfRange`, as does a value the constructor
-        rejects."""
-        kind, colon, rest = text.partition(":")
-        make = {CONSTANT: cls.constant, HARMONIC: cls.harmonic, LOG_HARMONIC: cls.log_harmonic,
-                GEOMETRIC: cls.geometric,
-                TABLE: lambda value, *values: cls.table((value, *values))}.get(kind)
-        if make is None:
-            raise OutOfRange(f"unknown bound family {kind!r} (choose {CONSTANT}, {HARMONIC}, "
-                             f"{LOG_HARMONIC}, {GEOMETRIC}, {TABLE})")
-        try:
-            params = [float(field) for field in rest.split(",")] if colon else []
-            inspect.signature(make).bind(*params)
-            return make(*params)
-        except (TypeError, ValueError) as exc:  # OutOfRange is a ValueError
-            raise OutOfRange(f"invalid bound {text!r}: {exc}") from None
-
-    # behaviour --------------------------------------------------------
-
-    def value(self, t: int) -> float:
-        if t < 1:
-            raise ValueError("steps are 1-based")
-        if self.kind == CONSTANT:
-            return self.scale
-        if self.kind == HARMONIC:
-            return self.scale / (t + self.shift)
-        if self.kind == LOG_HARMONIC:
-            return self.scale / ((t + self.shift) * math.log(t + self.shift))
-        if self.kind == GEOMETRIC:
-            return self.scale * self.ratio ** t
-        return self.entries[t - 1] if t <= len(self.entries) else 0.0
-
-    @property
-    def claimed_steps(self) -> int | None:
-        """Number of steps the family covers; None means all of them."""
-        return len(self.entries) if self.kind == TABLE else None
-
-    @property
-    def diverges(self) -> bool | None:
-        """Whether ``sum f(t)`` is infinite; ``None`` when the family makes
-        no tail claim (tables)."""
-        if self.kind == TABLE:
-            return None
-        if self.kind == GEOMETRIC:
-            return False
-        return self.scale > 0.0
-
-    def geometric_tail(self, after: int) -> float:
-        """``sum_{t > after} f(t)`` for geometric families."""
-        if self.kind != GEOMETRIC:
-            raise ValueError("tail sums are only defined for geometric families")
-        return self.scale * self.ratio ** (after + 1) / (1.0 - self.ratio)
-
-    def describe(self) -> str:
-        if self.kind == CONSTANT:
-            return f"constant {self.scale:g}"
-        if self.kind == HARMONIC:
-            return f"{self.scale:g}/(t+{self.shift:g})"
-        if self.kind == LOG_HARMONIC:
-            return f"{self.scale:g}/((t+{self.shift:g})*log(t+{self.shift:g}))"
-        if self.kind == GEOMETRIC:
-            return f"{self.scale:g}*{self.ratio:g}^t"
-        return f"table of {len(self.entries)} steps"
+    return _frozen(np.clip(cdf, 0.0, 1.0, out=cdf))
 
 
 def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int) -> None:
@@ -446,7 +326,7 @@ def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int) -> Non
     whose EOS probability is below ``f(t) * (1 - _TOL)`` within ``steps`` steps."""
     eos_idx = asm.alphabet.eos_index
     for span, _, conds, parents in _frontiers(asm, steps, budget, witness=True):
-        failed = np.flatnonzero(conds[:, eos_idx] < [bound.value(t) * (1.0 - _TOL) for t in span])
+        failed = np.flatnonzero(conds[:, eos_idx] < bound.values(span) * (1.0 - _TOL))
         if failed.size:
             i, row = divmod(int(failed[0]), len(conds) // len(span))
             raise BoundViolated(span[i], _prefix(asm, parents[:span[i] - 1], row),
@@ -472,12 +352,12 @@ def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
         steps = horizon if bound.claimed_steps is None else min(horizon, bound.claimed_steps)
         lows = None if series is None else series.min_eos
         if lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None):
-            lows = lows[:steps]
+            blocks = [(np.arange(1, min(len(lows), steps) + 1), lows[:steps])]
         else:  # per-step minima of a walk that stops at the first failing block
             eos_idx = asm.alphabet.eos_index
-            lows = (low for span, _, conds, _ in _frontiers(asm, steps, budget)
-                    for low in conds[:, eos_idx].reshape(len(span), -1).min(axis=1).tolist())
-        if not all(low >= bound.value(t) * (1.0 - _TOL) for t, low in enumerate(lows, 1)):
+            blocks = ((span, conds[:, eos_idx].reshape(len(span), -1).min(axis=1))
+                      for span, _, conds, _ in _frontiers(asm, steps, budget))
+        if not all((low >= bound.values(span) * (1.0 - _TOL)).all() for span, low in blocks):
             _bound_walk(asm, bound, steps, budget)  # again, with parent pointers to name the prefix
     if bound.diverges:
         if bound.kind == CONSTANT:
@@ -509,12 +389,13 @@ def certify_nontight_upper_bound(series: EosHazardSeries, bound: EosBoundFamily)
         return TightnessVerdict.inconclusive(
             f"upper bound {bound.describe()} does not have a summable tail; "
             f"only geometric upper bounds certify non-tightness")
-    for i, observed in enumerate(series.values):
-        want = bound.value(i + 1)
-        if observed > want * (1.0 + _TOL):
-            raise BoundViolated(i + 1, None, observed, want)
     horizon = series.horizon
-    survival = series.survival[-1] if series.values else 1.0
+    want = bound.values(np.arange(1, horizon + 1))
+    above = np.flatnonzero(series.values > want * (1.0 + _TOL))
+    if above.size:
+        i = int(above[0])
+        raise BoundViolated(i + 1, None, float(series.values[i]), float(want[i]))
+    survival = float(series.survival[-1]) if horizon else 1.0
     tail = bound.geometric_tail(horizon)
     leaked = survival * (1.0 - tail)
     if leaked > 0.0:
@@ -593,7 +474,8 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
     :class:`InvalidWeight` (see :func:`_sampling`).
 
     The walk stops once no live run's state can stop (:meth:`Asm.can_stop` is
-    False for each): those runs count as truncated, as at ``max_len``.
+    False for each): those runs count as truncated, as at ``max_len``, a step
+    that only draws which runs stop.
     """
     if not 1 <= samples <= np.iinfo(np.int64).max:  # the most runs one rng.multinomial takes
         raise OutOfRange(f"samples is {samples}; one walk draws 1 to 2**63 - 1 runs")
@@ -621,6 +503,8 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
             stopped = draws[eos_idx]
             if stopped:
                 lengths[t - 1] = lengths.get(t - 1, 0) + stopped
+            if t == max_len:  # no run goes on: nothing to step
+                continue
             for j in draw[:eos_idx].nonzero()[0].tolist():
                 if j not in succ or succ[j] not in table:
                     if len(frontier) == 1 and draws[j] == runs - stopped:  # all along j
@@ -682,10 +566,10 @@ def suggests_tight(series: EosHazardSeries) -> bool:
     """
     if series.sure_termination:
         return True
-    if not series.values:
+    if not series.horizon:
         return False
-    return (series.partial_sums[-1] > _SUM_THRESHOLD
-            and series.survival[-1] < _SURVIVAL_THRESHOLD)
+    return bool(series.partial_sums[-1] > _SUM_THRESHOLD
+                and series.survival[-1] < _SURVIVAL_THRESHOLD)
 
 
 def fit_geometric_tail(series: EosHazardSeries) -> EosBoundFamily | None:
@@ -703,16 +587,16 @@ def fit_geometric_tail(series: EosHazardSeries) -> EosBoundFamily | None:
     vals = series.values
     if len(vals) < 4 or series.sure_termination:
         return None
-    if any(v <= 0.0 for v in vals):
+    if (vals <= 0.0).any():
         return None
     half = len(vals) // 2
-    ratios = [vals[i + 1] / vals[i] for i in range(half, len(vals) - 1)]
-    if not ratios or max(ratios) >= _MAX_RATIO:
+    ratios = vals[half + 1:] / vals[half:-1]  # division rounds as in Python
+    r = float(ratios.max())
+    if r >= _MAX_RATIO or r > float(ratios.min()) * _MAX_WOBBLE:
         return None
-    if max(ratios) > min(ratios) * _MAX_WOBBLE:
-        return None
-    r = max(ratios)
-    c = max(v / p if (p := r ** (i + 1)) else math.inf for i, v in enumerate(vals))  # p can underflow
+    # r ** t in Python: numpy's power can differ from it in the last bit
+    c = max(v / p if (p := r ** (i + 1)) else math.inf
+            for i, v in enumerate(vals.tolist()))  # p can underflow
     if c * r > 1.0:
         return None
     return EosBoundFamily.geometric(c, r)
@@ -720,16 +604,17 @@ def fit_geometric_tail(series: EosHazardSeries) -> EosBoundFamily | None:
 
 # -- the analysis pipeline ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Analysis:
-    """What :func:`analyze` found.  ``termination`` is the exact termination
+    """What :func:`analyze` found, ``cdf`` being :func:`termination_cdf` of
+    ``series``.  ``termination`` is the exact termination
     probability when one is known (the finite-state solve, or 1 once the hazard
     proves sure stopping), else None; ``notes`` say why the bounds and the
     numbers gave no certificate."""
 
     verdict: TightnessVerdict
     series: EosHazardSeries
-    cdf: tuple[float, ...]
+    cdf: np.ndarray
     termination: float | None
     estimate: TerminationEstimate | None
     notes: tuple[str, ...]

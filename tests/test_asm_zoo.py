@@ -106,6 +106,23 @@ def test_rnn_conditionals_strictly_positive_and_normalized():
         validate_conditional(m, ("a",) * t)
 
 
+def test_rnn_needs_a_hidden_state():
+    with pytest.raises(ValueError, match="initial_hidden needs at least one entry"):
+        RnnAsm(alphabet=Alphabet(("a",)), input_embedding=np.zeros((2, 0)),
+               output_embedding=np.zeros((2, 0)), input_weights=np.zeros((0, 0)),
+               recurrent_weights=np.zeros((0, 0)), bias=np.zeros(0), activation="relu",
+               initial_hidden=np.zeros(0))
+
+
+def test_rnn_successor_keys_are_rows_without_negative_zeros():
+    # the frontier pools successors whose key rows have equal bytes, as
+    # state_key's bytes are equal
+    rnn = make_tight_softplus_rnn()
+    states, keys = rnn.successors(np.array([[0.0], [1.0]]), np.array([1, 0, 1]), np.array([0, 0, 0]))
+    assert keys.shape == (3, 1)
+    assert [row.tobytes() for row in keys] == [rnn.state_key(s) for s in states]
+
+
 def test_rnn_state_key_ignores_the_sign_of_zero():
     # hidden states 0.0 and -0.0 have the same future, so they must pool
     rnn = make_tight_softplus_rnn()

@@ -561,6 +561,29 @@ def test_machine_writer_matches_the_indenting_encoder(value):
     assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
 
 
+@pytest.mark.parametrize("values", [[], [0.25], [0.5, -0.0, math.nan, math.inf, -math.inf] * 103,
+                                    np.random.default_rng(0).random(10_000).tolist()])
+def test_machine_writer_writes_a_float_array_as_its_list(values):
+    # the hazard series reach the writer as read-only float64 arrays
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    out = io.StringIO()
+    cli._write_json(out.write, {"series": {"x": array}, "n": len(values)})
+    assert out.getvalue() == json.dumps({"series": {"x": values}, "n": len(values)},
+                                        sort_keys=True, indent=2)
+
+
+def test_machine_writer_memory_stays_flat_for_a_long_array(tmp_path):
+    values = np.arange(10**6) / 8
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    cli._emit({"values": values}, [], "machine", str(path))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert path.read_text() == json.dumps({"values": values.tolist()}, indent=2) + "\n"
+    assert peak < path.stat().st_size / 10
+
+
 @pytest.mark.parametrize("key", [1, 0.5, True, None])
 def test_machine_writer_rejects_a_key_that_is_not_a_str(key):
     # the indenting encoder would quote it; written as it is, it would not be JSON

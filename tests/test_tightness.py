@@ -4,7 +4,7 @@ import gc
 import math
 import re
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,12 @@ from conftest import CountingAsm, CountingRnn, StableRandomAsm, random_sfssm, se
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
+def same_series(a, b) -> bool:
+    """Whether two hazard series hold equal fields, arrays element by element."""
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
+
+
 def sure_stopper():
     return build_sfssm(Alphabet(("a",)), {"a": np.zeros((1, 1))}, [1.0], [1.0])
 
@@ -48,8 +54,20 @@ def test_series_accumulators_match_running_loop():
             running_prod *= max(0.0, 1.0 - v)
             sums.append(running_sum)
             survival.append(running_prod)
-        assert series.partial_sums == tuple(sums)
-        assert series.survival == tuple(survival)
+        assert series.partial_sums.tolist() == sums
+        assert series.survival.tolist() == survival
+
+
+def test_series_fields_are_read_only_float_arrays(fig1a):
+    enumerated = eos_hazard_enumerate(SfssmAsm(fig1a), 5)
+    built = tightness.EosHazardSeries(values=[0.5], partial_sums=(0.5,), survival=[0.5])
+    for series in (enumerated, eos_hazard_fsa(fig1a, 5), built):
+        arrays = [series.values, series.partial_sums, series.survival, termination_cdf(series)]
+        for array in arrays + [series.min_eos] * (series is enumerated):
+            assert array.dtype == np.float64 and array.ndim == 1
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.25
+    assert built.min_eos is None
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
@@ -68,7 +86,7 @@ def test_enumerate_softplus_is_harmonic():
 
 def test_enumerate_bigram_first_step_cannot_stop(fig1a):
     series = eos_hazard_enumerate(SfssmAsm(fig1a), 1)
-    assert series.values == (0.0,)
+    assert series.values.tolist() == [0.0]
 
 
 def test_enumerate_parity_alternates():
@@ -136,7 +154,7 @@ def test_nan_hazard_is_an_error_not_sure_stopping():
 def test_enumerate_sure_stop_truncates_and_flags():
     asm = SfssmAsm(sure_stopper())
     series = eos_hazard_enumerate(asm, 5)
-    assert series.values == (1.0,)
+    assert series.values.tolist() == [1.0]
     assert series.hit_one_at == 1
     assert series.support_exhausted_at == 2
     assert series.sure_termination
@@ -223,7 +241,7 @@ def test_cdf_of_bigram_adapter_reaches_leak_limit(fig1a):
 def test_cdf_clamps_and_rejects_like_as_prob():
     survival = (1.0, 0.75, 1.0 + 5e-13, -5e-13, 0.1 + 0.2)
     series = tightness.EosHazardSeries(values=(), partial_sums=(), survival=survival)
-    assert termination_cdf(series) == tuple(as_prob(1.0 - s) for s in survival)
+    assert termination_cdf(series).tolist() == [as_prob(1.0 - s) for s in survival]
     bad = replace(series, survival=(0.5, 1.5, math.nan, -1.0))
     with pytest.raises(OutOfRange) as info:
         termination_cdf(bad)
@@ -433,9 +451,10 @@ def walk_outcome(asm, horizon, budget, floor):
         certify_tight_lower_bound(EosBoundFamily.constant(floor), asm=asm, horizon=horizon,
                                   budget=budget)
     except BoundViolated as exc:
-        return series.values, series.min_eos, series.support_exhausted_at, \
-            (exc.step, exc.prefix, exc.observed)
-    return series.values, series.min_eos, series.support_exhausted_at, None
+        return tuple(series.values.tolist()), tuple(series.min_eos.tolist()), \
+            series.support_exhausted_at, (exc.step, exc.prefix, exc.observed)
+    return tuple(series.values.tolist()), tuple(series.min_eos.tolist()), \
+        series.support_exhausted_at, None
 
 
 # P(a) = 1/(e^10 + 1) at every step: the weight underflows to 0 at step 75,
@@ -453,8 +472,57 @@ def test_an_underflowing_weight_still_exhausts_the_support():
     assert eos_hazard_enumerate(_UNDERFLOWING_RNN, 200).support_exhausted_at == 76
 
 
+class _SignedRelu(RnnAsm):
+    """A relu RNN whose first symbol negates the new state, so that a state
+    of zeros is ``-0.0`` along it and ``0.0`` along the others."""
+
+    def _advance(self, recurrent, symbols):
+        sign = np.where(np.asarray(symbols) == 0, -1.0, 1.0)[..., None]
+        return super()._advance(recurrent, symbols) * sign
+
+
+def _scalar_rnn(cls=RnnAsm, **weights) -> RnnAsm:
+    """A scalar tanh RNN over ``a`` and ``b``, but for what ``weights`` replace."""
+    return cls(**{"alphabet": Alphabet(("a", "b")), "input_embedding": [[1.0], [-1.0], [0.0]],
+                  "output_embedding": [[0.5], [-0.5], [-1.0]], "input_weights": [[0.0]],
+                  "recurrent_weights": [[0.9]], "bias": [0.1], "activation": "tanh",
+                  "initial_hidden": [0.3], **weights})
+
+
+# a and b have the same successor at every step: a budget of one key holds
+_POOLING_RNN = _scalar_rnn()
+# a's successor is -0.0 and b's 0.0, one key
+_SIGNED_ZERO_RNN = _scalar_rnn(_SignedRelu, activation="relu", bias=[-1.0])
+# h counts: a adds 2, b resets to 0, c adds 1, and EOS gets less likely as h
+# grows; step 3's keys arrive as 4, 0, 3, 2, 1 from nine successors
+_COUNTING_RNN = _scalar_rnn(alphabet=Alphabet(("a", "b", "c")),
+                            input_embedding=[[2.0], [-1000.0], [1.0], [0.0]],
+                            output_embedding=[[0.5], [0.0], [0.0], [-1.0]], input_weights=[[1.0]],
+                            recurrent_weights=[[1.0]], bias=[0.0], activation="relu",
+                            initial_hidden=[0.0])
+
+
+def test_the_pooling_examples_pool():
+    for asm, budget in ((_POOLING_RNN, 1), (_SIGNED_ZERO_RNN, 1), (_COUNTING_RNN, 100)):
+        assert eos_hazard_enumerate(asm, 30, budget=budget).horizon == 30
+    states, keys = _SIGNED_ZERO_RNN.successors([[0.0]], np.array([0, 0]), np.array([0, 1]))
+    assert np.signbit(states[:, 0]).tolist() == [True, False]
+    assert keys.tobytes() == bytes(16)
+    with pytest.raises(BudgetExceeded) as info:
+        eos_hazard_enumerate(_COUNTING_RNN, 30, budget=4)
+    assert (info.value.step, info.value.frontier) == (3, 5)
+    # h = 4 and h = 3 fail at step 3; 4 arrived first
+    with pytest.raises(BoundViolated) as info:
+        certify_tight_lower_bound(EosBoundFamily.constant(0.02), asm=_COUNTING_RNN, horizon=5)
+    assert (info.value.step, info.value.prefix) == (3, ("a", "a"))
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_rnns(), hst.integers(1, 6), hst.integers(1, 60), hst.floats(0.0, 0.6))
+@example(_POOLING_RNN, 60, 1, 0.0)
+@example(_SIGNED_ZERO_RNN, 60, 1, 0.0)
+@example(_COUNTING_RNN, 30, 4, 0.0)
+@example(_COUNTING_RNN, 30, 100, 0.02)
 @example(_UNDERFLOWING_RNN, 200, 1, 0.0)
 @example(_OVERFLOWING_RNN, 400, 1, 0.0)
 @example(make_tight_softplus_rnn(), 5, 0, 0.0)
@@ -762,6 +830,24 @@ def test_bound_family_values_and_divergence():
     assert EosBoundFamily.table([0.5]).diverges is None
 
 
+@pytest.mark.parametrize("family", [
+    EosBoundFamily.constant(0.1), EosBoundFamily.constant(1), EosBoundFamily.harmonic(1.0, 1.0),
+    EosBoundFamily.harmonic(0.7, 0.3), EosBoundFamily.harmonic(2, 3),
+    EosBoundFamily.log_harmonic(1.0, 1.0), EosBoundFamily.log_harmonic(0.3, 2.5),
+    EosBoundFamily.geometric(1.0, 0.5), EosBoundFamily.geometric(2.7, 0.37),
+    EosBoundFamily.geometric(0.9, 0.999), EosBoundFamily.table([0.5, 0.3, 0.2]),
+    EosBoundFamily.table([]),
+])
+def test_bound_family_values_are_its_value_at_each_step_bit_for_bit(family):
+    steps = range(1, 100_001)
+    want = np.array([family.value(t) for t in steps], dtype=float)
+    assert family.values(np.arange(1, 100_001)).tobytes() == want.tobytes()
+    assert family.values(steps[::-7]).tobytes() == want[::-7].tobytes()
+    assert family.values(range(5, 5)).size == 0
+    with pytest.raises(ValueError, match="steps are 1-based"):
+        family.values([3, 0])
+
+
 @pytest.mark.parametrize("text, family", [
     ("constant:0.1", EosBoundFamily.constant(0.1)),
     ("harmonic:2,3", EosBoundFamily.harmonic(2, 3)),
@@ -957,13 +1043,23 @@ def count_pooled_steps(monkeypatch, cls: type) -> list[int]:
     return steps
 
 
+@pytest.mark.parametrize("make", [make_tight_softplus_rnn, make_nontight_relu_rnn])
+def test_monte_carlo_asks_no_conditional_past_its_last_step(make):
+    # runs go on to step 1,000, which draws which of them stop and steps none on:
+    # one conditional a step, none for a step 1,001 that is never drawn
+    asm = CountingAsm(make())
+    estimate = monte_carlo_termination(asm, 10_000, max_len=1000, seed=1)
+    assert estimate.truncated > 0
+    assert asm.calls["state_conditional"] == 1000
+
+
 def test_monte_carlo_steps_do_not_grow_with_the_sample_count(monkeypatch):
     # one walk draws every run, so the relu RNN takes max_len steps at any N
     steps = count_pooled_steps(monkeypatch, RnnAsm)
     for samples in (1000, 2**17, 10**6):
         steps[0] = 0
         monte_carlo_termination(make_nontight_relu_rnn(), samples, max_len=50, seed=0)
-        assert steps[0] == 50
+        assert steps[0] == 49  # step 50 draws which runs stop and steps none on
 
 
 def test_monte_carlo_rejects_more_samples_than_one_draw_holds():
@@ -1204,8 +1300,8 @@ def test_analyze_finite_state_model_ignores_bounds_and_samples(fig1a):
     assert result.verdict == decide_tight(fig1a)
     assert result.termination == pytest.approx(1 / 3, abs=1e-12)
     assert result.leaked_mass == pytest.approx(2 / 3, abs=1e-12)
-    assert result.series == eos_hazard_fsa(fig1a, 20)
-    assert result.cdf == termination_cdf(result.series)
+    assert same_series(result.series, eos_hazard_fsa(fig1a, 20))
+    assert result.cdf.tolist() == termination_cdf(result.series).tolist()
     assert result.estimate is None
     assert result.notes == ("bounds are ignored for finite-state models; the "
                             "co-accessibility decision is exact",)
