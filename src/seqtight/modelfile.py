@@ -103,6 +103,8 @@ BUILTINS: dict[str, Callable[[], Model]] = {
 
 # A non-blank line is the tuple (1-based number, raw text, words): the words
 # of the text before any '#'.  Columns are worked out only for an error.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"   # where str.splitlines ends a line
+
 
 def _where(line: tuple[int, str, list[str]], k: int = 0) -> tuple[int, int]:
     """The line number and 1-based column of the ``k``-th word of ``line``."""
@@ -121,14 +123,19 @@ def _lines(first: int, raws: list[str]) -> list[tuple[int, str, list[str]]]:
 
 
 class _Section:
-    """A section's name, header line number and raw lines up to the next header;
-    each reader splits the lines it reads, so a section's words are not kept."""
+    """A section's name, header line number and span of the text, from its
+    header up to the next; its lines are split only as they are read, so a
+    parse holds the text and the lines of one section at a time."""
 
-    def __init__(self, name_parts: list[str], line: int, raws: list[str]):
+    def __init__(self, name_parts: list[str], line: int, text: str, lo: int, hi: int):
         self.name_parts = name_parts
         self.name = " ".join(name_parts)
         self.line = line
-        self.raws = raws
+        self.text, self.lo, self.hi = text, lo, hi
+
+    @property
+    def raws(self) -> list[str]:
+        return self.text[self.lo:self.hi].splitlines()[1:]
 
     @property
     def lines(self) -> list[tuple[int, str, list[str]]]:
@@ -137,11 +144,17 @@ class _Section:
 
 def _split_sections(text: str) -> tuple[dict[str, str], dict[str, int], list[_Section]]:
     """Return (header key/values, header key/line numbers, sections)."""
-    raws = text.splitlines()
-    starts = [n for n, raw in enumerate(raws) if raw.lstrip().startswith("[")]
+    starts, at = [], text.find("[")
+    while at >= 0:   # a section starts with a line whose first non-blank is '['
+        lo = at
+        while lo and text[lo - 1] not in _BREAKS and text[lo - 1].isspace():
+            lo -= 1
+        if not lo or text[lo - 1] in _BREAKS:
+            starts.append(lo)
+        at = text.find("[", at + 1)
     headers: dict[str, str] = {}
     header_lines: dict[str, int] = {}
-    for line in _lines(1, raws[:starts[0] if starts else len(raws)]):
+    for line in _lines(1, text[:starts[0] if starts else len(text)].splitlines()):
         number, _, (first, *values) = line
         key = first[:-1]
         if not first.endswith(":"):
@@ -156,14 +169,17 @@ def _split_sections(text: str) -> tuple[dict[str, str], dict[str, int], list[_Se
         headers[key] = values[0]
         header_lines[key] = number
     sections: list[_Section] = []
-    for lo, hi in zip(starts, starts[1:] + [len(raws)]):
-        head = _lines(lo + 1, raws[lo:lo + 1])[0]
+    breaks, number = [c for c in _BREAKS if c in text], 1
+    for before, lo, hi in zip([0, *starts], starts, starts[1:] + [len(text)]):
+        number += sum(text.count(c, before, lo) for c in breaks) - text.count("\r\n", before, lo)
+        stop = text.find("\n", lo, hi)
+        head = _lines(number, text[lo:hi if stop < 0 else stop].splitlines()[:1])[0]
         if not head[2][-1].endswith("]"):
             raise ParseError("section header does not end with ']'", *_where(head))
-        name_parts = raws[lo].split("#", 1)[0].strip()[1:-1].split()
+        name_parts = head[1].split("#", 1)[0].strip()[1:-1].split()
         if not name_parts:
             raise ParseError("empty section header", *_where(head))
-        sections.append(_Section(name_parts, lo + 1, raws[lo + 1:hi]))
+        sections.append(_Section(name_parts, number, text, lo, hi))
     if "model" not in headers:
         raise ParseError("missing 'model: <kind>' header", 1)
     return headers, header_lines, sections
@@ -207,23 +223,21 @@ def _unique_tokens(section: _Section, what: str) -> tuple[str, ...]:
 
 
 def _state_columns(section: _Section, index: dict[str, int], width: int, usage: str,
-                   duplicate: str) -> list[list]:
-    """The columns of a section whose lines are ``width - 1`` state names and
-    a number: each name column as state indices, then the numbers.
-
-    Whole columns go through the state dict and ``float``; if a check fails,
-    the lines are checked one by one, so the error names the first failing
-    line at the column of its first failing word."""
+                   duplicate: str) -> list[np.ndarray]:
+    """The columns of a section whose lines are ``width - 1`` state names and a
+    number: intp state indices, then float64 numbers, checked whole (duplicates
+    by code, ``src * Q + dst``).  If a check fails, the lines are checked one by
+    one, so the error names the first failing line at its first failing word."""
     rows = list(filter(None, [raw.split("#", 1)[0].split() for raw in section.raws]))
     if set(map(len, rows)) <= {width}:
         *names, values = zip(*rows) if rows else [()] * width
         try:
-            columns = [list(map(index.__getitem__, column)) for column in names]
-            columns.append(list(map(float, values)))
+            columns = [np.fromiter(map(index.__getitem__, c), np.intp, len(rows)) for c in names]
+            columns.append(np.fromiter(map(float, values), float, len(rows)))
         except (KeyError, ValueError):
             pass
         else:
-            if len(set(zip(*names))) == len(rows):
+            if len(set(np.ravel_multi_index(columns[:-1], (len(index),) * len(names)).tolist())) == len(rows):
                 return columns
     seen = set()
     for line in section.lines:
@@ -260,7 +274,7 @@ def _parse_sfssm(eos: str, by_name: dict[str, _Section], model_line: int) -> Sfs
     term = read_pairs(by_name["term"]) if "term" in by_name else np.zeros(len(names))
 
     symbol_index = {a: k for k, a in enumerate(symbols)}
-    edges: tuple[list, list, list, list] = ([], [], [], [])   # symbol index, src, dst, prob
+    edges = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]   # symbol index, src, dst, prob
     for section in by_name.values():
         if section.name_parts[0] != "transitions":
             continue
@@ -272,9 +286,9 @@ def _parse_sfssm(eos: str, by_name: dict[str, _Section], model_line: int) -> Sfs
             raise ParseError(f"transition section for unknown symbol {a!r}", section.line)
         columns = _state_columns(section, index, 3, "transition lines are 'from to probability'",
                                  "duplicate transition {!r} -> {!r}")
-        for edge_column, column in zip(edges, ([symbol_index[a]] * len(columns[0]), *columns)):
-            edge_column += column
-    return _from_edges(Alphabet(symbols, eos=eos), edges, init, term, names)
+        edges.append((np.full(len(columns[0]), symbol_index[a], np.intp), *columns))
+    return _from_edges(Alphabet(symbols, eos=eos), [np.concatenate(column) for column in zip(*edges)],
+                       init, term, names)
 
 
 def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAsm:

@@ -30,9 +30,11 @@ emitted by its outgoing transition.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count, islice, repeat, tee
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -82,7 +84,9 @@ def _default_names(q: int) -> tuple[str, ...]:
 
 
 def _freeze(arr, dtype=float) -> np.ndarray:
-    arr = np.array(arr, dtype=dtype)
+    """A read-only copy of ``arr``, or ``arr`` if it is read-only and owns its data."""
+    owned = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
+    arr = np.array(arr, dtype=dtype, copy=None if owned else True)
     arr.setflags(write=False)
     return arr
 
@@ -96,7 +100,8 @@ class Sfssm:
     ``src[e]`` to ``dst[e]`` with probability ``prob[e]``; the edges of
     the ``k``-th alphabet symbol are ``offsets[k]:offsets[k + 1]``, in
     row-major order, and no stored edge is zero.  Arrays are stored
-    read-only, so models are safe to share across threads.
+    read-only, so models are safe to share across threads: each is a copy of
+    the one given, unless that is read-only and owns its data.
 
     ``state_map`` is ``None`` for a validated model.  :func:`trim` sets it:
     ``state_map[i]`` is the index the ``i``-th retained state had in the
@@ -170,8 +175,9 @@ class Sfssm:
 def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
                 init: Sequence[float], term: Sequence[float],
                 names: Sequence[str] | None = None) -> Sfssm:
-    """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of
-    distinct edges in any order; zero entries are dropped."""
+    """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of distinct
+    edges in any order; zero entries are dropped.  Canonical columns with no zero
+    are not sorted, and intp and float64 ones become the model's arrays, read-only."""
     init = np.asarray(init, dtype=float)
     term = np.asarray(term, dtype=float)
     state_names = tuple(names) if names is not None else _default_names(len(init))
@@ -180,15 +186,17 @@ def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
     for idx in np.flatnonzero(term < 0):
         raise NegativeEntry(("term", int(idx)))
     symbol, src, dst = (np.asarray(column, dtype=np.intp) for column in edges[:3])
-    order = np.lexsort((dst, src, symbol))
-    symbol, src, dst = symbol[order], src[order], dst[order]
-    prob = np.asarray(edges[3], dtype=float)[order]
+    prob = np.asarray(edges[3], dtype=float)
+    key = (symbol * len(init) + src) * len(init) + dst   # rises along canonical order
+    if not (prob.all() and (np.diff(key) > 0).all()):
+        order = np.flatnonzero(prob)[np.argsort(key[prob != 0])]   # the nonzero edges, sorted
+        symbol, src, dst, prob = symbol[order], src[order], dst[order], prob[order]
     for e in np.flatnonzero(prob < 0)[:1]:
         raise NegativeEntry(("trans", alphabet.symbols[symbol[e]], int(src[e]), int(dst[e])))
-    kept = prob != 0
-    offsets = np.searchsorted(symbol[kept], np.arange(alphabet.size + 1))
-    model = Sfssm(alphabet=alphabet, src=src[kept], dst=dst[kept], prob=prob[kept],
-                  offsets=offsets, init=init, term=term, names=state_names)
+    for column in (src, dst, prob):
+        column.setflags(write=False)
+    model = Sfssm(alphabet=alphabet, src=src, dst=dst, prob=prob, init=init, term=term,
+                  offsets=np.searchsorted(symbol, np.arange(alphabet.size + 1)), names=state_names)
 
     total_init = float(init.sum())
     if not abs(total_init - 1.0) <= ROW_TOL:
@@ -387,35 +395,47 @@ def mle_ngram(corpus: Iterable[Sequence[Token]], order: int) -> Sfssm:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    start = (_BOS,) * (order - 1)
-    tokens: dict[Token, Token] = {}      # one object per distinct token, shared by every key
-    counts: Counter[tuple] = Counter()   # (history..., event) windows; a None event ends a string
-    for x in corpus:
-        padded = (*start, *[tokens.setdefault(tok, tok) for tok in x], None)
-        counts.update(zip(*(padded[i:] for i in range(order))))
+    # Tokens and histories (tuples of order - 1 token ids) are numbered in order of first
+    # use, a history by 2**32 times its number: one addition codes an event, and ints are
+    # counted at C speed from one stream of the strings' ids, each padded with starts and an end.
+    tokens, histories = defaultdict(count().__next__), defaultdict(count(0, 1 << 32).__next__)
+    end, bos = tokens[None], tokens[_BOS]
+    ids = [islice(it, i, None) for i, it in enumerate(tee(map(tokens.__getitem__, chain.from_iterable(
+        chain.from_iterable(zip(repeat((_BOS,) * (order - 1)), corpus, repeat((None,)))))), order))]
+    keys = zip(*ids[:-1]) if order > 1 else repeat(())
+    counts = Counter(map(add, ids[-1], map(histories.__getitem__, keys)))
     if not counts:
         raise EmptyCorpus("corpus contains no strings")
     if "EOS" in tokens:
         raise ValueError("corpus uses the reserved end-of-sequence token 'EOS'")
-    if _BOS in tokens:
-        raise ValueError("corpus uses the reserved start placeholder token")
-    alphabet = Alphabet(tuple(sorted(tokens)))
-
-    index = {h: i for i, h in enumerate(dict.fromkeys(g[:-1] for g in counts))}
-    column = {a: k for k, a in enumerate((*alphabet.symbols, None))}   # the end event last
-    src = np.fromiter((index[g[:-1]] for g in counts), np.intp, len(counts))
-    symbol = np.fromiter((column[g[-1]] for g in counts), np.intp, len(counts))
+    src, event = np.divmod(np.fromiter(counts, np.intp, len(counts)), 1 << 32)
     weight = np.fromiter(counts.values(), float, len(counts))
+    del counts
+    # a window across two strings holds an end in its history: drop its event
+    real = np.fromiter((end not in key for key in histories), bool, len(histories))
+    state, kept = np.cumsum(real) - 1, real[src]
+    src, event, weight = state[src[kept]], event[kept], weight[kept]
+    if (event == bos).any():
+        raise ValueError("corpus uses the reserved start placeholder token")
+    label = list(tokens)
+    by_name = sorted(range(2, len(label)), key=label.__getitem__)
+    column = np.full(len(label), len(by_name))   # each token's symbol index; the end's is last
+    column[by_name] = np.arange(len(by_name))
+    canonical = np.lexsort((src, column[event]))   # by symbol, then by history
+    src, event, weight = src[canonical], event[canonical], weight[canonical]
     prob = weight / np.bincount(src, weights=weight)[src]
-    moves = symbol < alphabet.size
-    dst = np.fromiter((index[g[1:]] for g in counts if g[-1] is not None), np.intp)
-    term = np.bincount(src[~moves], weights=prob[~moves], minlength=len(index))
-    init = np.eye(1, len(index))[0]   # the start history is the first used
+    moves = event != end
+    keys = list(compress(histories, real))   # a move from h by e goes to (*h, e)[1:]
+    dst = state[np.fromiter(map(histories.__getitem__, ((*keys[h], e)[1:] for h, e in zip(
+        src[moves].tolist(), event[moves].tolist()))), np.intp, int(moves.sum())) >> 32]
+    term = np.bincount(src[~moves], weights=prob[~moves], minlength=len(keys))
+    init = np.eye(1, len(keys))[0]   # the start history is the first used
 
     # Histories become display names ("BOS", "a", "BOS,a", ...); fall back
     # to generic indices if corpus tokens make the joined names collide.
-    names = tuple(",".join("BOS" if part == _BOS else part for part in h) if h else "BOS"
-                  for h in index)
-    if len(set(names)) != len(index):
-        names = _default_names(len(index))
-    return _from_edges(alphabet, (symbol[moves], src[moves], dst, prob[moves]), init, term, names)
+    label[bos] = "BOS"
+    names = tuple(",".join(map(label.__getitem__, h)) if h else "BOS" for h in keys)
+    if len(set(names)) != len(keys):
+        names = _default_names(len(keys))
+    return _from_edges(Alphabet(tuple(map(label.__getitem__, by_name))),
+                       (column[event[moves]], src[moves], dst, prob[moves]), init, term, names)

@@ -141,13 +141,15 @@ class _Chains:
     def __init__(self, asm: Asm, sampling: bool = False):
         self.asm, self.sampling, self.last, self.symbol, self.states = asm, sampling, None, None, []
 
-    def take(self, state, symbol: int, n: int) -> tuple[list, Sequence]:
+    def take(self, state, symbol: int, n: int, left: int | None = None) -> tuple[list, Sequence]:
         """The next ``1..n`` states along symbol index ``symbol`` from ``state``
         and their conditionals, going on from the last state handed out.  A new
-        chain has one row, or twice the last if that ran out along ``symbol``."""
+        chain has one row, or twice the last if that ran out along ``symbol``,
+        but never more than the ``left`` (default ``n``) states the walk can use."""
         grow = state is self.last and symbol == self.symbol
         if not grow or self.used == len(self.states):
-            batch = self.asm.unroll(state, symbol, min(2 * len(self.states), _CHAIN_CAP) if grow else 1)
+            rows = min(2 * len(self.states), _CHAIN_CAP, n if left is None else left) if grow else 1
+            batch = self.asm.unroll(state, symbol, rows)
             conds = self.asm.state_conditionals(batch)
             if self.sampling:
                 conds = _sampling(conds, self.asm.alphabet)
@@ -508,7 +510,7 @@ def monte_carlo_termination(asm: Asm, samples: int, max_len: int = 10_000,
             for j in draw[:eos_idx].nonzero()[0].tolist():
                 if j not in succ or succ[j] not in table:
                     if len(frontier) == 1 and draws[j] == runs - stopped:  # all along j
-                        (nxt,), (nxt_cond,) = chains.take(state, j, 1)
+                        (nxt,), (nxt_cond,) = chains.take(state, j, 1, max_len - t)
                     else:
                         nxt, nxt_cond = asm.step(state, symbols[j]), None
                     k = asm.state_key(nxt)

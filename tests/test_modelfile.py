@@ -463,7 +463,9 @@ def test_pinned_models_parse():
     assert isinstance(parse_model(PINNED_RNN), RnnAsm)
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+# every str.splitlines boundary that str.split also takes for whitespace
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"],
+                         ids=["lf", "crlf", "cr", "ff", "nel", "ls"])
 @pytest.mark.parametrize("old, new, expected", [case[1:] for case in PINNED_SFSSM_ERRORS],
                          ids=[case[0] for case in PINNED_SFSSM_ERRORS])
 def test_sfssm_parse_errors_are_pinned(old, new, expected, newline):
@@ -763,6 +765,55 @@ def sfssm_texts(draw):
     body = "\n\n".join(f"[{name}]\n" + "\n".join(draw(hst.permutations(sections[name])))
                        for name in order)
     return "model: sfssm\n\n" + body + "\n"
+
+
+def same_arrays(a: Sfssm, b: Sfssm) -> bool:
+    """Equal models, bit for bit, down to the order of the edge arrays."""
+    return (a.alphabet == b.alphabet and a.names == b.names
+            and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                    for x, y in zip((a.src, a.dst, a.prob, a.offsets, a.init, a.term),
+                                    (b.src, b.dst, b.prob, b.offsets, b.init, b.term))))
+
+
+@given(hst.integers(0, 2**32 - 1), hst.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_sfssm_files_parse_alike_in_any_line_order(seed, rnd):
+    # the parser skips sorting only canonical edges; shuffled lines, comments,
+    # blank lines and explicit zeros take the other path to the same arrays
+    model = random_sfssm(np.random.default_rng(seed))
+    head, *blocks = write_model(model).split("\n\n")
+    transitions = [block for block in blocks if block.startswith("[transitions ")]
+    rnd.shuffle(transitions)
+    for k, block in enumerate(transitions):
+        title, *lines = block.split("\n")
+        taken = {tuple(line.split()[:2]) for line in lines}
+        pairs = [(a, b) for a in model.names for b in model.names]
+        for src, dst in rnd.sample(pairs, min(2, len(pairs))):
+            if (src, dst) not in taken:
+                lines.append(f"{src} {dst} {rnd.choice(['0', '0.0', '-0.0', '0e5'])}")
+        rnd.shuffle(lines)
+        lines = [line + rnd.choice(["", "  # note", "\t#"]) for line in lines]
+        for _ in range(rnd.randrange(3)):
+            lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "# comment", "   "]))
+        transitions[k] = "\n".join([title, *lines])
+    others = [block for block in blocks if not block.startswith("[transitions ")]
+    text = "\n\n".join([head, *others[:2], *transitions, *others[2:]]) + "\n"
+    assert same_arrays(parse_model(text), parse_model(write_model(model)))
+
+
+def test_sfssm_copies_the_arrays_its_caller_can_write():
+    model = mle_ngram([("a", "b"), ("b",)], 2)
+    arrays = {name: getattr(model, name).copy() for name in
+              ("src", "dst", "prob", "offsets", "init", "term")}
+    built = Sfssm(alphabet=model.alphabet, names=model.names, **arrays)
+    for array in arrays.values():
+        array[...] = 0
+    assert same_arrays(built, model)
+    assert built.prob is not model.prob
+    # a read-only array that owns its data is kept, as it is by the model it came from
+    shared = Sfssm(alphabet=model.alphabet, names=model.names,
+                   **{name: getattr(model, name) for name in arrays})
+    assert shared.prob is model.prob and same_arrays(shared, model)
 
 
 @given(sfssm_texts())

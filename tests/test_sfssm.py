@@ -1,6 +1,7 @@
 """Finite-state engine: validation, probabilities, reachability, trimming,
 exact tightness decisions, and n-gram estimation."""
 
+import gc
 import random
 import re
 import tracemalloc
@@ -499,13 +500,24 @@ def test_mle_memory_is_flat_in_corpus_length():
     def corpus(lines):   # fresh token objects on every line, as a file's lines give
         rng = random.Random(11)
         for _ in range(lines):
-            yield tuple(f"t{rng.randrange(50)}" for _ in range(rng.randrange(9)))
+            # a tuple of a list, as corpus_strings makes: CPython's tuple() of a
+            # generator allocates 10 slots and shrinks them, so each line's tuple
+            # ends in the free list for its own size (up to 2,000 a size), and
+            # those traced tuples grew the peak with the corpus's length
+            yield tuple([f"t{rng.randrange(50)}" for _ in range(rng.randrange(9))])
     peaks = []
     for lines in (10_000, 40_000):
+        # a full collection empties those free lists, and one that fell inside
+        # the window made the peaks depend on the tests run before this one
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
-        mle_ngram(corpus(lines), 2)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+        try:
+            mle_ngram(corpus(lines), 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 

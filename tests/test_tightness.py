@@ -1012,9 +1012,9 @@ def test_monte_carlo_reads_chains_without_an_unroll_override(fig1a, monkeypatch)
     taken = []
     take = tightness._Chains.take
 
-    def counted(self, state, symbol, n):
+    def counted(self, state, symbol, *args):
         taken.append(state)
-        return take(self, state, symbol, n)
+        return take(self, state, symbol, *args)
     monkeypatch.setattr(tightness._Chains, "take", counted)
     one_symbol = SteppedTableAsm([[1, 1], [2, 2], [3, 3], [3, 3]], [_A, _A, _A, _STOP])
     assert monte_carlo_termination(one_symbol, 100, max_len=10).length_counts == ((3, 100),)
@@ -1027,6 +1027,27 @@ def test_monte_carlo_reads_one_symbol_runs_from_doubling_chains():
     monte_carlo_termination(asm, 10_000, max_len=10_000, seed=0)  # about 10,000 steps
     assert asm.calls["state_conditionals"] <= 25
     assert asm.calls["successors"] == 0
+
+
+@pytest.mark.parametrize("make, truncated", [(make_tight_softplus_rnn, 11),
+                                              (make_nontight_relu_rnn, 2996)],
+                         ids=["softplus", "relu"])
+@pytest.mark.parametrize("max_len", [1000, 1025])
+def test_monte_carlo_unrolls_no_state_past_the_end_of_the_walk(make, truncated, max_len,
+                                                               monkeypatch):
+    # some runs walk every step, so the chains hand out the max_len - 1 states
+    # after the first; doubling past them unrolled up to 1,023 rows no step used
+    rows = []
+    unroll = RnnAsm.unroll
+
+    def counted(self, state, symbol, n):
+        batch = unroll(self, state, symbol, n)
+        rows.append(len(batch))
+        return batch
+    monkeypatch.setattr(RnnAsm, "unroll", counted)
+    estimate = monte_carlo_termination(make(), 10_000, max_len=max_len, seed=1)
+    assert sum(rows) == max_len - 1
+    assert estimate.truncated == truncated
 
 
 def count_pooled_steps(monkeypatch, cls: type) -> list[int]:
