@@ -81,12 +81,11 @@ def _fig1(stay: float, stop: float) -> Sfssm:
     """Two-symbol bigram table; state b loops with ``stay`` and stops with
     ``stop``.  fig1a (``stop = 0``) leaks mass, since b can never stop;
     fig1b gives b an escape hatch and terminates surely."""
-    alphabet = Alphabet(("a", "b"))
     trans = {
         "a": np.array([[0, 1, 0], [0, 0.7, 0], [0, 0, 0]], dtype=float),
         "b": np.array([[0, 0, 0], [0, 0, 0.2], [0, 0, stay]], dtype=float),
     }
-    return build_sfssm(alphabet, trans, init=[1, 0, 0], term=[0, 0.1, stop],
+    return build_sfssm(Alphabet(("a", "b")), trans, init=[1, 0, 0], term=[0, 0.1, stop],
                        names=("BOS", "a", "b"))
 
 
@@ -109,8 +108,7 @@ _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"   # where str.splitlines en
 def _where(line: tuple[int, str, list[str]], k: int = 0) -> tuple[int, int]:
     """The line number and 1-based column of the ``k``-th word of ``line``."""
     number, raw, words = line
-    text = raw.split("#", 1)[0]
-    col = 0
+    text, col = raw.split("#", 1)[0], 0
     for word in words[:k]:
         col = text.index(word, col) + len(word)
     return number, text.index(words[k], col) + 1
@@ -123,37 +121,32 @@ def _lines(first: int, raws: list[str]) -> list[tuple[int, str, list[str]]]:
 
 
 class _Section:
-    """A section's name, header line number and span of the text, from its
-    header up to the next; its lines are split only as they are read, so a
-    parse holds the text and the lines of one section at a time."""
+    """A section's name, header line number and span of the text, up to the next header;
+    its lines are split only when read, so a parse holds one section's lines at a time."""
 
     def __init__(self, name_parts: list[str], line: int, text: str, lo: int, hi: int):
-        self.name_parts = name_parts
-        self.name = " ".join(name_parts)
-        self.line = line
+        self.name_parts, self.name, self.line = name_parts, " ".join(name_parts), line
         self.text, self.lo, self.hi = text, lo, hi
 
-    @property
     def raws(self) -> list[str]:
         return self.text[self.lo:self.hi].splitlines()[1:]
 
     @property
     def lines(self) -> list[tuple[int, str, list[str]]]:
-        return _lines(self.line + 1, self.raws)
+        return _lines(self.line + 1, self.raws())
 
 
-def _split_sections(text: str) -> tuple[dict[str, str], dict[str, int], list[_Section]]:
-    """Return (header key/values, header key/line numbers, sections)."""
+def _split_sections(text: str) -> tuple[dict[str, tuple[str, int]], list[_Section]]:
+    """Return ({header key: (value, line number)}, sections)."""
     starts, at = [], text.find("[")
-    while at >= 0:   # a section starts with a line whose first non-blank is '['
+    while at >= 0:   # a section starts at a line whose first non-blank is '['
         lo = at
         while lo and text[lo - 1] not in _BREAKS and text[lo - 1].isspace():
             lo -= 1
         if not lo or text[lo - 1] in _BREAKS:
             starts.append(lo)
         at = text.find("[", at + 1)
-    headers: dict[str, str] = {}
-    header_lines: dict[str, int] = {}
+    headers: dict[str, tuple[str, int]] = {}
     for line in _lines(1, text[:starts[0] if starts else len(text)].splitlines()):
         number, _, (first, *values) = line
         key = first[:-1]
@@ -166,14 +159,12 @@ def _split_sections(text: str) -> tuple[dict[str, str], dict[str, int], list[_Se
             raise ParseError(f"duplicate header {key!r}", *_where(line))
         if len(values) != 1:
             raise ParseError(f"header {key!r} takes exactly one value", *_where(line))
-        headers[key] = values[0]
-        header_lines[key] = number
+        headers[key] = values[0], number
     sections: list[_Section] = []
     breaks, number = [c for c in _BREAKS if c in text], 1
     for before, lo, hi in zip([0, *starts], starts, starts[1:] + [len(text)]):
         number += sum(text.count(c, before, lo) for c in breaks) - text.count("\r\n", before, lo)
-        stop = text.find("\n", lo, hi)
-        head = _lines(number, text[lo:hi if stop < 0 else stop].splitlines()[:1])[0]
+        head = _lines(number, text[lo:text.find("\n", lo, hi) + 1 or hi].splitlines()[:1])[0]
         if not head[2][-1].endswith("]"):
             raise ParseError("section header does not end with ']'", *_where(head))
         name_parts = head[1].split("#", 1)[0].strip()[1:-1].split()
@@ -182,7 +173,7 @@ def _split_sections(text: str) -> tuple[dict[str, str], dict[str, int], list[_Se
         sections.append(_Section(name_parts, number, text, lo, hi))
     if "model" not in headers:
         raise ParseError("missing 'model: <kind>' header", 1)
-    return headers, header_lines, sections
+    return headers, sections
 
 
 def _parse_float(line: tuple[int, str, list[str]], k: int) -> float:
@@ -228,7 +219,7 @@ def _state_columns(section: _Section, index: dict[str, int], width: int, usage: 
     number: intp state indices, then float64 numbers, checked whole (duplicates
     by code, ``src * Q + dst``).  If a check fails, the lines are checked one by
     one, so the error names the first failing line at its first failing word."""
-    rows = list(filter(None, [raw.split("#", 1)[0].split() for raw in section.raws]))
+    rows = list(filter(None, [raw.split("#", 1)[0].split() for raw in section.raws()]))
     if set(map(len, rows)) <= {width}:
         *names, values = zip(*rows) if rows else [()] * width
         try:
@@ -275,20 +266,17 @@ def _parse_sfssm(eos: str, by_name: dict[str, _Section], model_line: int) -> Sfs
 
     symbol_index = {a: k for k, a in enumerate(symbols)}
     edges = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]   # symbol index, src, dst, prob
-    for section in by_name.values():
-        if section.name_parts[0] != "transitions":
-            continue
+    for section in (s for s in by_name.values() if s.name_parts[0] == "transitions"):
         if len(section.name_parts) != 2:
-            raise ParseError("transition sections are named [transitions <symbol>]",
-                             section.line)
+            raise ParseError("transition sections are named [transitions <symbol>]", section.line)
         a = section.name_parts[1]
         if a not in symbol_index:
             raise ParseError(f"transition section for unknown symbol {a!r}", section.line)
         columns = _state_columns(section, index, 3, "transition lines are 'from to probability'",
                                  "duplicate transition {!r} -> {!r}")
         edges.append((np.full(len(columns[0]), symbol_index[a], np.intp), *columns))
-    return _from_edges(Alphabet(symbols, eos=eos), [np.concatenate(column) for column in zip(*edges)],
-                       init, term, names)
+    edges = [np.concatenate(column) for column in zip(*edges)]   # frees the sections' arrays
+    return _from_edges(Alphabet(symbols, eos=eos), edges, init, term, names)
 
 
 def _parse_rnn(eos: str, by_name: dict[str, _Section], model_line: int) -> RnnAsm:
@@ -396,9 +384,8 @@ def model_kind(model) -> str:
 
 def parse_model(text: str) -> Model:
     """Parse model-file text into exactly one validated model."""
-    headers, header_lines, sections = _split_sections(text)
-    kind, model_line = headers["model"], header_lines["model"]
-    eos = headers.get("eos", "EOS")
+    headers, sections = _split_sections(text)
+    (kind, model_line), (eos, _) = headers["model"], headers.get("eos", ("EOS", 1))
     if kind in _KINDS:
         _, parse, a_kind, known = _KINDS[kind]
         by_name: dict[str, _Section] = {}
@@ -418,7 +405,7 @@ def parse_model(text: str) -> Model:
             raise ParseError(str(exc), model_line) from exc
     if kind in BUILTINS:
         if sections or "eos" in headers:
-            where = sections[0].line if sections else header_lines["eos"]
+            where = sections[0].line if sections else headers["eos"][1]
             raise ParseError(f"builtin model {kind!r} takes no sections and no 'eos:'", where)
         return BUILTINS[kind]()
     raise ParseError(f"unknown model kind {kind!r}", model_line)
@@ -508,8 +495,7 @@ def model_text(model: Model) -> Iterator[str]:
     """The canonical text of :func:`write_model`, a header and then one piece per
     section, so the whole text need never be held at once.  Names that cannot
     be written raise ValueError at the call, before any piece is made."""
-    _check_writable_names(model.alphabet.symbols)
-    _check_writable_names((model.alphabet.eos,))
+    _check_writable_names((*model.alphabet.symbols, model.alphabet.eos))
     if isinstance(model, Sfssm):
         if model.state_map is not None:
             raise ValueError("a trimmed model need not be stochastic and has no model file")

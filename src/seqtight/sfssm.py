@@ -31,7 +31,7 @@ emitted by its outgoing transition.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat, tee
 from operator import add
@@ -54,9 +54,7 @@ class BadInit(ValueError):
 
 class BadRow(ValueError):
     def __init__(self, state: int, name: str, total: float):
-        self.state = state
-        self.name = name
-        self.total = total
+        self.state, self.name, self.total = state, name, total
         super().__init__(f"state {name}: outgoing mass plus termination is {total!r}, expected 1")
 
 
@@ -83,14 +81,6 @@ def _default_names(q: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(q))
 
 
-def _freeze(arr, dtype=float) -> np.ndarray:
-    """A read-only copy of ``arr``, or ``arr`` if it is read-only and owns its data."""
-    owned = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
-    arr = np.array(arr, dtype=dtype, copy=None if owned else True)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Sfssm:
     """A stochastic finite-state sequence model.
@@ -99,9 +89,8 @@ class Sfssm:
     checks shapes and index ranges.  Edge ``e`` moves from state
     ``src[e]`` to ``dst[e]`` with probability ``prob[e]``; the edges of
     the ``k``-th alphabet symbol are ``offsets[k]:offsets[k + 1]``, in
-    row-major order, and no stored edge is zero.  Arrays are stored
-    read-only, so models are safe to share across threads: each is a copy of
-    the one given, unless that is read-only and owns its data.
+    row-major order, and no stored edge is zero.  Arrays are stored as
+    read-only copies, so models are safe to share across threads.
 
     ``state_map`` is ``None`` for a validated model.  :func:`trim` sets it:
     ``state_map[i]`` is the index the ``i``-th retained state had in the
@@ -117,11 +106,14 @@ class Sfssm:
     term: np.ndarray
     names: tuple[str, ...]
     state_map: tuple[int, ...] | None = None
+    _made: InitVar[bool] = False   # the arrays were made for this model alone: keep, not copy
 
-    def __post_init__(self):
+    def __post_init__(self, _made):
         for name, dtype in (("src", np.intp), ("dst", np.intp), ("prob", float),
                             ("offsets", np.intp), ("init", float), ("term", float)):
-            object.__setattr__(self, name, _freeze(getattr(self, name), dtype))
+            arr = np.array(getattr(self, name), dtype=dtype, copy=None if _made else True)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         q, e = len(self.init), len(self.prob)
         if self.src.shape != (e,) or self.dst.shape != (e,) or not (
                 (0 <= self.src) & (self.src < q) & (0 <= self.dst) & (self.dst < q)).all():
@@ -175,33 +167,29 @@ class Sfssm:
 def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
                 init: Sequence[float], term: Sequence[float],
                 names: Sequence[str] | None = None) -> Sfssm:
-    """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of distinct
-    edges in any order; zero entries are dropped.  Canonical columns with no zero
-    are not sorted, and intp and float64 ones become the model's arrays, read-only."""
-    init = np.asarray(init, dtype=float)
-    term = np.asarray(term, dtype=float)
+    """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of
+    distinct edges in any order; zero entries are dropped."""
+    init, term = np.array(init, dtype=float), np.array(term, dtype=float)
     state_names = tuple(names) if names is not None else _default_names(len(init))
-    for idx in np.flatnonzero(init < 0):
-        raise NegativeEntry(("init", int(idx)))
-    for idx in np.flatnonzero(term < 0):
-        raise NegativeEntry(("term", int(idx)))
+    for where, vec in (("init", init), ("term", term)):
+        for idx in np.flatnonzero(vec < 0)[:1]:
+            raise NegativeEntry((where, int(idx)))
     symbol, src, dst = (np.asarray(column, dtype=np.intp) for column in edges[:3])
     prob = np.asarray(edges[3], dtype=float)
-    key = (symbol * len(init) + src) * len(init) + dst   # rises along canonical order
-    if not (prob.all() and (np.diff(key) > 0).all()):
-        order = np.flatnonzero(prob)[np.argsort(key[prob != 0])]   # the nonzero edges, sorted
-        symbol, src, dst, prob = symbol[order], src[order], dst[order], prob[order]
+    key = ((symbol * len(init) + src) * len(init) + dst)[prob != 0]   # rises in canonical order
+    order = np.flatnonzero(prob)[np.argsort(key, kind="stable")]   # the nonzero edges, sorted
+    del key
+    symbol, src, dst, prob = symbol[order], src[order], dst[order], prob[order]
     for e in np.flatnonzero(prob < 0)[:1]:
         raise NegativeEntry(("trans", alphabet.symbols[symbol[e]], int(src[e]), int(dst[e])))
-    for column in (src, dst, prob):
-        column.setflags(write=False)
-    model = Sfssm(alphabet=alphabet, src=src, dst=dst, prob=prob, init=init, term=term,
+    outgoing = np.bincount(src, weights=prob, minlength=len(init))   # copies read-only input
+    model = Sfssm(alphabet=alphabet, src=src, dst=dst, prob=prob, init=init, term=term, _made=True,
                   offsets=np.searchsorted(symbol, np.arange(alphabet.size + 1)), names=state_names)
 
     total_init = float(init.sum())
     if not abs(total_init - 1.0) <= ROW_TOL:
         raise BadInit(total_init)
-    row_sums = np.bincount(model.src, weights=model.prob, minlength=len(init)) + term
+    row_sums = outgoing + term
     for idx in np.flatnonzero(~(np.abs(row_sums - 1.0) <= ROW_TOL))[:1]:
         raise BadRow(int(idx), state_names[idx], float(row_sums[idx]))
     return model
@@ -225,14 +213,12 @@ def build_sfssm(alphabet: Alphabet,
         raise ValueError(f"transition matrices for symbols outside the alphabet: {sorted(unknown)!r}")
     q = len(init)
     edges = [np.zeros((0, 4))]
-    for k, a in enumerate(alphabet.symbols):
-        if a not in trans:
-            continue
-        mat = np.asarray(trans[a], dtype=float)
+    for a, mat in trans.items():   # in any order: _from_edges sorts the edges
+        mat = np.asarray(mat, dtype=float)
         if mat.shape != (q, q):
             raise ValueError(f"transition matrix for {a!r} has shape {mat.shape}, expected {(q, q)}")
         i, j = np.nonzero(mat)
-        edges.append(np.column_stack([np.full(len(i), k), i, j, mat[i, j]]))
+        edges.append(np.column_stack([np.full(len(i), alphabet.index(a)), i, j, mat[i, j]]))
     return _from_edges(alphabet, np.concatenate(edges).T, init, term, names)
 
 
@@ -312,7 +298,7 @@ def _trim(m: Sfssm, useful: frozenset[int]) -> Sfssm:
     return Sfssm(alphabet=m.alphabet, src=renumber[m.src[live]], dst=renumber[m.dst[live]],
                  prob=m.prob[live], offsets=np.concatenate(([0], np.cumsum(live)))[m.offsets],
                  init=m.init[idx], term=m.term[idx], names=tuple(m.names[i] for i in keep),
-                 state_map=tuple(keep))
+                 state_map=tuple(keep), _made=True)
 
 
 def _identity_minus_sum(m: Sfssm) -> np.ndarray:
@@ -395,9 +381,8 @@ def mle_ngram(corpus: Iterable[Sequence[Token]], order: int) -> Sfssm:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    # Tokens and histories (tuples of order - 1 token ids) are numbered in order of first
-    # use, a history by 2**32 times its number: one addition codes an event, and ints are
-    # counted at C speed from one stream of the strings' ids, each padded with starts and an end.
+    # Tokens and histories (tuples of order - 1 token ids, at 2**32 times their number) are
+    # numbered by first use: an int codes each event of one stream of every padded string's ids.
     tokens, histories = defaultdict(count().__next__), defaultdict(count(0, 1 << 32).__next__)
     end, bos = tokens[None], tokens[_BOS]
     ids = [islice(it, i, None) for i, it in enumerate(tee(map(tokens.__getitem__, chain.from_iterable(
@@ -418,11 +403,7 @@ def mle_ngram(corpus: Iterable[Sequence[Token]], order: int) -> Sfssm:
     if (event == bos).any():
         raise ValueError("corpus uses the reserved start placeholder token")
     label = list(tokens)
-    by_name = sorted(range(2, len(label)), key=label.__getitem__)
-    column = np.full(len(label), len(by_name))   # each token's symbol index; the end's is last
-    column[by_name] = np.arange(len(by_name))
-    canonical = np.lexsort((src, column[event]))   # by symbol, then by history
-    src, event, weight = src[canonical], event[canonical], weight[canonical]
+    by_name = sorted(range(2, len(label)), key=label.__getitem__)   # token id per symbol index
     prob = weight / np.bincount(src, weights=weight)[src]
     moves = event != end
     keys = list(compress(histories, real))   # a move from h by e goes to (*h, e)[1:]
@@ -431,11 +412,10 @@ def mle_ngram(corpus: Iterable[Sequence[Token]], order: int) -> Sfssm:
     term = np.bincount(src[~moves], weights=prob[~moves], minlength=len(keys))
     init = np.eye(1, len(keys))[0]   # the start history is the first used
 
-    # Histories become display names ("BOS", "a", "BOS,a", ...); fall back
-    # to generic indices if corpus tokens make the joined names collide.
+    # display names ("BOS", "a", "BOS,a", ...), or generic ones if corpus tokens make them collide
     label[bos] = "BOS"
     names = tuple(",".join(map(label.__getitem__, h)) if h else "BOS" for h in keys)
     if len(set(names)) != len(keys):
         names = _default_names(len(keys))
     return _from_edges(Alphabet(tuple(map(label.__getitem__, by_name))),
-                       (column[event[moves]], src[moves], dst, prob[moves]), init, term, names)
+                       (np.argsort(by_name)[event[moves] - 2], src[moves], dst, prob[moves]), init, term, names)

@@ -778,8 +778,8 @@ def same_arrays(a: Sfssm, b: Sfssm) -> bool:
 @given(hst.integers(0, 2**32 - 1), hst.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_sfssm_files_parse_alike_in_any_line_order(seed, rnd):
-    # the parser skips sorting only canonical edges; shuffled lines, comments,
-    # blank lines and explicit zeros take the other path to the same arrays
+    # shuffled lines and sections, comments, blank lines and explicit zeros
+    # parse to the canonical file's arrays
     model = random_sfssm(np.random.default_rng(seed))
     head, *blocks = write_model(model).split("\n\n")
     transitions = [block for block in blocks if block.startswith("[transitions ")]
@@ -809,11 +809,15 @@ def test_sfssm_copies_the_arrays_its_caller_can_write():
     for array in arrays.values():
         array[...] = 0
     assert same_arrays(built, model)
-    assert built.prob is not model.prob
-    # a read-only array that owns its data is kept, as it is by the model it came from
-    shared = Sfssm(alphabet=model.alphabet, names=model.names,
-                   **{name: getattr(model, name) for name in arrays})
-    assert shared.prob is model.prob and same_arrays(shared, model)
+    # a read-only array is copied too, since its owner can make it writable again
+    frozen = {name: getattr(model, name).copy() for name in arrays}
+    for array in frozen.values():
+        array.setflags(write=False)
+    built = Sfssm(alphabet=model.alphabet, names=model.names, **frozen)
+    for array in frozen.values():
+        array.setflags(write=True)
+        array[...] = 0
+    assert same_arrays(built, model)
 
 
 @given(sfssm_texts())

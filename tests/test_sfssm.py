@@ -104,6 +104,16 @@ def test_malformed_edge_lists_are_rejected():
         _from_edges(Alphabet(("a",)), ([0], [0], [1], [0.5]), [1.0], [0.5])
 
 
+def test_from_edges_leaves_its_callers_columns_alone():
+    columns = [np.array([0, 1]), np.array([0, 1]), np.array([1, 1]), np.array([1.0, 0.5])]
+    init, term = np.array([1.0, 0.0]), np.array([0.0, 0.5])
+    model = _from_edges(Alphabet(("a", "b")), columns, init, term)
+    for array in (*columns, init, term):
+        assert array.flags.writeable
+        array[...] = 0
+    assert model.prob.tolist() == [1.0, 0.5] and model.term.tolist() == [0.0, 0.5]
+
+
 def test_a_model_needs_one_termination_entry_and_one_name_per_state(fig1a):
     with pytest.raises(ValueError, match="termination vector length differs"):
         replace(fig1a, term=fig1a.term[:2])
