@@ -89,8 +89,8 @@ class Sfssm:
     checks shapes and index ranges.  Edge ``e`` moves from state
     ``src[e]`` to ``dst[e]`` with probability ``prob[e]``; the edges of
     the ``k``-th alphabet symbol are ``offsets[k]:offsets[k + 1]``, in
-    row-major order, and no stored edge is zero.  Arrays are stored as
-    read-only copies, so models are safe to share across threads.
+    row-major order, and no stored edge is zero.  Arrays are stored as read-only
+    copies, bar those :func:`_from_edges` makes, so models are safe to share across threads.
 
     ``state_map`` is ``None`` for a validated model.  :func:`trim` sets it:
     ``state_map[i]`` is the index the ``i``-th retained state had in the
@@ -167,8 +167,8 @@ class Sfssm:
 def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
                 init: Sequence[float], term: Sequence[float],
                 names: Sequence[str] | None = None) -> Sfssm:
-    """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of
-    distinct edges in any order; zero entries are dropped."""
+    """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of distinct
+    edges in any order, which it only reads; zero entries are dropped."""
     init, term = np.array(init, dtype=float), np.array(term, dtype=float)
     state_names = tuple(names) if names is not None else _default_names(len(init))
     for where, vec in (("init", init), ("term", term)):
