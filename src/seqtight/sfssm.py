@@ -89,8 +89,8 @@ class Sfssm:
     checks shapes and index ranges.  Edge ``e`` moves from state
     ``src[e]`` to ``dst[e]`` with probability ``prob[e]``; the edges of
     the ``k``-th alphabet symbol are ``offsets[k]:offsets[k + 1]``, in
-    row-major order, and no stored edge is zero.  Arrays are stored as read-only
-    copies, bar those :func:`_from_edges` makes, so models are safe to share across threads.
+    row-major order, and no stored edge is zero.  Arrays are read-only, copies
+    of any a caller passes in, so models are safe to share across threads.
 
     ``state_map`` is ``None`` for a validated model.  :func:`trim` sets it:
     ``state_map[i]`` is the index the ``i``-th retained state had in the
