@@ -111,22 +111,12 @@ class EosBoundFamily:
     # behaviour --------------------------------------------------------
 
     def value(self, t: int) -> float:
-        if t < 1:
-            raise ValueError("steps are 1-based")
-        if self.kind == CONSTANT:
-            return self.scale
-        if self.kind == HARMONIC:
-            return self.scale / (t + self.shift)
-        if self.kind == LOG_HARMONIC:
-            return self.scale / ((t + self.shift) * math.log(t + self.shift))
-        if self.kind == GEOMETRIC:
-            return self.scale * self.ratio ** t
-        return self.entries[t - 1] if t <= len(self.entries) else 0.0
+        return float(self.values([t])[0])
 
     def values(self, ts) -> np.ndarray:
-        """``value(t)`` for each step in ``ts``, bit for bit.  numpy's log and
-        power are not correctly rounded, so log-harmonic and geometric values
-        come from :meth:`value` one at a time."""
+        """``f(t)`` for each step in ``ts``, 1-based int64 (past ``2**63 - 1``,
+        :class:`OverflowError`).  numpy's log and power are not correctly rounded,
+        so log-harmonic and geometric steps take ``math.log`` and ``float.__pow__``."""
         t = np.asarray(ts, dtype=np.int64)
         if (t < 1).any():
             raise ValueError("steps are 1-based")
@@ -134,9 +124,12 @@ class EosBoundFamily:
             return np.full(len(t), self.scale, dtype=float)
         if self.kind == HARMONIC:
             return self.scale / (t + self.shift)
-        if self.kind == TABLE:
-            return np.append(self.entries, 0.0)[np.minimum(t, len(self.entries) + 1) - 1]
-        return np.fromiter(map(self.value, t.tolist()), float, len(t))
+        if self.kind == LOG_HARMONIC:
+            x = t + self.shift
+            return self.scale / (x * np.fromiter(map(math.log, x.tolist()), float, len(t)))
+        if self.kind == GEOMETRIC:
+            return self.scale * np.fromiter(map(self.ratio.__pow__, t.tolist()), float, len(t))
+        return np.append(self.entries, 0.0)[np.minimum(t, len(self.entries) + 1) - 1]
 
     @property
     def claimed_steps(self) -> int | None:
@@ -157,7 +150,7 @@ class EosBoundFamily:
         """``sum_{t > after} f(t)`` for geometric families."""
         if self.kind != GEOMETRIC:
             raise ValueError("tail sums are only defined for geometric families")
-        return self.scale * self.ratio ** (after + 1) / (1.0 - self.ratio)
+        return self.value(after + 1) / (1.0 - self.ratio)
 
     def describe(self) -> str:
         if self.kind == CONSTANT:

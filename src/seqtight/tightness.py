@@ -172,14 +172,14 @@ def _sampling(conds, alphabet: Alphabet, step: int | None = None) -> list:
     return [None if b else row for row, b in zip(conds / sums, bad.tolist())]
 
 
-def _prefix(asm: Asm, parents: list, row: int) -> Str:
-    """The prefix that first reached frontier row ``row``, read back through
-    the per-step ``(parent rows, symbol indices)`` lists ``parents``."""
+def _prefix(asm: Asm, parents: list, row: int, length: int) -> Str:
+    """The first ``length`` symbols that first reached row ``row`` of the last block,
+    read back through the ``(parent rows, symbol indices, steps)`` blocks ``parents``."""
     symbols = []
-    for rows, cols in reversed(parents):
-        symbols.append(asm.alphabet.symbols[cols[row]])
+    for rows, cols, steps in reversed(parents):
+        symbols += [asm.alphabet.symbols[cols[row]]] * steps
         row = rows[row]
-    return tuple(reversed(symbols))
+    return tuple(reversed(symbols))[:length]
 
 
 def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
@@ -194,7 +194,7 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
     that order.  A single pair starts a stretch read from :class:`_Chains`
     instead: one row per step of ``span``, up to the first row that branches,
     switches symbol or sends no weight on.  With ``witness``, ``parents`` gains
-    each step's ``(parent rows, symbol indices)`` of first arrivals, for
+    each block's ``(parent rows, symbol indices, steps)`` of first arrivals, for
     :func:`_prefix`.  Raises :class:`InvalidWeight` at the first row to yield
     that is no distribution, :class:`BudgetExceeded` past ``budget`` rows."""
     states, weights, parents = [asm.initial_state()], np.ones(1), []
@@ -233,8 +233,8 @@ def _frontiers(asm: Asm, steps: int, budget: int, witness: bool = False):
                 weights = np.bincount(pooled, weights=sent)  # adds in arrival order
                 states, rows, cols = batch[first], rows[first], cols[first]
             conds = asm.state_conditionals(states)
-        if witness:  # a stretch's later steps each come from row 0
-            parents += [(rows, cols)] + [([0], cols)] * (len(span) - 1)
+        if witness:  # a stretch's later steps each come from row 0, along the same symbol
+            parents.append((rows, cols, len(span)))
 
 
 def _pool(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -323,44 +323,38 @@ def termination_cdf(series: EosHazardSeries) -> np.ndarray:
     return _frozen(np.clip(cdf, 0.0, 1.0, out=cdf))
 
 
-def _bound_walk(asm: Asm, bound: EosBoundFamily, steps: int, budget: int) -> None:
-    """Raise :class:`BoundViolated` naming the first prefix, in frontier order,
-    whose EOS probability is below ``f(t) * (1 - _TOL)`` within ``steps`` steps."""
-    eos_idx = asm.alphabet.eos_index
-    for span, _, conds, parents in _frontiers(asm, steps, budget, witness=True):
-        failed = np.flatnonzero(conds[:, eos_idx] < bound.values(span) * (1.0 - _TOL))
-        if failed.size:
-            i, row = divmod(int(failed[0]), len(conds) // len(span))
-            raise BoundViolated(span[i], _prefix(asm, parents[:span[i] - 1], row),
-                                float(conds[failed[0], eos_idx]), bound.value(span[i]))
-
-
 def certify_tight_lower_bound(bound: EosBoundFamily, asm: Asm | None = None,
                               horizon: int = 32, budget: int = DEFAULT_ENUM_BUDGET,
                               series: EosHazardSeries | None = None) -> TightnessVerdict:
     """Verdict from an asserted per-step lower bound on the EOS probability.
 
     The caller asserts that every prefix of length ``t - 1`` has EOS
-    probability at least ``bound.value(t)``; when ``asm`` is supplied the
-    assertion is checked empirically up to ``horizon`` steps (raising
-    :class:`BoundViolated` on failure), but the tail remains the caller's
-    claim.  Given ``series = eos_hazard_enumerate(asm, horizon, budget)``,
-    the check reads its ``min_eos`` instead of walking the same states
-    again.  A divergent family certifies tightness; geometric and
-    table families cannot — no finite partial sum certifies divergence —
-    so they come back inconclusive.
+    probability at least ``bound.value(t)``.  Given ``asm``, the first
+    ``horizon >= 1`` steps (or a shorter table's) are checked: by reading
+    ``series.min_eos`` when ``series = eos_hazard_enumerate(asm, horizon,
+    budget)`` covers them, else, or when a minimum fails, by one walk that
+    raises :class:`BoundViolated` naming the first failing prefix.  A table of
+    no steps makes no model call.  The tail remains the caller's claim.  A
+    divergent family certifies tightness; geometric and table families
+    cannot — no finite partial sum certifies divergence — so they come back
+    inconclusive.
     """
     if asm is not None:
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
         steps = horizon if bound.claimed_steps is None else min(horizon, bound.claimed_steps)
         lows = None if series is None else series.min_eos
-        if lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None):
-            blocks = [(np.arange(1, min(len(lows), steps) + 1), lows[:steps])]
-        else:  # per-step minima of a walk that stops at the first failing block
+        held = (lows is not None and (len(lows) >= steps or series.support_exhausted_at is not None)
+                and (lows[:steps] >= bound.values(range(1, min(len(lows), steps) + 1))
+                     * (1.0 - _TOL)).all())
+        if steps and not held:  # one walk, with parent pointers to name the first failing prefix
             eos_idx = asm.alphabet.eos_index
-            blocks = ((span, conds[:, eos_idx].reshape(len(span), -1).min(axis=1))
-                      for span, _, conds, _ in _frontiers(asm, steps, budget))
-        if not all((low >= bound.values(span) * (1.0 - _TOL)).all() for span, low in blocks):
-            _bound_walk(asm, bound, steps, budget)  # again, with parent pointers to name the prefix
+            for span, _, conds, parents in _frontiers(asm, steps, budget, witness=True):
+                failed = np.flatnonzero(conds[:, eos_idx] < bound.values(span) * (1.0 - _TOL))
+                if failed.size:
+                    i, row = divmod(int(failed[0]), len(conds) // len(span))
+                    raise BoundViolated(span[i], _prefix(asm, parents, row, span[i] - 1),
+                                        float(conds[failed[0], eos_idx]), bound.value(span[i]))
     if bound.diverges:
         if bound.kind == CONSTANT:
             return TightnessVerdict.tight(
@@ -451,7 +445,9 @@ class TerminationEstimate:
         return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / self.samples)
 
     def length_quantile(self, q: float) -> int | None:
-        """Quantile of terminated string lengths (None if nothing terminated)."""
+        """Quantile ``q`` in [0, 1] (else :class:`OutOfRange`) of terminated
+        string lengths (None if nothing terminated)."""
+        as_prob(q, slack=0.0)
         if self.terminated == 0:
             return None
         seen = np.cumsum([count for _, count in self.length_counts])
@@ -580,11 +576,11 @@ def fit_geometric_tail(series: EosHazardSeries) -> EosBoundFamily | None:
     Looks at the step-to-step ratios over the trailing half of the series;
     if they stay below 0.999 and are stable (largest over smallest within
     1% — the signature of geometric decay, which polynomially decaying
-    series fail because their ratios drift toward 1), returns ``c * r^t`` with ``r`` the largest observed ratio and
-    ``c`` scaled so the family dominates every computed value.  Returns
-    None when the series does not look geometric.  The fit only
-    summarizes the computed horizon — using it to certify non-tightness
-    is the caller's assertion about the tail.
+    series fail because their ratios drift toward 1), returns ``c * r^t``
+    with ``r`` the largest observed ratio and ``c`` the largest computed value
+    over ``geometric(1, r).values(t)``.  Returns None when the series does
+    not look geometric.  The fit only summarizes the computed horizon —
+    using it to certify non-tightness is the caller's assertion about the tail.
     """
     vals = series.values
     if len(vals) < 4 or series.sure_termination:
@@ -596,9 +592,8 @@ def fit_geometric_tail(series: EosHazardSeries) -> EosBoundFamily | None:
     r = float(ratios.max())
     if r >= _MAX_RATIO or r > float(ratios.min()) * _MAX_WOBBLE:
         return None
-    # r ** t in Python: numpy's power can differ from it in the last bit
-    c = max(v / p if (p := r ** (i + 1)) else math.inf
-            for i, v in enumerate(vals.tolist()))  # p can underflow
+    with np.errstate(divide="ignore"):  # a power of r can underflow to 0, giving c = inf
+        c = float((vals / EosBoundFamily.geometric(1.0, r).values(range(1, len(vals) + 1))).max())
     if c * r > 1.0:
         return None
     return EosBoundFamily.geometric(c, r)

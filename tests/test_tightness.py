@@ -420,6 +420,32 @@ def test_lower_bound_walk_memory_stays_flat_as_horizon_grows():
     assert peaks[1] < 2 * peaks[0]
 
 
+class _UncallableAsm(Asm):
+    """A model whose hooks raise, so that a check which calls it fails at once."""
+
+    alphabet = Alphabet(("a",))
+
+    def _called(self, *args):
+        raise AssertionError("the model was called")
+
+    initial_state = step = state_conditional = _called
+
+
+@pytest.mark.parametrize("bound", [EosBoundFamily.constant(0.1), EosBoundFamily.table([]),
+                                   EosBoundFamily.table([0.5])])
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_a_lower_bound_check_needs_a_horizon_of_one_step(bound, horizon):
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        certify_tight_lower_bound(bound, asm=_UncallableAsm(), horizon=horizon)
+
+
+@pytest.mark.parametrize("series", [None, eos_hazard_enumerate(ParityAsm(), 3)])
+def test_a_table_of_no_steps_makes_no_model_call(series):
+    verdict = certify_tight_lower_bound(EosBoundFamily.table([]), asm=_UncallableAsm(),
+                                        horizon=5, series=series)
+    assert verdict.is_inconclusive
+
+
 # -- batched frontier steps -----------------------------------------------------------
 
 _WEIGHT = hst.floats(-3.0, 3.0)
@@ -534,6 +560,58 @@ def test_batched_rnn_walk_matches_the_scalar_hooks(asm, horizon, budget, floor):
     # its walk runs the base class's per-state loop, one step per unroll
     assert walk_outcome(asm, horizon, budget, floor) \
         == walk_outcome(CountingAsm(asm), horizon, budget, floor)
+
+
+@hst.composite
+def prefix_asms(draw) -> FunctionAsm:
+    """A :class:`FunctionAsm` whose conditional is one of a few rows, picked by
+    the prefix's length and symbols, so that prefixes never pool."""
+    k = draw(hst.integers(1, 2))
+    masses = hst.lists(hst.sampled_from([0.0, 0.0, 1.0, 3.0]), min_size=k + 1, max_size=k + 1)
+    rows = [np.array(w) / sum(w) for w in draw(hst.lists(masses.filter(any), min_size=1, max_size=4))]
+    symbols = ("a", "b")[:k]
+    return FunctionAsm(Alphabet(symbols),
+                       lambda p: rows[(len(p) + sum(map(symbols.index, p))) % len(rows)])
+
+
+_FLOOR = hst.floats(0.0, 0.6)
+_LOWER_BOUNDS = hst.one_of(
+    _FLOOR.map(EosBoundFamily.constant),
+    hst.builds(EosBoundFamily.harmonic, hst.floats(0.0, 1.0), hst.floats(1.0, 5.0)),
+    hst.builds(EosBoundFamily.log_harmonic, hst.floats(0.0, 1.0), hst.floats(2.0, 5.0)),
+    hst.builds(EosBoundFamily.geometric, hst.floats(0.0, 1.0), hst.floats(0.01, 0.99)),
+    hst.lists(_FLOOR, max_size=10).map(EosBoundFamily.table),  # longer or shorter than the horizon
+)
+
+
+def lower_bound_outcome(bound, asm, horizon, series=None):
+    """The verdict of the lower-bound check, or the text of its violation, whose
+    witness must be a prefix that reaches the failing step with the reported
+    EOS probability."""
+    try:
+        return certify_tight_lower_bound(bound, asm=asm, horizon=horizon, series=series)
+    except BoundViolated as exc:
+        assert len(exc.prefix) == exc.step - 1
+        assert asm.conditional(exc.prefix)[-1] == exc.observed
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.one_of(small_rnns(), prefix_asms()), _LOWER_BOUNDS, hst.integers(1, 8))
+@example(ParityAsm(), EosBoundFamily.table([]), 4)
+@example(ParityAsm(), EosBoundFamily.table([0.0, 0.05, 0.0, 0.2]), 3)
+@example(ParityAsm(), EosBoundFamily.table([0.0, 0.05, 0.0, 0.2]), 8)
+@example(_UNDERFLOWING_RNN, EosBoundFamily.constant(0.0), 200)  # support runs out at 76
+@example(make_tight_softplus_rnn(), EosBoundFamily.constant(0.4), 10)
+@example(make_tight_softplus_rnn(), EosBoundFamily.constant(0.0003), 4000)  # step 3333, mid-stretch
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_lower_bound_check_reads_the_series_as_its_walk_finds(asm, bound, horizon):
+    try:
+        series = eos_hazard_enumerate(asm, horizon)
+    except InvalidWeight:  # no series to read
+        return
+    assert lower_bound_outcome(bound, asm, horizon, series) \
+        == lower_bound_outcome(bound, asm, horizon)
 
 
 class TableAsm(Asm):
@@ -839,13 +917,23 @@ def test_bound_family_values_and_divergence():
     EosBoundFamily.table([]),
 ])
 def test_bound_family_values_are_its_value_at_each_step_bit_for_bit(family):
+    # Python's own float arithmetic, math.log and ** on each step
+    form = {"constant": lambda t: family.scale,
+            "harmonic": lambda t: family.scale / (t + family.shift),
+            "log-harmonic": lambda t: family.scale / ((t + family.shift) * math.log(t + family.shift)),
+            "geometric": lambda t: family.scale * family.ratio ** t,
+            "table": lambda t: family.entries[t - 1] if t <= len(family.entries) else 0.0,
+            }[family.kind]
     steps = range(1, 100_001)
-    want = np.array([family.value(t) for t in steps], dtype=float)
+    want = np.array([form(t) for t in steps], dtype=float)
     assert family.values(np.arange(1, 100_001)).tobytes() == want.tobytes()
     assert family.values(steps[::-7]).tobytes() == want[::-7].tobytes()
+    assert [family.value(t) for t in (1, 2, 99_999)] == [form(t) for t in (1, 2, 99_999)]
     assert family.values(range(5, 5)).size == 0
     with pytest.raises(ValueError, match="steps are 1-based"):
         family.values([3, 0])
+    with pytest.raises(OverflowError):
+        family.value(2**63)
 
 
 @pytest.mark.parametrize("text, family", [
@@ -949,11 +1037,19 @@ def test_monte_carlo_length_accounting(fig1b):
 
 
 @pytest.mark.parametrize("q, length", [(0.0, 1), (0.2, 1), (0.21, 3), (0.7, 3), (0.71, 7),
-                                       (1.0, 7), (1.5, 7)])
+                                       (1.0, 7)])
 def test_length_quantile_is_the_first_length_whose_running_count_reaches_it(q, length):
     estimate = TerminationEstimate(samples=12, max_len=9, seed=0, terminated=10, truncated=2,
                                    length_counts=((1, 2), (3, 5), (7, 3)))
     assert estimate.length_quantile(q) == length
+
+
+@pytest.mark.parametrize("q", [1.5, math.nan, -1.0, 1.0 + 1e-15, -1e-300])
+def test_length_quantile_outside_0_1_is_out_of_range(q):
+    estimate = monte_carlo_termination(ParityAsm(), 100, 50, 1)
+    assert estimate.length_quantile(1.0) == 49
+    with pytest.raises(OutOfRange):
+        estimate.length_quantile(q)
 
 
 def test_monte_carlo_memory_stays_flat_as_max_len_grows():
