@@ -220,10 +220,10 @@ def _normalized(alpha: np.ndarray) -> np.ndarray:
 class SfssmAsm(Asm):
     """Any stochastic finite-state model viewed through the ASM interface.
 
-    The carried state is the normalized forward state distribution; the
-    conditional is its product with the model's row-mass matrix (per-symbol
-    outgoing mass, then termination).  Prefixes the model cannot generate
-    have no conditional and raise :class:`DeadPrefix`.  A state can stop iff
+    The carried state is the normalized forward state distribution (the belief
+    path, which :func:`~seqtight.modelfile.as_asm` takes for nondeterministic
+    models); the conditional is its product with the row-mass matrix.  Prefixes
+    the model cannot generate raise :class:`DeadPrefix`.  A state can stop iff
     it puts positive mass on a co-accessible state of the model.
     """
 
@@ -253,3 +253,36 @@ class SfssmAsm(Asm):
         mask = np.zeros(self.model.num_states, dtype=bool)
         mask[list(coaccessible(self.model))] = True
         return mask
+
+
+class _StateIndexAsm(SfssmAsm):
+    """:class:`SfssmAsm` of a :attr:`~Sfssm.deterministic` model: it carries the index of the
+    state its one-hot belief marks, and builds the same rows, bit for bit, from that state's edges."""
+
+    def __init__(self, model: Sfssm):
+        super().__init__(model)
+        v = model.alphabet.size
+        pair = model.src * v + np.repeat(np.arange(v), np.diff(model.offsets))   # src * V + symbol
+        order = np.argsort(pair, kind="stable")   # the sort Sfssm.deterministic runs
+        self._pair, self._dst, self._prob = pair[order], model.dst[order], model.prob[order]
+
+    def initial_state(self):
+        return int(np.flatnonzero(self.model.init > 0)[0])
+
+    def step(self, state, symbol: Token):
+        pair = state * self.alphabet.size + self.alphabet.index(symbol)
+        e = self._pair.searchsorted(pair)
+        if pair not in self._pair[e:e + 1]:   # no edge: the prefix has probability 0
+            raise DeadPrefix(None)
+        return int(self._dst[e])
+
+    def state_conditional(self, state) -> np.ndarray:
+        v = self.alphabet.size
+        edges = slice(*self._pair.searchsorted([state * v, state * v + v]))
+        mass = np.bincount(self._pair[edges] - state * v, self._prob[edges], v)
+        return np.append(mass, self.model.term[state])
+
+    state_key = Asm.state_key   # the index itself
+
+    def can_stop(self, state) -> bool:
+        return bool(self._coaccessible[state])

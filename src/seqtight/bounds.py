@@ -43,7 +43,8 @@ class EosBoundFamily:
             for i, v in enumerate(self.entries):
                 if not (0.0 <= v <= 1.0):
                     raise OutOfRange(f"table entry {i} is {v!r}, outside [0, 1]")
-            return
+            # values' lookup array, built once: the entries, then 0.0 for every later step
+            return object.__setattr__(self, "_padded", np.append(self.entries, 0.0))
         for name in ("scale", "shift", "ratio"):
             if not math.isfinite(getattr(self, name)):
                 raise OutOfRange(f"bound {name} must be finite, got {getattr(self, name)!r}")
@@ -129,7 +130,7 @@ class EosBoundFamily:
             return self.scale / (x * np.fromiter(map(math.log, x.tolist()), float, len(t)))
         if self.kind == GEOMETRIC:
             return self.scale * np.fromiter(map(self.ratio.__pow__, t.tolist()), float, len(t))
-        return np.append(self.entries, 0.0)[np.minimum(t, len(self.entries) + 1) - 1]
+        return self._padded[np.minimum(t, len(self.entries) + 1) - 1]
 
     @property
     def claimed_steps(self) -> int | None:

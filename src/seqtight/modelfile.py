@@ -54,7 +54,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .asm_zoo import (ParityAsm, RnnAsm, SfssmAsm, make_nontight_relu_rnn,
+from .asm_zoo import (ParityAsm, RnnAsm, SfssmAsm, _StateIndexAsm, make_nontight_relu_rnn,
                       make_tight_softplus_rnn)
 from .core import Alphabet, Asm
 from .sfssm import Sfssm, _from_edges, build_sfssm
@@ -524,7 +524,7 @@ def model_digest(model: Model) -> str:
 def as_asm(model: Model) -> Asm:
     """View any parsed model through the generic ASM interface."""
     if isinstance(model, Sfssm):
-        return SfssmAsm(model)
+        return _StateIndexAsm(model) if model.deterministic else SfssmAsm(model)
     return model
 
 

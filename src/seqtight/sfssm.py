@@ -19,9 +19,9 @@ Transitions are stored as ``E`` nonzero edges, never as dense per-symbol
 matrices: flat arrays ``src``, ``dst`` and ``prob`` in canonical order
 (alphabet order of the symbol, then row-major by ``src`` and ``dst``),
 with ``offsets[k]:offsets[k + 1]`` the edges of the ``k``-th symbol, the
-layout of a compressed sparse row index.  Each model caches the dense
-``Q x Q`` transition-sum matrix and a ``Q x (V + 1)`` row-mass matrix on
-first use, so memory is O(E + Q^2 + QV) for ``V`` symbols.
+layout of a compressed sparse row index.  A model caches its dense ``Q x Q``
+transition sum on first use, and its ``Q x (V + 1)`` row mass only on the belief
+path (nondeterministic models), so memory is O(E + Q^2 + QV) for ``V`` symbols.
 
 Bigram/n-gram tables are encoded with an explicit start state ("BOS"):
 the initial vector is the indicator on that state and the first symbol is
@@ -142,6 +142,13 @@ class Sfssm:
         """``alpha @ T[symbol]``: push a state-weight vector along one symbol."""
         src, dst, prob = self._by_symbol[symbol]
         return np.bincount(dst, weights=alpha[src] * prob, minlength=len(alpha))
+
+    @cached_property
+    def deterministic(self) -> bool:
+        """One state holds all initial mass and no two edges share a state and a symbol."""
+        pairs = np.repeat(np.arange(self.alphabet.size), np.diff(self.offsets)) * self.num_states + self.src
+        pairs = pairs[np.argsort(pairs, kind="stable")]   # _from_edges's sort: no second kernel to page in
+        return int(np.count_nonzero(self.init > 0)) == 1 and bool(np.diff(pairs).all())
 
     @cached_property
     def transition_sum(self) -> np.ndarray:
@@ -417,5 +424,6 @@ def mle_ngram(corpus: Iterable[Sequence[Token]], order: int) -> Sfssm:
     names = tuple(",".join(map(label.__getitem__, h)) if h else "BOS" for h in keys)
     if len(set(names)) != len(keys):
         names = _default_names(len(keys))
-    return _from_edges(Alphabet(tuple(map(label.__getitem__, by_name))),
-                       (np.argsort(by_name)[event[moves] - 2], src[moves], dst, prob[moves]), init, term, names)
+    edges = (np.argsort(by_name)[event[moves] - 2], src[moves], dst, prob[moves])
+    del src, event, weight, prob, moves, histories, keys   # full-length columns: free them before the sort
+    return _from_edges(Alphabet(tuple(map(label.__getitem__, by_name))), edges, init, term, names)
