@@ -16,9 +16,8 @@ if "numpy" not in _sys.modules:
     _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .core import (Alphabet, Asm, FunctionAsm, NotADistribution, OutOfRange, Str,
-                   UnknownSymbol, prefix_probability, string_probability,
-                   validate_conditional)
+from .core import (Alphabet, Asm, FunctionAsm, OutOfRange, Str, UnknownSymbol,
+                   prefix_probability, string_probability)
 from .linalg import (Singular, SpectralEstimate, neumann_partial_sum, solve_linear,
                      spectral_radius_estimate)
 from .verdicts import Certificate, TightnessVerdict

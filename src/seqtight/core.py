@@ -33,19 +33,6 @@ class UnknownSymbol(ValueError):
         super().__init__(f"unknown symbol: {token!r}")
 
 
-class NotADistribution(ValueError):
-    """A conditional vector failed validation (negative or NaN entries, or a bad total)."""
-
-    def __init__(self, prefix: Str, total: float, offending: list[tuple[int, float]]):
-        self.prefix = prefix
-        self.total = total
-        self.offending = offending
-        parts = [f"conditional at prefix {prefix!r} sums to {total!r}"]
-        if offending:
-            parts.append(f"negative or NaN entries at {offending!r}")
-        super().__init__("; ".join(parts))
-
-
 def as_prob(value: float, slack: float = PROB_SLACK) -> float:
     """Clamp ``value`` into [0, 1], tolerating ``slack`` of rounding past
     either end.  Raises :class:`OutOfRange` beyond that."""
@@ -111,13 +98,12 @@ class Asm:
     """Autoregressive sequence model: a total map from prefixes to
     conditional next-symbol distributions.
 
-    Subclasses set ``alphabet`` and override either :meth:`conditional` or
-    the carried-state hooks (:meth:`initial_state` / :meth:`step` /
-    :meth:`state_conditional`); the base class derives the other.  The
-    engines walk only the hooks, and the derived :meth:`conditional` walks
-    them along the prefix.  By default the carried state is the prefix
-    itself, so a prefix-only model works unchanged.  A model whose state keys
-    recur may override :meth:`can_stop`, so sampling ends once no run can stop.
+    Subclasses set ``alphabet`` and override :meth:`state_conditional`, the
+    conditional in a carried state, which is the prefix itself unless
+    :meth:`initial_state` and :meth:`step` say otherwise.  The engines walk
+    only these hooks, and :meth:`conditional` walks them along a prefix.  A
+    model whose state keys recur may override :meth:`can_stop`, so sampling
+    ends once no run can stop.
 
     Instances are immutable; per-call state is caller-owned, so models can
     be shared freely across threads.
@@ -142,9 +128,7 @@ class Asm:
         return state + (symbol,)
 
     def state_conditional(self, state) -> np.ndarray:
-        if type(self).conditional is Asm.conditional:
-            raise NotImplementedError("override conditional() or the carried-state hooks")
-        return self.conditional(state)
+        raise NotImplementedError(f"{type(self).__name__} must override state_conditional")
 
     def state_key(self, state):
         """Hashable key identifying ``state``; equal keys must imply equal
@@ -188,14 +172,15 @@ class Asm:
 
 
 class FunctionAsm(Asm):
-    """ASM defined directly by a prefix -> probability-vector function."""
+    """ASM defined by a prefix -> probability-vector function; its carried
+    state is the default one, the prefix."""
 
     def __init__(self, alphabet: Alphabet, fn: Callable[[Str], np.ndarray]):
         self.alphabet = alphabet
         self._fn = fn
 
-    def conditional(self, prefix: Str) -> np.ndarray:
-        return np.asarray(self._fn(tuple(prefix)), dtype=float)
+    def state_conditional(self, state: Str) -> np.ndarray:
+        return np.asarray(self._fn(state), dtype=float)
 
 
 def _distributions(rows) -> np.ndarray:
@@ -205,16 +190,6 @@ def _distributions(rows) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN, and fails
         sums = rows.sum(axis=-1)
     return (rows >= 0).all(axis=-1) & (np.abs(sums - 1.0) <= DEFAULT_TOL)
-
-
-def validate_conditional(asm: Asm, prefix: Str) -> None:
-    """Raise :class:`NotADistribution` unless the conditional at ``prefix`` has one
-    entry per symbol plus EOS and passes the walks' rule, :func:`_distributions`."""
-    vec = np.asarray(asm.conditional(prefix), dtype=float)
-    if vec.shape != (asm.alphabet.full_size,) or not _distributions(vec):
-        with np.errstate(invalid="ignore"):  # inf and -inf sum to NaN
-            total = float(vec.sum())
-        raise NotADistribution(prefix, total, [(i, v) for i, v in enumerate(vec.tolist()) if not v >= 0])
 
 
 def _prefix_walk(asm: Asm, x: Iterable[Token]) -> tuple[float, object]:

@@ -424,6 +424,6 @@ def mle_ngram(corpus: Iterable[Sequence[Token]], order: int) -> Sfssm:
     names = tuple(",".join(map(label.__getitem__, h)) if h else "BOS" for h in keys)
     if len(set(names)) != len(keys):
         names = _default_names(len(keys))
-    edges = (np.argsort(by_name)[event[moves] - 2], src[moves], dst, prob[moves])
+    edges = (np.argsort(by_name, kind="stable")[event[moves] - 2], src[moves], dst, prob[moves])
     del src, event, weight, prob, moves, histories, keys   # full-length columns: free them before the sort
     return _from_edges(Alphabet(tuple(map(label.__getitem__, by_name))), edges, init, term, names)

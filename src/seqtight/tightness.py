@@ -245,8 +245,8 @@ def _pool(keys) -> tuple[np.ndarray, np.ndarray]:
         rows = np.ascontiguousarray(keys).reshape(len(keys), -1)
         rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, first, pooled = np.unique(rows, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the sorted keys' numbers, by first arrival
-        return first[order], np.argsort(order)[pooled]
+        order = np.argsort(first, kind="stable")  # the sorted keys' numbers, by first arrival
+        return first[order], np.argsort(order, kind="stable")[pooled]
     index: dict = {}
     pooled = np.fromiter((index.setdefault(key, len(index)) for key in keys), np.intp, len(keys))
     return np.unique(pooled, return_index=True)[1], pooled
@@ -387,7 +387,8 @@ def certify_nontight_upper_bound(series: EosHazardSeries, bound: EosBoundFamily)
             f"only geometric upper bounds certify non-tightness")
     horizon = series.horizon
     want = bound.values(np.arange(1, horizon + 1))
-    above = np.flatnonzero(series.values > want * (1.0 + _TOL))
+    # a hazard within the smallest normal float of its bound holds: subnormals round coarsely
+    above = np.flatnonzero(series.values > want * (1.0 + _TOL) + np.finfo(float).tiny)
     if above.size:
         i = int(above[0])
         raise BoundViolated(i + 1, None, float(series.values[i]), float(want[i]))

@@ -90,7 +90,7 @@ class StableRandomAsm(Asm):
         self.seed = seed
         self.eos_floor = eos_floor
 
-    def conditional(self, prefix):
+    def state_conditional(self, prefix):   # the default carried state is the prefix
         key = hashlib.sha256(f"{self.seed}|{'|'.join(prefix)}".encode()).digest()
         rng = np.random.default_rng(int.from_bytes(key[:8], "little"))
         vec = rng.dirichlet(np.ones(self.alphabet.full_size))

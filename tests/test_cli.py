@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from seqtight import (Alphabet, EosBoundFamily, RnnAsm, certify_nontight_upper_bound,
+from seqtight import (Alphabet, EosBoundFamily, RnnAsm, SfssmAsm, certify_nontight_upper_bound,
                       decide_tight, eos_hazard_enumerate, fit_geometric_tail,
                       make_nontight_relu_rnn, make_tight_softplus_rnn,
                       termination_probability, trim, parse_corpus, parse_model, mle_ngram,
@@ -513,6 +513,53 @@ def test_sample_of_a_wide_bigram_matches_golden_hash(capsys, monkeypatch, tmp_pa
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "21d2796455e02c1669527318eea9466387ccb131fe924e1893316c96eb083efc"
+
+
+# S sends a to both A and B, so no state index carries a run: the one model
+# file that a CLI test samples and analyzes on belief vectors
+NONDETERMINISTIC_MODEL = """\
+model: sfssm
+eos: EOS
+
+[alphabet]
+a b
+
+[states]
+S A B
+
+[init]
+S 1.0
+
+[transitions a]
+S A 0.3
+S B 0.3
+A A 0.5
+B B 0.2
+
+[transitions b]
+A S 0.2
+B A 0.3
+
+[term]
+S 0.4
+A 0.3
+B 0.5
+"""
+
+
+def test_a_nondeterministic_model_walks_belief_vectors_end_to_end(capsys, monkeypatch, tmp_path):
+    assert type(as_asm(parse_model(NONDETERMINISTIC_MODEL))) is SfssmAsm
+    (tmp_path / "nd.model").write_text(NONDETERMINISTIC_MODEL)
+    monkeypatch.chdir(tmp_path)   # the payload records the model path as given
+    # recorded while Asm still had its prefix-override mode
+    for argv, digest in [
+            (("sample", "--samples", "2000", "--max-len", "50", "--seed", "1"),
+             "8fb00d860547c29183d927bf28b5687cbea45048deb26646aa2d8f47f619338c"),
+            (("analyze", "--horizon", "30"),
+             "785489c1b607efdb355756210814c3d12b5926dc92f70c3c7c0465b5f1059799")]:
+        code, out, _ = run(capsys, argv[0], "nd.model", *argv[1:], "--format", "machine")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv[0]
 
 
 def test_analyze_of_a_wide_frontier_matches_golden_hash(capsys, monkeypatch, tmp_path, workloads):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from seqtight import (Alphabet, Asm, FunctionAsm, NotADistribution, SfssmAsm,
-                      UnknownSymbol, prefix_probability, string_probability,
-                      validate_conditional)
+from seqtight import (Alphabet, Asm, FunctionAsm, SfssmAsm, UnknownSymbol,
+                      eos_hazard_enumerate, prefix_probability, string_probability)
 
 from conftest import StableRandomAsm, strings_up_to
 
@@ -35,32 +34,6 @@ def test_empty_alphabet_is_allowed_for_degenerate_models():
     assert alphabet.full_size == 1
     asm = FunctionAsm(alphabet, lambda prefix: np.array([1.0]))
     assert string_probability(asm, ()) == 1.0
-
-
-def test_validate_conditional_uniform_ok():
-    alphabet = Alphabet(("a", "b"))
-    asm = FunctionAsm(alphabet, lambda prefix: np.full(3, 1.0 / 3.0))
-    validate_conditional(asm, ())
-
-
-def test_validate_conditional_rejects_deficient_mass():
-    alphabet = Alphabet(("a", "b"))
-    asm = FunctionAsm(alphabet, lambda prefix: np.array([0.5, 0.3, 0.1]))
-    with pytest.raises(NotADistribution) as info:
-        validate_conditional(asm, ())
-    assert info.value.total == pytest.approx(0.9)
-
-
-def test_validate_conditional_reports_negative_entries():
-    alphabet = Alphabet(("a",))
-    asm = FunctionAsm(alphabet, lambda prefix: np.array([1.2, -0.2]))
-    with pytest.raises(NotADistribution) as info:
-        validate_conditional(asm, ("a",))
-    assert info.value.offending == [(1, -0.2)]
-
-
-def test_validate_conditional_on_bigram_table(fig1a):
-    validate_conditional(SfssmAsm(fig1a), ("a",))
 
 
 def test_string_probability_on_bigram_table(fig1a):
@@ -171,10 +144,23 @@ def test_asm_overriding_nothing_is_not_implemented():
     class Bare(Asm):
         alphabet = Alphabet(("a",))
 
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(NotImplementedError, match="Bare must override state_conditional"):
         Bare().conditional(())
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(NotImplementedError, match="Bare must override state_conditional"):
         Bare().state_conditional(())
+
+
+def test_asm_overriding_only_conditional_fails_at_its_first_walk():
+    # one way to define a model: the walks read the carried-state hooks alone
+    class PrefixOnly(Asm):
+        alphabet = Alphabet(("a",))
+
+        def conditional(self, prefix):
+            return np.array([0.5, 0.5])
+
+    for walk in (lambda asm: eos_hazard_enumerate(asm, 3), lambda asm: string_probability(asm, ())):
+        with pytest.raises(NotImplementedError, match="PrefixOnly must override state_conditional"):
+            walk(PrefixOnly())
 
 
 def test_conditionals_locally_normalized_on_random_asms():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from seqtight import (Alphabet, Asm, BoundViolated, BudgetExceeded,
-                      EosBoundFamily, FunctionAsm, InvalidWeight, NotADistribution, OutOfRange,
+                      EosBoundFamily, FunctionAsm, InvalidWeight, OutOfRange,
                       ParityAsm, analyze, build_sfssm,
                       certify_nontight_upper_bound, certify_tight_lower_bound,
                       decide_tight, eos_hazard_enumerate, eos_hazard_fsa,
@@ -21,10 +21,10 @@ from seqtight import (Alphabet, Asm, BoundViolated, BudgetExceeded,
                       make_tight_softplus_rnn, monte_carlo_termination,
                       RnnAsm, SfssmAsm, product_sum_duality_check,
                       suggests_tight, TerminationEstimate, termination_cdf,
-                      termination_probability, trim, validate_conditional)
+                      termination_probability, trim)
 from seqtight import tightness
 from seqtight.modelfile import BUILTINS, load_model
-from seqtight.core import as_prob
+from seqtight.core import _distributions, as_prob
 from seqtight.tightness import _series_from_values
 from seqtight.verdicts import Certificate
 
@@ -406,6 +406,16 @@ def test_lower_bound_slack_is_relative(read_series):
     assert info.value.observed < 1e-13
 
 
+@pytest.mark.parametrize("read_series", [False, True])
+def test_lower_bound_has_no_subnormal_slack(read_series):
+    # parity's EOS probability is exactly 0 at odd steps, below any positive bound
+    series = eos_hazard_enumerate(ParityAsm(), 4) if read_series else None
+    with pytest.raises(BoundViolated) as info:
+        certify_tight_lower_bound(EosBoundFamily.constant(1e-310), asm=ParityAsm(), horizon=4,
+                                  series=series)
+    assert info.value.step == 1
+
+
 def test_lower_bound_walk_memory_stays_flat_as_horizon_grows():
     # softplus states never repeat: a walk cache that kept the root or any
     # dead ancestor would grow with the horizon
@@ -770,8 +780,6 @@ def test_a_row_of_inf_and_minus_inf_is_an_error_not_a_warning():
         eos_hazard_enumerate(asm, 3)
     with pytest.raises(InvalidWeight, match=message):
         monte_carlo_termination(asm, 10, max_len=3, seed=0)
-    with pytest.raises(NotADistribution, match=r"sums to nan; .* at \[\(1, -inf\)\]"):
-        validate_conditional(asm, ())
 
 
 def test_a_model_build_sfssm_accepts_passes_every_walk():
@@ -783,7 +791,7 @@ def test_a_model_build_sfssm_accepts_passes_every_walk():
     asm = SfssmAsm(model)
     assert abs(asm.conditional(("a", "a")).sum() - 1.0) > 1e-9
     for prefix in [(), ("a",), ("a", "a"), ("a",) * 3]:
-        validate_conditional(asm, prefix)
+        assert _distributions(asm.conditional(prefix))
     series = eos_hazard_enumerate(asm, 10)
     assert series.values == pytest.approx(eos_hazard_fsa(model, 10).values, abs=1e-12)
     estimate = monte_carlo_termination(asm, 1000, max_len=100, seed=0)
@@ -824,6 +832,19 @@ def test_geometric_upper_bound_certifies_leak():
     verdict = certify_nontight_upper_bound(series, bound)
     assert verdict.is_non_tight
     assert verdict.leaked_mass == pytest.approx(1.0 - 0.7020135572667846, abs=1e-6)
+
+
+def test_a_true_upper_bound_holds_where_hazard_and_bound_are_subnormal(workloads):
+    # 1/(e^(t-1)+1) < e^(1-t) for every t, but from step 718 both are subnormal
+    # and the computed hazard rounds past the computed bound
+    series = eos_hazard_enumerate(make_nontight_relu_rnn(), 1000)
+    assert series.values[717] < np.finfo(float).tiny
+    verdict = certify_nontight_upper_bound(series, EosBoundFamily.geometric(math.e, 1.0 / math.e))
+    assert verdict.is_non_tight
+    assert verdict.leaked_mass == pytest.approx(workloads.relu_leaked_mass(), abs=1e-9)
+    with pytest.raises(BoundViolated) as info:   # 1/e is below the hazard 0.5 at step 1
+        certify_nontight_upper_bound(series, EosBoundFamily.geometric(1.0, 1.0 / math.e))
+    assert info.value.step == 1
 
 
 def test_upper_bound_violation_detected():
