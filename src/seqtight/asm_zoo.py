@@ -263,7 +263,7 @@ class _StateIndexAsm(SfssmAsm):
         super().__init__(model)
         v = model.alphabet.size
         pair = model.src * v + np.repeat(np.arange(v), np.diff(model.offsets))   # src * V + symbol
-        order = np.argsort(pair, kind="stable")   # the sort Sfssm.deterministic runs
+        order = np.argsort(pair, kind="stable")   # _from_edges's kind: no second sort kernel to page in
         self._pair, self._dst, self._prob = pair[order], model.dst[order], model.prob[order]
 
     def initial_state(self):

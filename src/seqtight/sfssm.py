@@ -85,16 +85,15 @@ def _default_names(q: int) -> tuple[str, ...]:
 class Sfssm:
     """A stochastic finite-state sequence model.
 
-    Build instances through :func:`build_sfssm`; the constructor only
-    checks shapes and index ranges.  Edge ``e`` moves from state
-    ``src[e]`` to ``dst[e]`` with probability ``prob[e]``; the edges of
-    the ``k``-th alphabet symbol are ``offsets[k]:offsets[k + 1]``, in
-    row-major order, and no stored edge is zero.  Arrays are read-only, copies
-    of any a caller passes in, so models are safe to share across threads.
+    Every way of making one (:func:`build_sfssm`, the parser, :func:`mle_ngram`, :func:`trim`,
+    a direct call, ``dataclasses.replace``) runs the same checks.  Edge ``e`` moves from
+    ``src[e]`` to ``dst[e]`` with probability ``prob[e]``; symbol ``k``'s edges are
+    ``offsets[k]:offsets[k + 1]``, distinct, nonzero and row-major.  Arrays are read-only,
+    copies of any a caller passes in, so models are safe to share across threads.
 
-    ``state_map`` is ``None`` for a validated model.  :func:`trim` sets it:
-    ``state_map[i]`` is the index the ``i``-th retained state had in the
-    model it was trimmed from, and rows may then sum below 1.
+    ``state_map`` is ``None`` for a locally normalized model.  :func:`trim` sets it:
+    ``state_map[i]`` is the index the ``i``-th retained state had in the model it was
+    trimmed from, and the start and rows may then sum below 1, never above ``1 + ROW_TOL``.
     """
 
     alphabet: Alphabet
@@ -106,16 +105,20 @@ class Sfssm:
     term: np.ndarray
     names: tuple[str, ...]
     state_map: tuple[int, ...] | None = None
-    _made: InitVar[bool] = False   # the arrays were made for this model alone: keep, not copy
+    _made: InitVar[bool] = False   # the arrays were made for this model alone, in canonical order: keep
 
     def __post_init__(self, _made):
         for name, dtype in (("src", np.intp), ("dst", np.intp), ("prob", float),
                             ("offsets", np.intp), ("init", float), ("term", float)):
-            arr = np.array(getattr(self, name), dtype=dtype, copy=None if _made else True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype,
+                                                    copy=None if _made else True))
+        for where, vec in (("init", self.init), ("term", self.term)):
+            for idx in np.flatnonzero(vec < 0)[:1]:
+                raise NegativeEntry((where, int(idx)))
+        if self.init.ndim != 1:
+            raise ValueError("initial vector must be one-dimensional")
         q, e = len(self.init), len(self.prob)
-        if self.src.shape != (e,) or self.dst.shape != (e,) or not (
+        if {self.src.shape, self.dst.shape, self.prob.shape} != {(e,)} or not (
                 (0 <= self.src) & (self.src < q) & (0 <= self.dst) & (self.dst < q)).all():
             raise ValueError(f"src and dst need one state index below {q} per edge")
         if (self.offsets.shape != (self.alphabet.size + 1,) or self.offsets[0] != 0
@@ -125,6 +128,21 @@ class Sfssm:
             raise ValueError("termination vector length differs from state count")
         if len(self.names) != q:
             raise ValueError("state-name count differs from state count")
+        if len(set(self.names)) != q:
+            raise ValueError("state names must be distinct")
+        for k in np.flatnonzero(self.prob < 0)[:1]:
+            symbol = self.alphabet.symbols[np.searchsorted(self.offsets, k, side="right") - 1]
+            raise NegativeEntry(("trans", symbol, int(self.src[k]), int(self.dst[k])))
+        if not _made and not (self.prob.all() and np.isin(   # (src, dst) rises within each symbol
+                np.flatnonzero(np.diff(self.src * q + self.dst) <= 0) + 1, self.offsets).all()):
+            raise ValueError("edges must be nonzero, distinct and in canonical order")
+        # the start, then each row; taken before freezing, since np.bincount copies read-only input
+        sums = np.append(self.init.sum(), np.bincount(self.src, self.prob, q) + self.term)
+        off = sums - 1.0   # a trimmed model may lose mass, never gain it; NaN never passes
+        for idx in np.flatnonzero(~((np.abs(off) if self.state_map is None else off) <= ROW_TOL))[:1]:
+            raise BadRow(int(idx) - 1, self.names[idx - 1], float(sums[idx])) if idx else BadInit(float(sums[0]))
+        for name in ("src", "dst", "prob", "offsets", "init", "term"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def num_states(self) -> int:
@@ -145,9 +163,9 @@ class Sfssm:
 
     @cached_property
     def deterministic(self) -> bool:
-        """One state holds all initial mass and no two edges share a state and a symbol."""
+        """One state holds all initial mass and no two edges share a state and a symbol
+        (canonical order puts two such edges side by side)."""
         pairs = np.repeat(np.arange(self.alphabet.size), np.diff(self.offsets)) * self.num_states + self.src
-        pairs = pairs[np.argsort(pairs, kind="stable")]   # _from_edges's sort: no second kernel to page in
         return int(np.count_nonzero(self.init > 0)) == 1 and bool(np.diff(pairs).all())
 
     @cached_property
@@ -174,32 +192,19 @@ class Sfssm:
 def _from_edges(alphabet: Alphabet, edges: Sequence[Sequence],
                 init: Sequence[float], term: Sequence[float],
                 names: Sequence[str] | None = None) -> Sfssm:
-    """:func:`build_sfssm` from the columns (symbol index, src, dst, prob) of distinct
-    edges in any order, which it only reads; zero entries are dropped."""
+    """The :class:`Sfssm` of the columns (symbol index, src, dst, prob) of distinct edges
+    in any order, which it only reads: it drops zero entries, sorts the rest into
+    canonical order and cuts ``offsets``; the model checks everything else."""
     init, term = np.array(init, dtype=float), np.array(term, dtype=float)
-    state_names = tuple(names) if names is not None else _default_names(len(init))
-    for where, vec in (("init", init), ("term", term)):
-        for idx in np.flatnonzero(vec < 0)[:1]:
-            raise NegativeEntry((where, int(idx)))
     symbol, src, dst = (np.asarray(column, dtype=np.intp) for column in edges[:3])
     prob = np.asarray(edges[3], dtype=float)
     key = ((symbol * len(init) + src) * len(init) + dst)[prob != 0]   # rises in canonical order
     order = np.flatnonzero(prob)[np.argsort(key, kind="stable")]   # the nonzero edges, sorted
     del key
     symbol, src, dst, prob = symbol[order], src[order], dst[order], prob[order]
-    for e in np.flatnonzero(prob < 0)[:1]:
-        raise NegativeEntry(("trans", alphabet.symbols[symbol[e]], int(src[e]), int(dst[e])))
-    outgoing = np.bincount(src, weights=prob, minlength=len(init))   # copies read-only input
-    model = Sfssm(alphabet=alphabet, src=src, dst=dst, prob=prob, init=init, term=term, _made=True,
-                  offsets=np.searchsorted(symbol, np.arange(alphabet.size + 1)), names=state_names)
-
-    total_init = float(init.sum())
-    if not abs(total_init - 1.0) <= ROW_TOL:
-        raise BadInit(total_init)
-    row_sums = outgoing + term
-    for idx in np.flatnonzero(~(np.abs(row_sums - 1.0) <= ROW_TOL))[:1]:
-        raise BadRow(int(idx), state_names[idx], float(row_sums[idx]))
-    return model
+    return Sfssm(alphabet=alphabet, src=src, dst=dst, prob=prob, init=init, term=term, _made=True,
+                 offsets=np.searchsorted(symbol, np.arange(alphabet.size + 1)),
+                 names=tuple(names) if names is not None else _default_names(len(init)))
 
 
 def build_sfssm(alphabet: Alphabet,
@@ -210,10 +215,11 @@ def build_sfssm(alphabet: Alphabet,
     """Validate and construct an SFSSM from dense ``{symbol: Q x Q}`` matrices.
 
     Symbols missing from ``trans`` have no edges; only nonzero entries are
-    kept.  Raises :class:`NegativeEntry` for negative parameters,
+    kept.  The model's own checks raise :class:`NegativeEntry` for negative parameters,
     :class:`BadInit` when the initial vector does not sum to 1 within
-    ``ROW_TOL``, and :class:`BadRow` when a state's outgoing mass plus its
-    termination probability is not 1 within ``ROW_TOL`` (a NaN sum never is).
+    ``ROW_TOL``, :class:`BadRow` when a state's outgoing mass plus its termination
+    probability is not 1 within ``ROW_TOL`` (a NaN sum never is), and ``ValueError``
+    for a vector that is not 1-D or state names that repeat or miscount.
     """
     unknown = set(trans) - set(alphabet.symbols)
     if unknown:
@@ -335,10 +341,10 @@ _TIGHT = TightnessVerdict.tight(Certificate.CO_ACCESSIBILITY,
 def decide_tight(m: Sfssm) -> TightnessVerdict:
     """Exact tightness decision: tight iff accessible implies co-accessible.
 
-    A tight verdict needs reachability only.  A non-tight verdict is
-    :func:`solve_tightness`'s, which searches again before its solve.
+    A tight verdict needs reachability only.  A non-tight verdict, or the ``ValueError``
+    of a trimmed model, is :func:`solve_tightness`'s, which searches again before its solve.
     """
-    return _TIGHT if accessible(m) <= coaccessible(m) else solve_tightness(m)[0]
+    return _TIGHT if m.state_map is None and accessible(m) <= coaccessible(m) else solve_tightness(m)[0]
 
 
 def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
@@ -346,7 +352,8 @@ def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
     search, one trim and one linear solve (none when no state is useful:
     the termination probability is then 0).  A non-tight verdict names the
     lowest-index accessible state that cannot reach termination and leaks
-    one minus the termination probability.
+    one minus the termination probability.  A trimmed model (``state_map`` set) raises
+    ``ValueError``: its rows may sum below 1, so reachability does not decide it.
 
     A tight verdict is checked against the solve.  Validated rows may sum
     to ``1 - ROW_TOL``, so the termination probability may fall short of 1
@@ -355,6 +362,8 @@ def solve_tightness(m: Sfssm) -> tuple[TightnessVerdict, float]:
     ``ROW_TOL``.  A shortfall above twice the bound, which covers rounding
     in the solves, raises :class:`TerminationShortfall`.
     """
+    if m.state_map is not None:
+        raise ValueError("a trimmed model may lose mass at every state: decide the model it was trimmed from")
     acc, co = accessible(m), coaccessible(m)
     sub = _trim(m, acc & co) if acc & co else None
     termination = 0.0 if sub is None else termination_probability(sub)

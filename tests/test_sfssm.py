@@ -10,11 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from seqtight import (Alphabet, BadInit, BadRow, EmptyCorpus, NegativeEntry,
-                      NoUsefulStates, Sfssm, TerminationShortfall, accessible, build_sfssm,
-                      coaccessible, decide_tight, mle_ngram, neumann_partial_sum,
-                      prefix_probability_fsa, solve_linear, solve_tightness,
+                      NoUsefulStates, Sfssm, TerminationShortfall, accessible, analyze, build_sfssm,
+                      coaccessible, decide_tight, mle_ngram, model_digest, neumann_partial_sum,
+                      parse_model, prefix_probability_fsa, solve_linear, solve_tightness,
                       spectral_radius_estimate,
                       string_probability_fsa, termination_probability, trim, useful_states,
                       write_model)
@@ -22,6 +24,7 @@ from seqtight import sfssm
 from seqtight.sfssm import _from_edges
 
 from conftest import dense_transitions, random_corpus, random_sfssm, strings_up_to
+from test_state_index import random_deterministic
 
 
 def one_state_stopper():
@@ -119,6 +122,136 @@ def test_a_model_needs_one_termination_entry_and_one_name_per_state(fig1a):
         replace(fig1a, term=fig1a.term[:2])
     with pytest.raises(ValueError, match="state-name count differs"):
         replace(fig1a, names=fig1a.names[:2])
+
+
+# -- one set of checks for every way of making a model --------------------------
+
+def direct_sfssm(alphabet, trans, init, term, names=None, state_map=None):
+    """``Sfssm(...)`` of dense ``{symbol: Q x Q}`` matrices, each one's nonzero entries in
+    row-major order, as :func:`build_sfssm` takes them."""
+    cells = [np.nonzero(np.asarray(trans[a])) for a in alphabet.symbols]
+    return Sfssm(alphabet=alphabet, src=np.concatenate([[], *(i for i, _ in cells)]),
+                 dst=np.concatenate([[], *(j for _, j in cells)]),
+                 prob=np.concatenate([[], *(np.asarray(trans[a])[c] for a, c in zip(alphabet.symbols, cells))]),
+                 offsets=np.cumsum([0, *(len(i) for i, _ in cells)]), init=init, term=term,
+                 names=tuple(names or (f"q{i}" for i in range(len(init)))), state_map=state_map)
+
+
+def outcome(fn, *args, **kwargs):
+    """The type and text of the ``ValueError`` ``fn`` raised; fails if it raised none."""
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+FAULTS = {   # (trans, init, term, names), the error type and its message
+    "row-0.5": (({"a": [[0, 0.4], [0, 0]]}, [1, 0], [0.1, 1], ("p", "q")),
+                BadRow, "state p: outgoing mass plus termination is 0.5, expected 1"),
+    "row-1.5": (({"a": [[0, 1.4], [0, 0]]}, [1, 0], [0.1, 1], ("p", "q")),
+                BadRow, "state p: outgoing mass plus termination is 1.5, expected 1"),
+    "nan-init": (({"a": [[0, 0.9], [0, 0]]}, [np.nan, 0], [0.1, 1], ("p", "q")),
+                 BadInit, "initial vector sums to nan, expected 1"),
+    "negative-edge": (({"a": [[-0.1]]}, [1], [1.1], None),
+                      NegativeEntry, "negative entry at ('trans', 'a', 0, 0)"),
+    "negative-init": (({"a": [[0, 0], [0, 0]]}, [1.5, -0.5], [1, 1], None),
+                      NegativeEntry, "negative entry at ('init', 1)"),
+    "duplicate-names": (({"a": [[0, 0.5], [0, 1.0]]}, [1, 0], [0.5, 0], ("s", "s")),
+                        ValueError, "state names must be distinct"),
+    "2-d-init": (({"a": [[0, 0.5], [0, 1.0]]}, [[1.0], [0.0]], [0.5, 0], None),
+                 ValueError, "initial vector must be one-dimensional"),
+    "term-length": (({"a": [[0, 0.5], [0, 1.0]]}, [1, 0], [0.5], None),
+                    ValueError, "termination vector length differs from state count"),
+    "name-count": (({"a": [[0, 0.5], [0, 1.0]]}, [1, 0], [0.5, 0], ("s",)),
+                   ValueError, "state-name count differs from state count"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_fault_raises_the_same_error_through_build_sfssm_and_a_direct_call(fault):
+    (trans, init, term, names), error, message = FAULTS[fault]
+    trans = {a: np.array(mat, dtype=float) for a, mat in trans.items()}
+    built = outcome(build_sfssm, Alphabet(("a",)), trans, init, term, names=names)
+    assert built == (error, message)
+    assert outcome(direct_sfssm, Alphabet(("a",)), trans, init, term, names=names) == built
+
+
+def test_replace_runs_the_checks(fig1a):
+    # it used to give analyze a start of 0.5 and a confident non-tight verdict
+    with pytest.raises(BadInit, match="sums to 0.5"):
+        replace(fig1a, init=np.array([0.5, 0.0, 0.0]))
+    with pytest.raises(NegativeEntry) as info:
+        replace(fig1a, prob=-fig1a.prob)
+    assert info.value.location == ("trans", "a", 0, 1)
+
+
+@pytest.mark.parametrize("src, dst, prob", [
+    ([0, 0], [1, 0], [0.45, 0.45]),   # out of order
+    ([0, 0], [1, 1], [0.45, 0.45]),   # a repeated edge
+    ([0, 0], [0, 1], [0.0, 0.9]),   # a stored zero
+], ids=["out-of-order", "repeated", "zero"])
+def test_a_direct_call_needs_distinct_nonzero_edges_in_canonical_order(src, dst, prob):
+    with pytest.raises(ValueError, match="edges must be nonzero, distinct and in canonical order"):
+        Sfssm(alphabet=Alphabet(("a",)), src=src, dst=dst, prob=prob, offsets=[0, 2],
+              init=[1.0, 0.0], term=[0.1, 1.0], names=("p", "q"))
+
+
+def test_a_trimmed_model_may_lose_mass_but_never_gain_it(fig1a):
+    sub = trim(fig1a)
+    assert sub.init.sum() == 1.0 and sub.term.tolist() == [0.0, 0.1]   # row a keeps 0.8 of 1
+    lossy = direct_sfssm(Alphabet(("a",)), {"a": np.array([[0, 0.5], [0, 0]])}, [0.5, 0.0],
+                         [0.1, 1.0], ("p", "q"), state_map=(0, 2))
+    assert lossy.state_map == (0, 2)
+    with pytest.raises(BadRow, match="state p: outgoing mass plus termination is 1.05"):
+        direct_sfssm(Alphabet(("a",)), {"a": np.array([[0, 0.95], [0, 0]])}, [1.0, 0.0],
+                     [0.1, 1.0], ("p", "q"), state_map=(0, 2))
+    with pytest.raises(BadInit, match="sums to 1.5"):
+        replace(sub, init=np.array([1.5, 0.0]))
+    for init, term in (([np.nan, 0.0], [0.1, 1.0]), ([1.0, 0.0], [np.nan, 1.0])):
+        with pytest.raises((BadInit, BadRow), match="nan"):
+            replace(sub, init=np.array(init), term=np.array(term))
+
+
+def test_the_exact_decisions_refuse_a_trimmed_model(fig1a):
+    # fig1a leaks 2/3; its trim stops with probability 1/3 and is not tight either
+    sub = trim(fig1a)
+    for decide in (decide_tight, solve_tightness):
+        with pytest.raises(ValueError, match="decide the model it was trimmed from"):
+            decide(sub)
+    with pytest.raises(ValueError, match="decide the model it was trimmed from"):
+        analyze(sub, horizon=3, samples=0, max_len=5, seed=0)
+    assert termination_probability(sub) == 0.3333333333333333
+
+
+@given(hst.integers(0, 2**32 - 1), hst.data())
+@settings(max_examples=100, deadline=None)
+def test_a_direct_model_of_valid_arrays_round_trips_and_a_shuffle_raises(seed, data):
+    model = random_sfssm(np.random.default_rng(seed), max_states=6, ensure_useful=False)
+    arrays = {name: getattr(model, name).copy() for name in ("src", "dst", "prob", "offsets", "init", "term")}
+    built = Sfssm(alphabet=model.alphabet, names=model.names, **arrays)
+    assert model_digest(parse_model(write_model(built))) == model_digest(model)
+    runs = [(lo, hi) for lo, hi in zip(model.offsets[:-1].tolist(), model.offsets[1:].tolist()) if hi - lo > 1]
+    if runs:
+        lo, hi = data.draw(hst.sampled_from(runs))
+        order = data.draw(hst.permutations(range(lo, hi)).filter(lambda p: list(p) != list(range(lo, hi))))
+        for name in ("src", "dst", "prob"):
+            arrays[name][lo:hi] = getattr(model, name)[order]
+        with pytest.raises(ValueError, match="canonical order"):
+            Sfssm(alphabet=model.alphabet, names=model.names, **arrays)
+
+
+def brute_force_deterministic(model) -> bool:
+    """One start state, and no two edges with the same source state and symbol."""
+    pairs = [(k, int(model.src[e])) for k in range(model.alphabet.size)
+             for e in range(model.offsets[k], model.offsets[k + 1])]
+    return int(np.count_nonzero(model.init)) == 1 and len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_deterministic_agrees_with_a_brute_force_check(seed):
+    rng = np.random.default_rng([33, seed])
+    model, deterministic = random_sfssm(rng, max_states=6, ensure_useful=False), random_deterministic(rng)
+    assert model.deterministic == brute_force_deterministic(model)
+    assert deterministic.deterministic and brute_force_deterministic(deterministic)
 
 
 @pytest.mark.parametrize("seed", range(20))
