@@ -98,8 +98,11 @@ class RnnAsm(Asm):
             bad = getattr(self, name)[~np.isfinite(getattr(self, name))]
             if bad.size:
                 raise ValueError(f"{name} has a non-finite entry: {float(bad[0])!r}")
-        # input drive W_in @ v[x] of each symbol, computed once
-        object.__setattr__(self, "_drive", np.matvec(self.input_weights, self.input_embedding))
+        # input drive W_in @ v[x] of each symbol and EOS, computed once; finite, like the parameters
+        drive = _quiet_overflow(np.matvec)(self.input_weights, self.input_embedding)
+        for row in np.flatnonzero(~np.isfinite(drive).all(axis=1))[:1]:
+            raise ValueError(f"input drive of {(*self.alphabet.symbols, self.alphabet.eos)[row]!r} is not finite")
+        object.__setattr__(self, "_drive", drive)
 
     @property
     def hidden_dim(self) -> int:
@@ -194,6 +197,8 @@ class ParityAsm(Asm):
             raise OutOfRange(f"eos_prob_even must be strictly inside (0, 1), got {eos_prob_even!r}")
         self.eos_prob_even = eos_prob_even
         self.alphabet = alphabet if alphabet is not None else Alphabet(("a", "b"))
+        if not self.alphabet.size:   # the non-EOS mass has no symbol to go to
+            raise ValueError("a parity model needs at least one alphabet symbol")
 
     def initial_state(self):
         return 0

@@ -85,11 +85,11 @@ def _default_names(q: int) -> tuple[str, ...]:
 class Sfssm:
     """A stochastic finite-state sequence model.
 
-    Every way of making one (:func:`build_sfssm`, the parser, :func:`mle_ngram`, :func:`trim`,
-    a direct call, ``dataclasses.replace``) runs the same checks.  Edge ``e`` moves from
-    ``src[e]`` to ``dst[e]`` with probability ``prob[e]``; symbol ``k``'s edges are
-    ``offsets[k]:offsets[k + 1]``, distinct, nonzero and row-major.  Arrays are read-only,
-    copies of any a caller passes in, so models are safe to share across threads.
+    Every way of making one (:func:`build_sfssm`, the parser, :func:`mle_ngram`, :func:`trim`, a direct
+    call, ``dataclasses.replace``) runs the same checks.  Edge ``e`` moves from ``src[e]`` to ``dst[e]``
+    with probability ``prob[e]``; symbol ``k``'s edges are ``offsets[k]:offsets[k + 1]``, distinct,
+    nonzero and row-major, and :meth:`forward` slices them there, caching no per-symbol index.  Arrays
+    are read-only, copies of any a caller passes in, so models are safe to share across threads.
 
     ``state_map`` is ``None`` for a locally normalized model.  :func:`trim` sets it:
     ``state_map[i]`` is the index the ``i``-th retained state had in the model it was
@@ -148,18 +148,11 @@ class Sfssm:
     def num_states(self) -> int:
         return len(self.init)
 
-    @cached_property
-    def _by_symbol(self) -> dict[Token, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        # cut once: slicing by ``offsets`` on every call makes ``forward``,
-        # which runs once per token, about 1.5x slower
-        bounds = self.offsets.tolist()
-        return {a: (self.src[lo:hi], self.dst[lo:hi], self.prob[lo:hi])
-                for a, lo, hi in zip(self.alphabet.symbols, bounds, bounds[1:])}
-
     def forward(self, alpha: np.ndarray, symbol: Token) -> np.ndarray:
-        """``alpha @ T[symbol]``: push a state-weight vector along one symbol."""
-        src, dst, prob = self._by_symbol[symbol]
-        return np.bincount(dst, weights=alpha[src] * prob, minlength=len(alpha))
+        """``alpha @ T[symbol]`` along the symbol's edges; :class:`UnknownSymbol` off the alphabet."""
+        k = self.alphabet.index(symbol)
+        e = slice(*self.offsets[k:k + 2].tolist())
+        return np.bincount(self.dst[e], weights=alpha[self.src[e]] * self.prob[e], minlength=len(alpha))
 
     @cached_property
     def deterministic(self) -> bool:

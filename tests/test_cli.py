@@ -26,6 +26,7 @@ from seqtight.cli import main
 from seqtight.modelfile import as_asm
 
 from conftest import CountingAsm, dense_transitions, seeded_tanh_model
+from test_modelfile import CONSTRUCTOR_FAULTS
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -205,6 +206,22 @@ def test_an_overflowing_rnn_prints_only_its_error_line(tmp_path, command, option
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == OVERFLOW_ERROR
+
+
+@pytest.mark.parametrize("command, options", [("analyze", ()), ("sample", ()), ("prob", ("a",))],
+                         ids=["analyze", "sample", "prob"])
+@pytest.mark.parametrize("name", CONSTRUCTOR_FAULTS)
+def test_a_model_its_constructor_rejects_prints_only_its_error_line(tmp_path, name, command, options):
+    # in a child, where no warning filter hides numpy's overflow warnings
+    text, message = CONSTRUCTOR_FAULTS[name]
+    path = tmp_path / f"{name}.model"
+    path.write_text(text)
+    result = subprocess.run([sys.executable, "-m", "seqtight.cli", command, str(path), *options],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: line 1, column 1: {message}\n"
 
 
 def test_a_huge_rnn_width_is_a_parse_error_before_any_allocation(tmp_path):

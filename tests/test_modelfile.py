@@ -608,6 +608,26 @@ def test_rnn_with_non_finite_parameters_is_a_parse_error():
     assert "inf" in str(diagnose(text.replace("bias 0.0", "bias inf")))
 
 
+# an RNN whose input drive W_in @ v[x] is 1e308 times the embeddings of 'a' and EOS
+RNN_DRIVE = ("model: rnn\n\n[alphabet]\na\n\n[rnn]\nhidden 1\nactivation relu\n\n[input-weights]\n1e308\n\n"
+             "[recurrent-weights]\n1.0\n\n[input-embedding]\na {}\nEOS {}\n\n[output-embedding]\na 0.0\nEOS 0.0\n")
+
+# files that parse, but whose model the constructor rejects: (text, message)
+CONSTRUCTOR_FAULTS = {
+    "parity-without-symbols": ("model: parity\n\n[alphabet]\n\n[parity]\neos-prob-even 0.5\n",
+                               "a parity model needs at least one alphabet symbol"),
+    "rnn-drive-overflow": (RNN_DRIVE.format("1e308", "0.0"), "input drive of 'a' is not finite"),
+    "rnn-eos-drive-overflow": (RNN_DRIVE.format("0.0", "-1e308"), "input drive of 'EOS' is not finite"),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTOR_FAULTS)
+def test_a_model_the_constructor_rejects_is_a_parse_error(name):
+    # the suite turns a RuntimeWarning into an error, so the overflow must stay quiet too
+    text, message = CONSTRUCTOR_FAULTS[name]
+    assert message in str(diagnose(text))
+
+
 # sha256 of write_model output, recorded from the dense-matrix writer that
 # preceded the edge-list layout; the digests must never change
 DENSE_WRITER_DIGESTS = {

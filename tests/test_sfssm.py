@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from seqtight import (Alphabet, BadInit, BadRow, EmptyCorpus, NegativeEntry,
-                      NoUsefulStates, Sfssm, TerminationShortfall, accessible, analyze, build_sfssm,
+from seqtight import (Alphabet, BadInit, BadRow, EmptyCorpus, NegativeEntry, NoUsefulStates,
+                      Sfssm, TerminationShortfall, UnknownSymbol, accessible, analyze, build_sfssm,
                       coaccessible, decide_tight, mle_ngram, model_digest, neumann_partial_sum,
                       parse_model, prefix_probability_fsa, solve_linear, solve_tightness,
                       spectral_radius_estimate,
@@ -268,6 +268,24 @@ def test_edge_arrays_agree_with_dense_matrices(seed):
     alpha = rng.random(model.num_states)
     for a, mat in zip(model.alphabet.symbols, dense):
         np.testing.assert_allclose(model.forward(alpha, a), alpha @ mat, rtol=0, atol=1e-15)
+
+
+@given(hst.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_forward_adds_the_symbols_edges_into_zeros_in_canonical_order(seed):
+    rng = np.random.default_rng(seed)
+    model = random_sfssm(rng, max_states=6, ensure_useful=False)
+    # one more symbol, last in the alphabet, with no edges
+    model = replace(model, alphabet=Alphabet((*model.alphabet.symbols, "idle")),
+                    offsets=np.append(model.offsets, model.offsets[-1]))
+    alpha = rng.random(model.num_states)
+    for k, a in enumerate(model.alphabet.symbols):
+        want = np.zeros(model.num_states)
+        for e in range(model.offsets[k], model.offsets[k + 1]):
+            want[model.dst[e]] += alpha[model.src[e]] * model.prob[e]
+        assert model.forward(alpha, a).tobytes() == want.tobytes()
+    with pytest.raises(UnknownSymbol):
+        model.forward(alpha, "zz")
 
 
 def test_missing_transition_matrices_default_to_zero():
